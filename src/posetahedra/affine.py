@@ -20,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 
 from .errors import (
     CycleError,
@@ -31,6 +31,7 @@ from .errors import (
     NotStronglyConnectedError,
     OverlapError,
 )
+from .geometry import FaceOrder
 from .lattice import EMPTY, FaceLattice, _build, tubing_partitions
 from .linalg import nullspace
 from .polytope import Chart, Facet, RationalPolytope, polar_dual, polytope_from_data
@@ -274,10 +275,6 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
     if not proper_only:
         found.append(FULL)
     return tuple(found)
-
-
-def singleton_classes(A: AffinePoset) -> tuple[AffineTube, ...]:
-    return tuple(AffineTube((r,)) for r in range(1, A.n + 1))
 
 
 def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bool:
@@ -535,7 +532,8 @@ def linear_extension(A: AffinePoset) -> dict[int, int]:
     n = A.n
     bound = n * (A.max_edge_span + 3)
     S = [i for i in range(-bound, bound + 1) if A.lt(i - n, 0) and not A.lt(i, 0)]
-    assert len(S) == n and len({A.residue(i) for i in S}) == n
+    if len(S) != n or len({A.residue(i) for i in S}) != n:
+        raise CycleError("no fundamental domain: the shift matrix is not an order")
     remaining = list(S)
     order: dict[int, int] = {}
     rank = 1
@@ -553,8 +551,8 @@ def linear_extension(A: AffinePoset) -> dict[int, int]:
     phi = {r: v + shift for r, v in phi.items()}
     for i in range(1, n + 1):
         for j in range(i - bound, i + bound + 1):
-            if A.lt(i, j):
-                assert _phi_value(phi, n, i) < _phi_value(phi, n, j)
+            if A.lt(i, j) and not _phi_value(phi, n, i) < _phi_value(phi, n, j):
+                raise CycleError(f"relabeling breaks {i} < {j}: the shift matrix is not an order")
     return phi
 
 
@@ -639,16 +637,13 @@ class AffineAdmissiblePoset:
         m = sum(1 for t in T if self.is_melted(t))
         return self.host.n + m - (len(T) - m) - 2
 
+    @cached_property
+    def order(self) -> FaceOrder:
+        return FaceOrder(self.elements, self.is_melted, partial(class_contains, self.host))
+
     def le(self, a, b) -> bool:
-        for t in a:
-            if self.is_melted(t):
-                if t not in b:
-                    return False
-            elif not any(
-                (not self.is_melted(s)) and class_contains(self.host, s, t) for s in b
-            ):
-                return False
-        return True
+        """Face order: melted classes persist, frozen classes may coarsen."""
+        return self.order.le(a, b)
 
     @cached_property
     def by_dim(self) -> dict[int, tuple]:
@@ -666,9 +661,6 @@ class AffineAdmissiblePoset:
     def s_tau(self, cls: AffineTube) -> frozenset[AffineTube]:
         uncovered = set(range(1, self.host.n + 1)) - residues_of(self.host, cls)
         return frozenset({FULL, cls} | {AffineTube((r,)) for r in sorted(uncovered)})
-
-    def s_tau_prime(self, cls: AffineTube) -> frozenset[AffineTube]:
-        return frozenset({FULL, cls} | set(singleton_classes(self.host)))
 
 
 def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...]:
@@ -779,7 +771,10 @@ def realize_affine_cyclohedron(A: AffinePoset) -> AffineRealizationResult:
         )
         melted.add(cls)
         adm = affine_admissible_tubings(A, frozenset(melted))
-        dual = stellar_subdivide(dual, face_ids, adm)
+        try:
+            dual = stellar_subdivide(dual, face_ids, adm)
+        except MismatchError as exc:
+            raise MismatchError(f"melting class {cls}: {exc}") from exc
         counts.append(dual.n_vertices)
         check_bit_budget(itertools.chain.from_iterable(dual.vertices),
                          f"affine realization after melting {cls}")

@@ -437,7 +437,8 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     if len(ts) != 1:
         raise NotInCollError("recovered expansion scale is inconsistent")
     t = ts.pop()
-    assert 0 < t < _t_max_core(point[tau], point[tau_plus], up, down)
+    if not 0 < t < _t_max_core(point[tau], point[tau_plus], up, down):
+        raise NotInCollError(f"recovered expansion scale {t} is outside (0, t_max)")
     return point, t
 
 

@@ -123,15 +123,13 @@ class AdmissiblePoset:
         m = sum(1 for t in T if t in self.melted)
         return len(self.host.elements) + m - (len(T) - m) - 2
 
+    @cached_property
+    def order(self) -> FaceOrder:
+        return FaceOrder(self.elements, self.melted.__contains__, lambda s, t: t.issubset(s))
+
     def le(self, a: AdmTubing, b: AdmTubing) -> bool:
         """Face order: melted tubes persist, frozen tubes may coarsen."""
-        for t in a:
-            if t in self.melted:
-                if t not in b:
-                    return False
-            elif not any(t.issubset(s) for s in b if s not in self.melted):
-                return False
-        return True
+        return self.order.le(a, b)
 
     @cached_property
     def by_dim(self) -> dict[int, tuple[AdmTubing, ...]]:
@@ -150,10 +148,47 @@ class AdmissiblePoset:
         outside = set(self.host.elements) - tau.as_set
         return frozenset({full_tube(self.host), tau} | {Tube((e,)) for e in sorted(outside)})
 
-    def s_tau_prime(self, tau: Tube) -> AdmTubing:
-        return frozenset(
-            {full_tube(self.host), tau} | {Tube((e,)) for e in self.host.elements}
-        )
+
+class FaceOrder:
+    """The face order of admissible tubings on integer bitsets.
+
+    Every tube occurring in an admissible tubing gets one bit; mask(T) is
+    the OR of the bits of T's tubes.  bad(T) holds the melted tubes missing
+    from T and the frozen tubes lying under no frozen tube of T, so
+    a <= b exactly when mask(a) & bad(b) == 0: melted tubes persist and
+    frozen tubes may coarsen.  ``contains(s, t)`` says frozen s contains t.
+    Shared by the finite and the affine admissible posets.
+    """
+
+    def __init__(self, elements, is_melted, contains):
+        self.bit: dict = {}
+        for T in elements:
+            for t in T:
+                self.bit.setdefault(t, 1 << len(self.bit))
+        frozen = [t for t in self.bit if not is_melted(t)]
+        self.frozen = sum(self.bit[t] for t in frozen)
+        self.melted = (1 << len(self.bit)) - 1 - self.frozen
+        self.under = {
+            s: sum(self.bit[t] for t in frozen if contains(s, t)) for s in frozen
+        }
+
+    def mask(self, T) -> int:
+        # the tubes of T are distinct, so summing their bits is an OR
+        return sum(self.bit[t] for t in T)
+
+    def bad(self, T) -> int:
+        covered = 0
+        for t in T:
+            covered |= self.under.get(t, 0)
+        return (self.melted & ~self.mask(T)) | (self.frozen & ~covered)
+
+    def le(self, a, b) -> bool:
+        return not self.mask(a) & self.bad(b)
+
+    def below(self, masks, T) -> list[int]:
+        """Positions i, in order, with masks[i] the mask of a tubing <= T."""
+        bad = self.bad(T)
+        return [i for i, m in enumerate(masks) if not m & bad]
 
 
 def admissible_tubings(P: Poset, M: MeltedSet) -> AdmissiblePoset:
@@ -216,10 +251,10 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
 
 def rebuild_from_lattice(dim, vertices, labels, adm) -> RationalPolytope:
     """Solve every facet hyperplane from the lattice and certify the result."""
-    facets = []
-    for Tf in adm.facets():
-        tight = [i for i, lab in enumerate(labels) if adm.le(lab, Tf)]
-        facets.append(facet_through(vertices, tight, label=Tf))
+    masks = [adm.order.mask(lab) for lab in labels]
+    facets = [
+        facet_through(vertices, adm.order.below(masks, Tf), label=Tf) for Tf in adm.facets()
+    ]
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels))
     lattice_match(poly, adm)
     return poly
@@ -230,7 +265,9 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
 
     For every admissible T the vertices below it must (a) be exactly the
     intersection of the tight sets of the facets above it, and (b) affinely
-    span dim(T) dimensions.
+    span dim(T) dimensions.  Vertex and facet sets are integer bitsets: a
+    vertex lies in the intersection when its row of incident facets holds
+    every facet above T.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -238,19 +275,30 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     vertex_set = set(adm.vertices())
     if set(labels) != vertex_set or len(labels) != len(vertex_set):
         raise MismatchError("vertex labels disagree with the lattice")
+    order = adm.order
+    masks = [order.mask(lab) for lab in labels]
+    facet_bads = [order.bad(f.label) for f in Q.facets]
+    not_rows = [-1] * len(labels)  # complement of each vertex's facet row
+    for k, inc in enumerate(Q.incidence):
+        for i in inc:
+            not_rows[i] &= ~(1 << k)
     for T in adm.elements:
-        below = frozenset(i for i, lab in enumerate(labels) if adm.le(lab, T))
-        cut = frozenset(range(len(Q.vertices)))
-        above = [f for f in Q.facets if adm.le(T, f.label)]
+        ids = order.below(masks, T)
+        below = sum(1 << i for i in ids)
+        mask = order.mask(T)
+        above = sum(1 << k for k, bad in enumerate(facet_bads) if not mask & bad)
         if adm.dim(T) < Q.dim and not above:
             raise MismatchError(f"face {T} lies on no facet")
-        for f, inc in zip(Q.facets, Q.incidence):
-            if adm.le(T, f.label):
-                cut &= inc
+        cut = sum(1 << i for i, not_row in enumerate(not_rows) if not above & not_row)
         if cut != below:
-            raise MismatchError("face vertex set disagrees with facet intersection")
-        if affine_rank([Q.vertices[i] for i in sorted(below)]) != adm.dim(T):
-            raise MismatchError(f"face {sorted(t.members for t in T)} has wrong dimension")
+            raise MismatchError(
+                f"face {_face_name(T)} vertex set disagrees with facet intersection")
+        if affine_rank([Q.vertices[i] for i in ids]) != adm.dim(T):
+            raise MismatchError(f"face {_face_name(T)} has wrong dimension")
+
+
+def _face_name(T) -> list:
+    return sorted(t.members for t in T)
 
 
 def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
@@ -332,7 +380,10 @@ def realize_poset_associahedron(P: Poset) -> RealizationResult:
         )
         melted.add(tau)
         adm = admissible_tubings(P, MeltedSet.of(P, melted))
-        dual = stellar_subdivide(dual, face_ids, adm)
+        try:
+            dual = stellar_subdivide(dual, face_ids, adm)
+        except MismatchError as exc:
+            raise MismatchError(f"melting {tau}: {exc}") from exc
         counts.append(dual.n_vertices)
         check_bit_budget(itertools.chain.from_iterable(dual.vertices),
                          f"realization after melting {tau}")

@@ -7,6 +7,7 @@ are lists of row lists; no numpy because all arithmetic must stay rational.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 Row = list[Fraction]
@@ -77,15 +78,45 @@ def solve_unique(rows, rhs) -> Row:
 
 
 def affine_rank(points) -> int:
-    """Dimension of the affine hull of the given points (-1 for none)."""
-    points = list(points)
-    if not points:
-        return -1
-    base = points[0]
-    rows = [[x - b for x, b in zip(p, base)] for p in points[1:]]
-    if not rows:
-        return 0
-    return rank(rows, len(base))
+    """Dimension of the affine hull of the given points (-1 for none).
+
+    The rank of the homogenized points (v, 1), less one.  Scaling a row
+    leaves the rank alone, so each point is cleared of denominators on its
+    own and the rank is taken over the integers.
+    """
+    return integer_rank(homogeneous(p) for p in points) - 1
+
+
+def homogeneous(point) -> list[int]:
+    """The integer row D * (point, 1), D > 0 the least common denominator.
+
+    Entries may be ints or Fractions.
+    """
+    den = math.lcm(*(x.denominator for x in point))
+    return [x.numerator * (den // x.denominator) for x in point] + [den]
+
+
+def integer_rank(rows) -> int:
+    """Rank of integer rows by fraction-free elimination.
+
+    Each row is reduced against an echelon basis built from the rows before
+    it, then divided by the gcd of its entries, which keeps the integers
+    small and the result exact.
+    """
+    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
+    for row in rows:
+        for c, b in basis:
+            if row[c]:
+                row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
+                g = math.gcd(*row)
+                if g > 1:
+                    row = [x // g for x in row]
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is not None:
+            basis.append((pivot, row))
+            if len(basis) == len(row):
+                break
+    return len(basis)
 
 
 def hyperplane_through(points) -> tuple[Row, Fraction] | None:

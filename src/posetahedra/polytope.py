@@ -5,13 +5,16 @@ A polytope lives in working coordinates R^d (its chart dimension).  An
 optional :class:`Chart` maps working coordinates into a labeled ambient
 space R^A, which is how order polytopes remember their poset coordinates.
 Certification is exact: a facet's tight vertex set must match its claimed
-incidence row, and every other vertex must be strictly beneath.
+incidence row, and every other vertex must be strictly beneath.  Both are
+read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
+pair, evaluated in integers after clearing denominators once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -91,9 +94,8 @@ class RationalPolytope:
         return replace(self, vertices=verts, facets=facets, chart=None)
 
     def tight_set(self, facet: Facet) -> frozenset[int]:
-        return frozenset(
-            i for i, v in enumerate(self.vertices) if facet.value(v) == facet.offset
-        )
+        row = side_signs(facet.normal, facet.offset, map(linalg.homogeneous, self.vertices))
+        return frozenset(i for i, s in enumerate(row) if s == 0)
 
     def face_from_vertices(self, vertex_ids: Iterable[int]) -> frozenset[int]:
         """Vertex set of the smallest face containing the given vertices.
@@ -110,36 +112,59 @@ class RationalPolytope:
             face &= inc
         return face
 
-    def certify(self) -> None:
-        """Exact V/H/incidence consistency; raises MismatchError on failure."""
+    def certify(self, signs=None) -> None:
+        """Exact V/H/incidence consistency; raises MismatchError on failure.
+
+        ``signs`` is the sign matrix, :func:`side_signs` for every facet in
+        order, when the caller has already evaluated it; without it the
+        matrix is evaluated here.
+        """
         if len(set(self.vertices)) != len(self.vertices):
             raise MismatchError("duplicate vertices")
         if self.vertices and linalg.affine_rank(self.vertices) != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
-        for facet, claimed in zip(self.facets, self.incidence):
-            for i, v in enumerate(self.vertices):
-                val = facet.value(v)
-                if val > facet.offset:
+        if signs is None:
+            rows = [linalg.homogeneous(v) for v in self.vertices]
+            signs = [side_signs(f.normal, f.offset, rows) for f in self.facets]
+        for facet, claimed, row in zip(self.facets, self.incidence, signs):
+            for i, s in enumerate(row):
+                if s > 0:
                     raise MismatchError(f"vertex {i} beyond facet {facet.label}")
-                if (val == facet.offset) != (i in claimed):
+                if (s == 0) != (i in claimed):
                     raise MismatchError(f"incidence mismatch on facet {facet.label}")
             tight_pts = [self.vertices[i] for i in claimed]
             if self.dim >= 1 and linalg.affine_rank(tight_pts) != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
 
 
+def side_signs(normal, offset, rows) -> list[int]:
+    """sign(<normal, v> - offset) for every point v, in integers.
+
+    ``rows`` holds each point as its homogeneous row D * (v, 1).  The
+    halfspace is cleared of its own denominators to (E n, -E b); its dot
+    product with a row is E D (<n, v> - b), and E, D > 0 keep the sign.
+    """
+    *coeffs, offset, _ = linalg.homogeneous((*normal, offset))
+    coeffs.append(-offset)
+    out = []
+    for row in rows:
+        val = sum(map(mul, coeffs, row))
+        out.append((val > 0) - (val < 0))
+    return out
+
+
 def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None) -> RationalPolytope:
     """Assemble a polytope, computing incidence by exact evaluation."""
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
+    rows = [linalg.homogeneous(v) for v in vertices]
+    signs = [side_signs(f.normal, f.offset, rows) for f in facets]
+    incidence = tuple(frozenset(i for i, s in enumerate(row) if s == 0) for row in signs)
     poly = RationalPolytope(
-        dim=dim, vertices=vertices, facets=facets,
-        incidence=tuple(frozenset() for _ in facets),
+        dim=dim, vertices=vertices, facets=facets, incidence=incidence,
         chart=chart, vertex_labels=vertex_labels,
     )
-    incidence = tuple(poly.tight_set(f) for f in facets)
-    poly = replace(poly, incidence=incidence)
-    poly.certify()
+    poly.certify(signs)
     return poly
 
 
@@ -186,15 +211,13 @@ def facet_through(vertices: Sequence[Point], tight_ids: Iterable[int],
     if plane is None:
         raise MismatchError("claimed facet vertices do not span a hyperplane")
     normal, offset = plane
-    others = [v for i, v in enumerate(vertices) if i not in set(tight_ids)]
-    signs = set()
-    for v in others:
-        val = sum((n * x for n, x in zip(normal, v)), Fraction(0))
-        if val != offset:
-            signs.add(val > offset)
-    if signs == {True, False} or not others:
+    tight = set(tight_ids)
+    row = side_signs(normal, offset, [linalg.homogeneous(v) for v in vertices])
+    others = [s for i, s in enumerate(row) if i not in tight]
+    signs = set(others) - {0}
+    if signs == {1, -1} or not others:
         raise MismatchError("claimed facet does not support the polytope")
-    if True in signs:
+    if 1 in signs:
         normal = [-n for n in normal]
         offset = -offset
     normal, offset = linalg.primitive(normal, offset)

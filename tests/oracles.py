@@ -116,3 +116,31 @@ def tubings(pairs, proper_tubes_list):
             if tubing_ok(pairs, combo):
                 out.append(frozenset(frozenset(t) for t in combo))
     return out
+
+
+def admissible_le(adm, a, b):
+    """Face order of admissible tubings as the per-pair loop over tubes.
+
+    The definition the bitset index of ``geometry.FaceOrder`` must match:
+    melted tubes persist, frozen tubes may coarsen.
+    """
+    for t in a:
+        if t in adm.melted:
+            if t not in b:
+                return False
+        elif not any(t.issubset(s) for s in b if s not in adm.melted):
+            return False
+    return True
+
+
+def affine_admissible_le(adm, a, b, class_contains):
+    """The same order on periodic tubings; class_contains(A, outer, inner)."""
+    for t in a:
+        if adm.is_melted(t):
+            if t not in b:
+                return False
+        elif not any(
+            (not adm.is_melted(s)) and class_contains(adm.host, s, t) for s in b
+        ):
+            return False
+    return True

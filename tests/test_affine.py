@@ -6,6 +6,7 @@ import pytest
 
 from posetahedra import corpus
 from posetahedra.affine import (
+    AffinePoset,
     AffineTube,
     affine_admissible_tubings,
     affine_face_factors,
@@ -98,6 +99,16 @@ class TestLinearExtension:
     def test_order_one_identity(self):
         phi = linear_extension(corpus.circular_chain(1))
         assert phi == {1: 1}
+
+    @pytest.mark.parametrize("minshift,message", [
+        (((1, 1), (-1, -2)), "no fundamental domain"),
+        (((-2, 1), (1, 2)), "relabeling breaks"),
+    ])
+    def test_non_order_shift_matrix_raises(self, minshift, message):
+        # built directly, bypassing build_affine_poset's validation
+        A = AffinePoset(n=2, gen_covers=(), minshift=minshift)
+        with pytest.raises(CycleError, match=message):
+            linear_extension(A)
 
 
 class TestAffineTubes:

@@ -11,7 +11,8 @@ from fractions import Fraction as F
 
 import pytest
 
-from posetahedra import corpus
+from posetahedra import corpus, geometry
+from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.errors import MismatchError
 from posetahedra.geometry import (
     AdmissiblePoset,
@@ -20,6 +21,7 @@ from posetahedra.geometry import (
     initial_dual,
     lattice_match,
     melt_order,
+    realize_poset_associahedron,
     stellar_subdivide,
 )
 from posetahedra.polytope import facet_through
@@ -44,8 +46,11 @@ def test_swapped_vertex_labels(w5_dual):
     dual, adm = w5_dual
     labels = list(dual.vertex_labels)
     labels[0], labels[1] = labels[1], labels[0]
-    with pytest.raises(MismatchError, match="vertex set disagrees"):
+    with pytest.raises(MismatchError, match="vertex set disagrees") as info:
         lattice_match(replace(dual, vertex_labels=tuple(labels)), adm)
+    # the message names a face whose vertex set the swap changed
+    moved = [T for T in adm.elements if adm.le(labels[0], T) != adm.le(labels[1], T)]
+    assert any(f"face {sorted(t.members for t in T)} " in str(info.value) for T in moved)
 
 
 def test_polytope_against_previous_lattice(w5):
@@ -95,3 +100,19 @@ def test_face_with_wrong_dimension(w5_dual):
     wrong = _OneFaceOff(adm.host, adm.melted, adm.elements, edge)
     with pytest.raises(MismatchError, match="wrong dimension"):
         lattice_match(dual, wrong)
+
+
+def _face_centroid(Q, face_ids):
+    """A pull-out point that was never pulled out: it stays on the face."""
+    pts = [Q.vertices[i] for i in sorted(face_ids)]
+    return tuple(sum(col, F(0)) / len(pts) for col in zip(*pts))
+
+
+@pytest.mark.parametrize("realize,host,stage", [
+    (realize_poset_associahedron, corpus.w5(), r"melting \{1,2,3,4\}: "),
+    (realize_affine_cyclohedron, corpus.circular_chain(3), r"melting class \{1,2,3\}: "),
+])
+def test_stage_failure_names_the_melted_tube(monkeypatch, realize, host, stage):
+    monkeypatch.setattr(geometry, "_pullout_point", _face_centroid)
+    with pytest.raises(MismatchError, match=stage + r"face \[.*\] vertex set disagrees"):
+        realize(host)

@@ -153,6 +153,12 @@ class TestRealize:
         assert R.stage_vertex_counts[2] == 7
         assert R.stage_vertex_counts[6] == 11
 
+    def test_chain7_reach(self):
+        P = corpus.chain(7)
+        R = realize_poset_associahedron(P)
+        assert R.primal.n_vertices == len(enumerate_proper_tubings(P, max_only=True))
+        assert R.primal.n_facets == len(enumerate_tubes(P, proper_only=True))
+
     def test_two_element_poset_is_point(self):
         R = realize_poset_associahedron(corpus.chain(2))
         assert R.primal.n_vertices == 1 and R.primal.n_facets == 0
