@@ -14,6 +14,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from types import MappingProxyType
 from typing import Iterable, Mapping, Sequence
 
 from .errors import (
@@ -27,6 +28,7 @@ from .errors import (
     RegimeError,
     WrongFaceError,
 )
+from .linalg import homogeneous
 from .poset import Poset, Vector, alpha, avg, proj_sigma0, res
 from .rational import frac
 from .tubes import Tube, Tubing, TubingTree, enumerate_tubes, full_tube, is_tubing, tubing_tree
@@ -40,12 +42,21 @@ def nonsingleton_tubes(P: Poset) -> tuple[Tube, ...]:
 
 @dataclass(frozen=True)
 class ConfigPoint:
-    """One order-polytope point per non-singleton tube of the host poset."""
+    """One order-polytope point per non-singleton tube of the host poset.
+
+    The components are copied on construction and frozen: the outer mapping
+    and every component are read-only views, so the cached ``tubing`` and
+    ``tree`` cannot go stale.
+    """
 
     host: Poset
-    components: dict[Tube, Vector] = field(hash=False)
+    components: Mapping[Tube, Mapping[int, Fraction]] = field(hash=False)
 
-    def __getitem__(self, tube: Tube) -> Vector:
+    def __post_init__(self):
+        frozen = {tube: MappingProxyType(dict(vec)) for tube, vec in self.components.items()}
+        object.__setattr__(self, "components", MappingProxyType(frozen))
+
+    def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
         return self.components[tube]
 
     def validate(self) -> None:
@@ -103,35 +114,51 @@ def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
 
 @lru_cache(maxsize=None)
 def _nested_pairs(P: Poset) -> tuple[tuple[Tube, Tube], ...]:
-    pairs = []
+    """Covering pairs (inner, outer) of inclusion among non-singleton tubes.
+
+    Coherence is transitive along chains: projection is linear, so if mid's
+    projection of outer is a*mid and inner's projection of mid is b*inner,
+    inner's projection of outer is ab*inner.  Covering pairs therefore
+    decide coherence, and every non-root tube is the inner tube of one.
+    """
     tubes = nonsingleton_tubes(P)
-    for inner, outer in itertools.permutations(tubes, 2):
-        if inner.issubset(outer) and inner != outer:
-            pairs.append((inner, outer))
+    pairs = []
+    for inner in tubes:
+        above = [t for t in tubes if inner.as_set < t.as_set]
+        pairs.extend((inner, outer) for outer in above
+                     if not any(mid.as_set < outer.as_set for mid in above))
     return tuple(pairs)
 
 
 def is_coherent(c: ConfigPoint) -> tuple[bool, tuple[Tube, Tube] | None]:
-    """Check the nested-projection condition for every nested tube pair.
+    """Check the nested-projection condition on every covering tube pair.
 
-    Proportionality with a nonnegative factor is tested by cross products
-    against a pivot coordinate plus one sign comparison, so zero vectors
-    need no special case.  On failure the offending (inner, outer) pair is
-    the witness.
+    Each component is cleared to integer numerators once; a positive common
+    factor per component changes neither proportionality nor its sign.
+    With k = |inner| and S the sum of the outer numerators B over inner,
+    the outer point projects to (k*B[i] - S) / k, so proportionality to the
+    inner numerators Z with a nonnegative factor is a cross-product test
+    against a pivot coordinate p plus one sign comparison; zero vectors need
+    no special case.  On failure the offending (inner, outer) pair is the
+    witness.
     """
+    # zip drops the common denominator that ends each homogeneous row
+    cleared = {tube: dict(zip(vec, homogeneous(vec.values())))
+               for tube, vec in c.components.items()}
     for inner, outer in _nested_pairs(c.host):
-        big = c[outer]
-        mean = sum((big[i] for i in inner.members), Fraction(0)) / len(inner)
-        z = c[inner]
-        pivot = next((i for i in inner.members if z[i] != 0), None)
+        big, z = cleared[outer], cleared[inner]
+        members = inner.members
+        k = len(members)
+        total = sum(big[i] for i in members)
+        pivot = next((i for i in members if z[i]), None)
         if pivot is None:  # zero component: not an order-polytope point
             return False, (inner, outer)
         zp = z[pivot]
-        yp = big[pivot] - mean
+        yp = k * big[pivot] - total
         if yp * zp < 0:
             return False, (inner, outer)
-        for i in inner.members:
-            if (big[i] - mean) * zp != yp * z[i]:
+        for i in members:
+            if (k * big[i] - total) * zp != yp * z[i]:
                 return False, (inner, outer)
     return True, None
 
@@ -188,14 +215,24 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
 
 
 def _fill_from_tree(P: Poset, tree: TubingTree,
-                    tree_components: Mapping[Tube, Vector]) -> ConfigPoint:
-    """Extend components on tree tubes to all tubes by normalized restriction."""
-    comps: dict[Tube, Vector] = {}
+                    tree_components: Mapping[Tube, Mapping[int, Fraction]],
+                    carried: ConfigPoint | None = None,
+                    moved: frozenset[Tube] = frozenset()) -> ConfigPoint:
+    """Extend components on tree tubes to all tubes by normalized restriction.
+
+    With ``carried``, a tube whose minimal containing tree node is not in
+    ``moved`` keeps its component from ``carried``: that node's component
+    is unchanged, so the restriction would come out the same.
+    """
+    comps: dict[Tube, Mapping[int, Fraction]] = {}
     for tube in nonsingleton_tubes(P):
         if tube in tree_components:
-            comps[tube] = dict(tree_components[tube])
+            comps[tube] = tree_components[tube]
+            continue
+        parent = tree.minimal_containing(tube.members)
+        if carried is not None and parent not in moved:
+            comps[tube] = carried[tube]
         else:
-            parent = tree.minimal_containing(tube.members)
             comps[tube] = res(P, tube.members, tree_components[parent])
     return ConfigPoint(P, comps)
 
@@ -388,7 +425,7 @@ def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
         tube: (new_parent if tube == tau_plus else c[tube])
         for tube in new_tubing.tubes | {full_tube(P)}
     }
-    return _fill_from_tree(P, tree, tree_comps)
+    return _fill_from_tree(P, tree, tree_comps, c, frozenset((tau, tau_plus)))
 
 
 def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fraction]:
@@ -428,7 +465,7 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     tree_comps: dict[Tube, Vector] = {}
     for tube in bigger.tubes | {full_tube(P)}:
         tree_comps[tube] = collapsed_parent if tube == tau_plus else c[tube]
-    point = _fill_from_tree(P, tree, tree_comps)
+    point = _fill_from_tree(P, tree, tree_comps, c, frozenset((tau, tau_plus)))
 
     ts = set()
     for i in tau:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import NotGradedError
@@ -45,6 +45,12 @@ def _face_sort_key(item):
     return (dim, tuple(sorted(t.members for t in key)))
 
 
+class _CoverIndex(NamedTuple):
+    upper: tuple[tuple[int, ...], ...]  # upper[i]: faces covering face i
+    lower: tuple[tuple[int, ...], ...]  # lower[i]: faces covered by face i
+    index: dict  # face key -> position in ``faces``
+
+
 @dataclass(frozen=True)
 class FaceLattice:
     """A graded face poset with explicit covering edges.
@@ -60,8 +66,26 @@ class FaceLattice:
     dims: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
+    @cached_property
+    def _cover_index(self) -> _CoverIndex:
+        """Per-face upper and lower cover tuples and the key -> index dict.
+
+        Built on first use, so lattices whose covers are never read (the
+        realization builds many) do not pay for it.
+        """
+        upper: list[list[int]] = [[] for _ in self.faces]
+        lower: list[list[int]] = [[] for _ in self.faces]
+        for a, b in self.covers:
+            upper[a].append(b)
+            lower[b].append(a)
+        index = {key: i for i, key in enumerate(self.faces)}
+        return _CoverIndex(tuple(map(tuple, upper)), tuple(map(tuple, lower)), index)
+
     def index(self, key: FaceKey) -> int:
-        return self.faces.index(key)
+        try:
+            return self._cover_index.index[key]
+        except KeyError:
+            raise ValueError(f"{key} is not a face of this lattice") from None
 
     def faces_of_dim(self, d: int) -> tuple[FaceKey, ...]:
         return tuple(f for f, fd in zip(self.faces, self.dims) if fd == d)
@@ -73,23 +97,23 @@ class FaceLattice:
         return self.faces_of_dim(self.dim - 1)
 
     def upper_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(b for a, b in self.covers if a == i)
+        return self._cover_index.upper[i]
 
     def lower_covers(self, i: int) -> tuple[int, ...]:
-        return tuple(a for a, b in self.covers if b == i)
+        return self._cover_index.lower[i]
 
     def check_graded(self) -> None:
-        top = self.dims.index(self.dim)
+        if self.dim not in self.dims:
+            raise NotGradedError("missing top face")
         for a, b in self.covers:
             if self.dims[b] - self.dims[a] != 1:
                 raise NotGradedError("cover with dimension gap != 1")
+        cover_index = self._cover_index
         for i, d in enumerate(self.dims):
-            if d < self.dim and not self.upper_covers(i):
+            if d < self.dim and not cover_index.upper[i]:
                 raise NotGradedError(f"face {self.faces[i]} has no upper cover")
-            if d > -1 and not self.lower_covers(i):
+            if d > -1 and not cover_index.lower[i]:
                 raise NotGradedError(f"face {self.faces[i]} has no lower cover")
-        if self.dims[top] != self.dim:
-            raise NotGradedError("missing top face")
 
     def euler_sum(self) -> int:
         """Alternating sum over all faces including the empty one."""

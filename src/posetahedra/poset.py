@@ -23,6 +23,7 @@ from .errors import (
     NotATubingError,
     TooSmallError,
 )
+from .linalg import homogeneous
 from .rational import frac
 
 Vector = dict[int, Fraction]
@@ -239,15 +240,25 @@ def proj_sigma0(subset, x: Mapping[int, Fraction]) -> Vector:
 
 
 def res(P: Poset, subset, x: Mapping[int, Fraction]) -> Vector:
-    """Normalized restriction: proj_sigma0 scaled to make alpha equal 1."""
+    """Normalized restriction: proj_sigma0 scaled to make alpha equal 1.
+
+    The result does not change when x is scaled by a positive number, so x
+    is cleared to integer numerators n over one common denominator first.
+    With k the subset size, s the sum of the n and a their alpha, each
+    coordinate is then the single fraction (k*n_i - s) / (k*a).
+    """
     members = _members(subset)
-    scale = alpha(P, members, x)
+    _require_coords(members, x)
+    # zip drops the common denominator that ends the homogeneous row
+    num = dict(zip(members, homogeneous([frac(x[i]) for i in members])))
+    scale = sum(num[j] - num[i] for i, j in P.covers_within(members))
     if scale == 0:
         raise DegenerateError(
             f"alpha vanishes on {list(members)}; coordinates are constant there"
         )
-    shifted = proj_sigma0(members, x)
-    return {i: v / scale for i, v in shifted.items()}
+    k = len(members)
+    total = sum(num.values())
+    return {i: Fraction(k * n - total, k * scale) for i, n in num.items()}
 
 
 def _require_coords(members, x) -> None:

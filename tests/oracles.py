@@ -7,6 +7,7 @@ package, so disagreements point at real bugs rather than shared mistakes.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 
 def closure(pairs):
@@ -144,3 +145,53 @@ def affine_admissible_le(adm, a, b, class_contains):
         ):
             return False
     return True
+
+
+# -- the compactification kernels before they ran on integers ---------------
+
+
+def nested_pairs(tubes):
+    """Every nested pair (inner, outer) of the given tubes, not only covers.
+
+    ``tubes`` is the list of non-singleton tubes, sorted by (size, members).
+    """
+    pairs = []
+    for inner, outer in itertools.permutations(tubes, 2):
+        if inner.issubset(outer) and inner != outer:
+            pairs.append((inner, outer))
+    return tuple(pairs)
+
+
+def is_coherent(c, pairs):
+    """The nested-projection test on Fractions over the given pairs."""
+    for inner, outer in pairs:
+        big = c[outer]
+        mean = sum((big[i] for i in inner.members), Fraction(0)) / len(inner)
+        z = c[inner]
+        pivot = next((i for i in inner.members if z[i] != 0), None)
+        if pivot is None:  # zero component: not an order-polytope point
+            return False, (inner, outer)
+        zp = z[pivot]
+        yp = big[pivot] - mean
+        if yp * zp < 0:
+            return False, (inner, outer)
+        for i in inner.members:
+            if (big[i] - mean) * zp != yp * z[i]:
+                return False, (inner, outer)
+    return True, None
+
+
+def res(covers, members, x):
+    """Normalized restriction on Fractions: centre on the subset, then divide
+    by the sum of x_j - x_i over the covers inside it.  Returns None where
+    that sum vanishes (the library raises DegenerateError there)."""
+    members = tuple(sorted(set(members)))
+    inside = set(members)
+    scale = Fraction(0)
+    for i, j in covers:
+        if i in inside and j in inside:
+            scale += Fraction(x[j]) - Fraction(x[i])
+    if scale == 0:
+        return None
+    mean = sum((Fraction(x[i]) for i in members), Fraction(0)) / len(members)
+    return {i: (Fraction(x[i]) - mean) / scale for i in members}

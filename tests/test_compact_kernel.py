@@ -1,0 +1,136 @@
+"""The integer compactification kernels against the Fraction code they replaced.
+
+Coherence on covering pairs must give the all-pairs verdict, the integer
+restriction must equal the Fraction one, and expand/collapse, which carry
+unchanged restrictions over from their input, must equal a full rebuild.
+"""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
+import oracles
+from posetahedra import corpus
+from posetahedra.compact import (
+    ConfigPoint,
+    _fill_from_tree,
+    _nested_pairs,
+    collapse,
+    embed,
+    expand,
+    is_coherent,
+    nonsingleton_tubes,
+    stratum_point,
+    t_max,
+)
+from posetahedra.errors import DegenerateError
+from posetahedra.poset import res
+from posetahedra.tubes import enumerate_proper_tubings, full_tube, tubing_tree
+from strategies import SETTINGS, connected_posets
+
+steps = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
+values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+@st.composite
+def strict_points(draw):
+    """A random poset with a strict configuration on it.
+
+    Sorting the elements by the size of their down-sets gives a linear
+    extension; positive random steps along it make every relation strict.
+    """
+    P = draw(connected_posets())
+    below = {j: sum(P.lt(i, j) for i in P.elements) for j in P.elements}
+    x, level = {}, F(0)
+    for e in sorted(P.elements, key=lambda j: (below[j], j)):
+        level += draw(steps)
+        x[e] = level
+    mean = sum(x.values(), F(0)) / len(x)
+    return P, {e: v - mean for e, v in x.items()}
+
+
+@SETTINGS
+@given(strict_points(), st.sampled_from(["none", "flip", "move", "zero"]), st.data())
+def test_cover_pair_coherence_matches_all_pairs(case, tamper, data):
+    P, x = case
+    comps = {tube: dict(vec) for tube, vec in embed(P, x).components.items()}
+    tube = data.draw(st.sampled_from(nonsingleton_tubes(P)))
+    if tamper == "flip":
+        comps[tube] = {i: -v for i, v in comps[tube].items()}
+    elif tamper == "move":
+        i = data.draw(st.sampled_from(tube.members))
+        comps[tube][i] += data.draw(values.filter(bool))
+    elif tamper == "zero":
+        comps[tube] = {i: F(0) for i in tube}
+    point = ConfigPoint(P, comps)
+    expected, _ = oracles.is_coherent(point, oracles.nested_pairs(nonsingleton_tubes(P)))
+    ok, witness = is_coherent(point)
+    assert ok == expected
+    assert ok == (witness is None)
+    if tamper in ("none", "flip"):
+        assert ok == (tamper == "none")
+    if not ok:
+        assert witness in _nested_pairs(P)
+
+
+@SETTINGS
+@given(connected_posets())
+def test_cover_pairs_are_the_covering_relation(P):
+    tubes = nonsingleton_tubes(P)
+    nested = oracles.nested_pairs(tubes)
+    related = set(nested)
+    covering = tuple((a, b) for a, b in nested
+                     if not any((a, m) in related and (m, b) in related for m in tubes))
+    assert _nested_pairs(P) == covering
+    assert {inner for inner, _ in covering} == set(tubes) - {full_tube(P)}
+
+
+@pytest.mark.parametrize("name,nested,covering", [
+    ("w5", 31, 15), ("chain6", 55, 20), ("h6", 120, 42), ("claw5", 180, 75),
+])
+def test_cover_pair_counts(name, nested, covering):
+    P = corpus.DESK_POSETS[name]
+    assert len(oracles.nested_pairs(nonsingleton_tubes(P))) == nested
+    assert len(_nested_pairs(P)) == covering
+
+
+@SETTINGS
+@given(connected_posets(), st.booleans(), st.data())
+def test_integer_res_matches_fraction_res(P, constant, data):
+    members = sorted(data.draw(st.sets(st.sampled_from(P.elements), min_size=1)))
+    x = {e: data.draw(values) for e in P.elements}
+    if constant:  # alpha vanishes on the subset
+        x.update(dict.fromkeys(members, data.draw(values)))
+    expected = oracles.res(P.covers, members, x)
+    if expected is None:
+        with pytest.raises(DegenerateError):
+            res(P, members, x)
+    else:
+        got = res(P, members, x)
+        assert got == expected
+        assert all(type(v) is F for v in got.values())
+
+
+def full_rebuild(point):
+    """The point rebuilt from its tree components by restriction alone."""
+    P = point.host
+    nodes = point.tubing.tubes | {full_tube(P)}
+    return _fill_from_tree(P, point.tree, {tube: point[tube] for tube in nodes})
+
+
+@pytest.mark.parametrize("name", ["w5", "chain5"])
+def test_expand_collapse_match_full_rebuild(name):
+    P = corpus.DESK_POSETS[name]
+    for T in enumerate_proper_tubings(P):
+        point = stratum_point(P, T)
+        for tau, parent in tubing_tree(T).adjacent_pairs():
+            tm = t_max(point, tau, parent)
+            t = F(1) if tm == float("inf") else tm / 2
+            moved = expand(point, tau, parent, t)
+            assert moved.tubing.tubes == T.tubes - {tau}
+            assert moved == full_rebuild(moved), (T, tau)
+            back, t_back = collapse(moved, tau, parent)
+            assert back == full_rebuild(back), (T, tau)
+            assert back == point and t_back == t

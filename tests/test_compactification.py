@@ -96,6 +96,25 @@ class TestCoherence:
             tubing_of(bad)
 
 
+class TestFrozenComponents:
+    def test_components_are_read_only(self, c3):
+        c = embed(c3, {1: F(-1, 2), 2: F(0), 3: F(1, 2)})
+        with pytest.raises(TypeError):
+            c[T12][1] = F(0)
+        with pytest.raises(TypeError):
+            c.components[T12] = {1: F(0), 2: F(0)}
+        assert is_coherent(c) == (True, None)
+        assert tubing_of(c).tubes == frozenset()
+
+    def test_equal_to_plain_dict_point(self, c3):
+        c = embed(c3, {1: F(-1, 2), 2: F(0), 3: F(1, 2)})
+        plain = {t: dict(v) for t, v in c.components.items()}
+        point = ConfigPoint(c3, plain)
+        assert point == c and c.components == plain
+        plain[T12][1] = F(5)  # the point keeps its own copy
+        assert point == c and point[T12][1] == F(-1, 2)
+
+
 class TestBPartition:
     def test_level_sets(self, c3):
         blocks = b_partition(c3, (1, 2, 3), {1: F(-1, 3), 2: F(-1, 3), 3: F(2, 3)})

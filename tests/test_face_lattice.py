@@ -1,4 +1,9 @@
+import dataclasses
+
+import pytest
+
 from posetahedra import corpus
+from posetahedra.errors import NotGradedError
 from posetahedra.lattice import (
     EMPTY,
     associahedron_face_lattice,
@@ -63,6 +68,52 @@ class TestAssociahedronLattice:
             want = len(P.elements) - 2
             for key in L.faces_of_dim(0):
                 assert len(L.upper_covers(L.index(key))) == want, (name, key)
+
+
+class TestGradedChecks:
+    """Each check of check_graded fires on a pentagon lattice tampered with."""
+
+    @staticmethod
+    def pentagon():
+        L = associahedron_face_lattice(corpus.chain(4))
+        L.check_graded()
+        return L
+
+    def test_cover_with_dimension_gap_two(self):
+        L = self.pentagon()
+        vertex, top = L.dims.index(0), L.dims.index(L.dim)
+        bad = dataclasses.replace(L, covers=L.covers + ((vertex, top),))
+        with pytest.raises(NotGradedError, match="dimension gap"):
+            f_vector(bad)
+
+    def test_face_without_upper_cover(self):
+        L = self.pentagon()
+        vertex = L.dims.index(0)
+        bad = dataclasses.replace(L, covers=tuple(c for c in L.covers if c[0] != vertex))
+        with pytest.raises(NotGradedError, match="no upper cover"):
+            f_vector(bad)
+
+    def test_face_without_lower_cover(self):
+        L = self.pentagon()
+        empty, vertex = L.faces.index(EMPTY), L.dims.index(0)
+        bad = dataclasses.replace(L, covers=tuple(c for c in L.covers if c != (empty, vertex)))
+        with pytest.raises(NotGradedError, match="no lower cover"):
+            f_vector(bad)
+
+    def test_missing_top_face(self):
+        L = self.pentagon()
+        top = L.dims.index(L.dim)
+        keep = [i for i in range(len(L.faces)) if i != top]
+        renumber = {old: new for new, old in enumerate(keep)}
+        bad = dataclasses.replace(
+            L,
+            faces=tuple(L.faces[i] for i in keep),
+            dims=tuple(L.dims[i] for i in keep),
+            covers=tuple((renumber[a], renumber[b]) for a, b in L.covers
+                         if a in renumber and b in renumber),
+        )
+        with pytest.raises(NotGradedError, match="missing top face"):
+            f_vector(bad)
 
 
 class TestOrderPolytopeLattice:
