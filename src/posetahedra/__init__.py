@@ -2,9 +2,7 @@
 compactified poset configuration spaces."""
 
 from .poset import (
-    OrderFunctional,
     Poset,
-    SubsetView,
     alpha,
     avg,
     build_poset,

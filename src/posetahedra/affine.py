@@ -20,24 +20,21 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import cached_property, lru_cache
 
 from .errors import (
     CycleError,
     EmptyError,
-    MismatchError,
     NotATubeError,
     NotATubingError,
     NotStronglyConnectedError,
     OverlapError,
 )
-from .geometry import FaceOrder
+from . import geometry
 from .lattice import EMPTY, FaceLattice, _build, tubing_partitions
 from .linalg import nullspace
-from .polytope import Chart, Facet, RationalPolytope, polar_dual, polytope_from_data
-from .poset import Poset, build_poset, quotient_poset
-from .rational import check_bit_budget
-from .tubes import Tube
+from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
+from .poset import Poset, build_poset, find_cycle, quotient_poset
 
 INF = float("inf")
 
@@ -400,34 +397,14 @@ def is_affine_tubing(A: AffinePoset, classes) -> bool:
         return False
 
     for tube in classes:
-        blocks = _children_partition(A, classes, tube)
-        if len(blocks) < 2:
-            continue
-        if not _finite_blocks_acyclic(A, blocks):
+        blocks = [frozenset(b) for b in _children_partition(A, classes, tube)]
+        depends = {
+            a: [b for b in blocks if a != b and any(A.lt(i, j) for i in a for j in b)]
+            for a in blocks
+        }
+        if find_cycle(depends) is not None:
             return False
     return True
-
-
-def _finite_blocks_acyclic(A: AffinePoset, blocks) -> bool:
-    sets = [frozenset(b) for b in blocks]
-    succ = {
-        x: [
-            y for y in range(len(sets))
-            if x != y and any(A.lt(i, j) for i in sets[x] for j in sets[y])
-        ]
-        for x in range(len(sets))
-    }
-    color = {v: 0 for v in succ}
-
-    def dfs(v):
-        color[v] = 1
-        for w in succ[v]:
-            if color[w] == 1 or (color[w] == 0 and dfs(w)):
-                return True
-        color[v] = 2
-        return False
-
-    return not any(color[v] == 0 and dfs(v) for v in succ)
 
 
 @dataclass(frozen=True)
@@ -615,52 +592,56 @@ def affine_order_polytope(A: AffinePoset, c: Fraction = Fraction(1)) -> Rational
     return polytope_from_data(n - 1, verts, facets, chart, vertex_labels=vlabels)
 
 
-# -- admissible periodic tubings and the realization --------------------------
+# -- the tube system of the melting induction ---------------------------------
 
 
-@dataclass(frozen=True)
-class AffineAdmissiblePoset:
-    """Admissible periodic tubings for a melted class set (plus the line)."""
+class PeriodicTubes:
+    """The melting induction's view of an affine poset (see geometry.PosetTubes).
 
-    host: AffinePoset
-    melted: frozenset[AffineTube]  # finite classes only; FULL is always melted
-    elements: tuple[frozenset[AffineTube], ...]
+    Tubes are tube classes, the root is the line itself (FULL), frozen
+    containment is ``class_contains`` and the line is partitioned by the
+    periodic tubing partitions of ``_affine_root_partitions``.
+    """
 
-    @property
-    def polytope_dim(self) -> int:
-        return self.host.n - 1
+    stage = "melting class"
+    root = FULL
 
-    def is_melted(self, cls: AffineTube) -> bool:
-        return cls.is_full or cls in self.melted
+    def __init__(self, A: AffinePoset):
+        self.host = A
+        self.size = A.n
+        self.dim = A.n - 1
 
-    def dim(self, T) -> int:
-        m = sum(1 for t in T if self.is_melted(t))
-        return self.host.n + m - (len(T) - m) - 2
+    def contains(self, outer: AffineTube, inner: AffineTube) -> bool:
+        return class_contains(self.host, outer, inner)
 
-    @cached_property
-    def order(self) -> FaceOrder:
-        return FaceOrder(self.elements, self.is_melted, partial(class_contains, self.host))
+    def partitions(self, cls: AffineTube):
+        A = self.host
+        if cls.is_full:
+            return _affine_root_partitions(A)
+        sub = A.finite_subposet(cls.members)
+        return [
+            [AffineTube.of(A, b.members) for b in blocks]
+            for blocks in tubing_partitions(sub, cls.members, strict_blocks=True)
+        ]
 
-    def le(self, a, b) -> bool:
-        """Face order: melted classes persist, frozen classes may coarsen."""
-        return self.order.le(a, b)
+    def outside(self, cls: AffineTube) -> set[AffineTube]:
+        covered = residues_of(self.host, cls)
+        return {AffineTube((r,)) for r in range(1, self.host.n + 1) if r not in covered}
 
-    @cached_property
-    def by_dim(self) -> dict[int, tuple]:
-        out: dict[int, list] = {}
-        for T in self.elements:
-            out.setdefault(self.dim(T), []).append(T)
-        return {d: tuple(v) for d, v in out.items()}
+    def proper_tubes(self) -> tuple[AffineTube, ...]:
+        return enumerate_affine_tubes(self.host, proper_only=True)
 
-    def vertices(self):
-        return self.by_dim.get(0, ())
+    def cover_tube(self, i: int, j: int) -> AffineTube:
+        return AffineTube.of(self.host, (i, j))
 
-    def facets(self):
-        return self.by_dim.get(self.polytope_dim - 1, ())
+    def order_polytope(self) -> RationalPolytope:
+        return affine_order_polytope(self.host)
 
-    def s_tau(self, cls: AffineTube) -> frozenset[AffineTube]:
-        uncovered = set(range(1, self.host.n + 1)) - residues_of(self.host, cls)
-        return frozenset({FULL, cls} | {AffineTube((r,)) for r in sorted(uncovered)})
+    def face_lattice(self) -> FaceLattice:
+        return cyclohedron_face_lattice(self.host)
+
+
+geometry.tube_system.register(AffinePoset, PeriodicTubes)
 
 
 def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...]:
@@ -694,111 +675,16 @@ def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...
     return tuple(out)
 
 
-def affine_admissible_tubings(A: AffinePoset, melted) -> AffineAdmissiblePoset:
+def affine_admissible_tubings(A: AffinePoset, melted) -> geometry.AdmissiblePoset:
     """Admissible periodic tubings: melted classes are partitioned by their
     children, frozen classes are leaves, and the line is partitioned at the
     root."""
-    melted = frozenset(melted) - {FULL}
-    memo: dict[AffineTube, tuple[frozenset[AffineTube], ...]] = {}
-
-    def subtrees(cls: AffineTube) -> tuple[frozenset[AffineTube], ...]:
-        if cls in memo:
-            return memo[cls]
-        sub = A.finite_subposet(cls.members)
-        options = []
-        for blocks in tubing_partitions(sub, cls.members, strict_blocks=True):
-            choices = []
-            for b in sorted(blocks, key=Tube.key):
-                bcls = AffineTube.of(A, b.members)
-                if bcls in melted:
-                    choices.append(subtrees(bcls))
-                else:
-                    choices.append((frozenset({bcls}),))
-            for combo in itertools.product(*choices):
-                options.append(frozenset({cls}).union(*combo))
-        memo[cls] = tuple(options)
-        return memo[cls]
-
-    elements: list[frozenset[AffineTube]] = []
-    for blocks in _affine_root_partitions(A):
-        choices = []
-        for cls in blocks:
-            if cls in melted:
-                choices.append(subtrees(cls))
-            else:
-                choices.append((frozenset({cls}),))
-        for combo in itertools.product(*choices):
-            elements.append(frozenset({FULL}).union(*combo))
-    elements = sorted(set(elements), key=lambda T: tuple(sorted(c.members for c in T)))
-    return AffineAdmissiblePoset(host=A, melted=melted, elements=tuple(elements))
+    return geometry.admissible_tubings(A, geometry.MeltedSet.of(A, melted))
 
 
-@dataclass(frozen=True)
-class AffineRealizationResult:
-    host: AffinePoset
-    dual: RationalPolytope
-    primal: RationalPolytope
-    lattice: FaceLattice
-    melt_sequence: tuple[AffineTube, ...]
-    stage_vertex_counts: tuple[int, ...]
-
-
-def realize_affine_cyclohedron(A: AffinePoset) -> AffineRealizationResult:
-    """Melting induction on tube classes, mirroring the finite pipeline."""
-    from .geometry import rebuild_from_lattice, stellar_subdivide
-
-    lattice = cyclohedron_face_lattice(A)
-    if A.n == 1:
-        point = RationalPolytope(0, ((),), (), (), None, (frozenset(),))
-        return AffineRealizationResult(A, point, point, lattice, (), (1,))
-
-    adm = affine_admissible_tubings(A, frozenset())
-    ord_poly = affine_order_polytope(A)
-    dual = polar_dual(ord_poly)
-    labels = []
-    for f_label in (f.label for f in ord_poly.facets):
-        i, j = f_label
-        labels.append(adm.s_tau(AffineTube.of(A, (i, j))))
-    dual = rebuild_from_lattice(dual.dim, dual.vertices, labels, adm)
-
-    counts = [dual.n_vertices]
-    melted: set[AffineTube] = set()
-    sequence = sorted(enumerate_affine_tubes(A, proper_only=True),
-                      key=lambda t: (-len(t), t.members))
-    for cls in sequence:
-        face_ids = frozenset(
-            i for i, lab in enumerate(dual.vertex_labels) if adm.le(lab, adm.s_tau(cls))
-        )
-        melted.add(cls)
-        adm = affine_admissible_tubings(A, frozenset(melted))
-        try:
-            dual = stellar_subdivide(dual, face_ids, adm)
-        except MismatchError as exc:
-            raise MismatchError(f"melting class {cls}: {exc}") from exc
-        counts.append(dual.n_vertices)
-        check_bit_budget(itertools.chain.from_iterable(dual.vertices),
-                         f"affine realization after melting {cls}")
-
-    _check_final_affine(A, dual, lattice)
-    primal = polar_dual(dual)
-    return AffineRealizationResult(A, dual, primal, lattice, tuple(sequence), tuple(counts))
-
-
-def _check_final_affine(A: AffinePoset, dual: RationalPolytope, lattice: FaceLattice) -> None:
-    strip = lambda T: frozenset(t for t in T if not t.is_full and len(t) > 1)
-    vertex_classes = [strip(lab) for lab in dual.vertex_labels]
-    if any(len(cs) != 1 for cs in vertex_classes):
-        raise MismatchError("final dual vertices are not labeled by single classes")
-    cls_of = [next(iter(cs)) for cs in vertex_classes]
-    if set(cls_of) != set(enumerate_affine_tubes(A, proper_only=True)):
-        raise MismatchError("final dual vertices do not match proper tube classes")
-    facet_tubings = {strip(f.label) for f in dual.facets}
-    expected = {frozenset(key) for key in lattice.faces_of_dim(0)}
-    if facet_tubings != expected:
-        raise MismatchError("final dual facets do not match maximal tubings")
-    for f, inc in zip(dual.facets, dual.incidence):
-        if {cls_of[i] for i in inc} != set(strip(f.label)):
-            raise MismatchError("final dual incidence disagrees with membership")
+def realize_affine_cyclohedron(A: AffinePoset) -> geometry.RealizationResult:
+    """The melting induction on tube classes: the affine poset cyclohedron."""
+    return geometry.realize(A)
 
 
 # -- face factorization -------------------------------------------------------

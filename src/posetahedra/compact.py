@@ -293,11 +293,7 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
 
 def stratum_point(P: Poset, T: Tubing) -> ConfigPoint:
     """Canonical exact point of the stratum labeled by the tubing."""
-    tree = tubing_tree(T)
-    interior = {}
-    for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key):
-        interior[tube] = face_interior_point(P, tube, tree.children[tube])
-    return synthesize(P, T, interior)
+    return Stratum.canonical(P, T).point()
 
 
 @dataclass(frozen=True)

@@ -1,15 +1,16 @@
-"""Certified realization pipeline.
+"""Certified realization pipeline, for finite and affine posets alike.
 
 The dual polytope is grown from the dual order polytope by stellar
-subdivisions, one per proper tube in weakly decreasing size order.  At
-every step the face lattice of the intermediate polytope is known exactly
-(admissible tubings for the current melted set), so facet hyperplanes are
-re-solved from their claimed tight vertex sets and certified, never
-reconstructed by convex hull.
+subdivisions, one per proper tube (or tube class) in weakly decreasing
+size order.  At every step the face lattice of the intermediate polytope
+is known exactly (admissible tubings for the current melted set), so facet
+hyperplanes are re-solved from their claimed tight vertex sets and
+certified, never reconstructed by convex hull.
 
-Admissible tubings contain the full poset; frozen tubes are leaves of the
+Admissible tubings contain the root tube; frozen tubes are leaves of the
 nesting tree while each melted tube's children partition it.  The face
-dimension bookkeeping is |P| + |melted in T| - |frozen in T| - 2.
+dimension bookkeeping is size + |melted in T| - |frozen in T| - 2.  What
+differs between hosts is behind a tube system (``tube_system``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, singledispatch
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
@@ -88,24 +89,76 @@ def order_polytope(P: Poset) -> RationalPolytope:
     return poly
 
 
-# -- admissible tubings -------------------------------------------------------
+# -- admissible tubings ------------------------------------------------------
+
+
+@singledispatch
+def tube_system(host):
+    """The melting induction's view of a host: a PosetTubes for a finite
+    poset; affine.py registers PeriodicTubes for an affine poset."""
+    raise TypeError(f"no tube system for {type(host).__name__}")
+
+
+class PosetTubes:
+    """What the melting induction needs to know about a finite poset.
+
+    Every tube system names the root tube (always melted), the size giving
+    dim(T) = size + |melted in T| - |frozen in T| - 2, the polytope
+    dimension, the stage word of error messages, frozen containment, the
+    strict partitions of a melted tube, the singletons outside a tube, the
+    proper tubes, the tube of an order-polytope cover label, the order
+    polytope and the face lattice the result is checked against.
+    """
+
+    stage = "melting"
+
+    def __init__(self, P: Poset):
+        self.host = P
+        self.root = full_tube(P)
+        self.size = len(P.elements)
+        self.dim = self.size - 2
+
+    def contains(self, outer: Tube, inner: Tube) -> bool:
+        return inner.issubset(outer)
+
+    def partitions(self, tube: Tube):
+        return tubing_partitions(self.host, tube.members, strict_blocks=True)
+
+    def outside(self, tube: Tube) -> set[Tube]:
+        return {Tube((e,)) for e in self.host.elements if e not in tube}
+
+    def proper_tubes(self) -> tuple[Tube, ...]:
+        return enumerate_tubes(self.host, proper_only=True)
+
+    def cover_tube(self, i: int, j: int) -> Tube:
+        return Tube.of((i, j))
+
+    def order_polytope(self) -> RationalPolytope:
+        return order_polytope(self.host)
+
+    def face_lattice(self) -> FaceLattice:
+        return associahedron_face_lattice(self.host)
+
+
+tube_system.register(Poset, PosetTubes)
 
 
 @dataclass(frozen=True)
 class MeltedSet:
-    """Upward-closed set of tubes containing the full poset."""
+    """Upward-closed set of tubes containing the root tube."""
 
-    host: Poset
+    host: Poset  # or an AffinePoset, as for every host with a tube system
     tubes: frozenset[Tube]
 
     @staticmethod
-    def of(P: Poset, tubes) -> "MeltedSet":
-        tset = frozenset(tubes) | {full_tube(P)}
+    def of(host, tubes) -> "MeltedSet":
+        system = tube_system(host)
+        tset = frozenset(tubes) | {system.root}
         for t in tset:
-            for s in enumerate_tubes(P):
-                if t.issubset(s) and s not in tset and len(s) > len(t):
+            for s in system.proper_tubes():
+                if s not in tset and len(s) > len(t) and system.contains(s, t):
                     raise ValueError(f"melted set not upward closed: {t} < {s}")
-        return MeltedSet(P, tset)
+        return MeltedSet(host, tset)
 
     def __contains__(self, tube: Tube) -> bool:
         return tube in self.tubes
@@ -119,13 +172,20 @@ class AdmissiblePoset:
     melted: MeltedSet
     elements: tuple[AdmTubing, ...]
 
+    @cached_property
+    def system(self):
+        return tube_system(self.host)
+
+    def is_melted(self, t: Tube) -> bool:
+        return t in self.melted
+
     def dim(self, T: AdmTubing) -> int:
         m = sum(1 for t in T if t in self.melted)
-        return len(self.host.elements) + m - (len(T) - m) - 2
+        return self.system.size + m - (len(T) - m) - 2
 
     @cached_property
     def order(self) -> FaceOrder:
-        return FaceOrder(self.elements, self.melted.__contains__, lambda s, t: t.issubset(s))
+        return FaceOrder(self.elements, self.melted.__contains__, self.system.contains)
 
     def le(self, a: AdmTubing, b: AdmTubing) -> bool:
         """Face order: melted tubes persist, frozen tubes may coarsen."""
@@ -142,11 +202,10 @@ class AdmissiblePoset:
         return self.by_dim.get(0, ())
 
     def facets(self) -> tuple[AdmTubing, ...]:
-        return self.by_dim.get(len(self.host.elements) - 3, ())
+        return self.by_dim.get(self.system.dim - 1, ())
 
     def s_tau(self, tau: Tube) -> AdmTubing:
-        outside = set(self.host.elements) - tau.as_set
-        return frozenset({full_tube(self.host), tau} | {Tube((e,)) for e in sorted(outside)})
+        return frozenset({self.system.root, tau} | self.system.outside(tau))
 
 
 class FaceOrder:
@@ -198,25 +257,23 @@ def admissible_tubings(P: Poset, M: MeltedSet) -> AdmissiblePoset:
     every frozen tube is a leaf, so the candidates factor over tubing
     partitions; acyclicity then only needs checking partition by partition.
     """
+    system = tube_system(P)
     memo: dict[Tube, tuple[frozenset[Tube], ...]] = {}
 
     def subtrees(tube: Tube) -> tuple[frozenset[Tube], ...]:
         if tube in memo:
             return memo[tube]
         options: list[frozenset[Tube]] = []
-        for blocks in tubing_partitions(P, tube.members, strict_blocks=True):
-            child_choices = []
-            for block in sorted(blocks, key=Tube.key):
-                if block in M:
-                    child_choices.append(subtrees(block))
-                else:
-                    child_choices.append((frozenset({block}),))
+        for blocks in system.partitions(tube):
+            child_choices = [
+                subtrees(block) if block in M else (frozenset({block}),) for block in blocks
+            ]
             for combo in itertools.product(*child_choices):
                 options.append(frozenset({tube}).union(*combo))
         memo[tube] = tuple(options)
         return memo[tube]
 
-    elements = tuple(sorted(subtrees(full_tube(P)),
+    elements = tuple(sorted(subtrees(system.root),
                             key=lambda T: tuple(sorted(t.members for t in T))))
     return AdmissiblePoset(host=P, melted=M, elements=elements)
 
@@ -332,7 +389,7 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
 
 @dataclass(frozen=True)
 class RealizationResult:
-    poset: Poset
+    host: Poset
     dual: RationalPolytope
     primal: RationalPolytope
     lattice: FaceLattice
@@ -347,66 +404,70 @@ def melt_order(tubes) -> list[Tube]:
 
 def initial_dual(P: Poset) -> tuple[RationalPolytope, AdmissiblePoset]:
     """Dual order polytope with admissible-tubing labels, certified."""
-    M = MeltedSet.of(P, ())
-    adm = admissible_tubings(P, M)
-    ord_poly = order_polytope(P)
+    system = tube_system(P)
+    adm = admissible_tubings(P, MeltedSet.of(P, ()))
+    ord_poly = system.order_polytope()
     dual = polar_dual(ord_poly)
-    labels = []
-    for f_label in (f.label for f in ord_poly.facets):
-        i, j = f_label
-        labels.append(adm.s_tau(Tube.of((i, j))))
+    labels = [adm.s_tau(system.cover_tube(*f.label)) for f in ord_poly.facets]
     dual = rebuild_from_lattice(dual.dim, dual.vertices, labels, adm)
     return dual, adm
 
 
-def realize_poset_associahedron(P: Poset) -> RealizationResult:
-    """Run the melting induction and certify the final polytope.
+def realize(P) -> RealizationResult:
+    """Run the melting induction on any host with a tube system.
 
-    Returns the subdivided dual, its polar (the simple polytope itself) and
-    the combinatorial face lattice the result was checked against.
+    Melts the proper tubes in weakly decreasing size, one stellar
+    subdivision each, and certifies the final polytope.  Returns the
+    subdivided dual, its polar (the simple polytope itself) and the
+    combinatorial face lattice the result was checked against.
     """
-    lattice = associahedron_face_lattice(P)
-    if len(P.elements) == 2:
+    system = tube_system(P)
+    lattice = system.face_lattice()
+    if system.dim == 0:
         point = RationalPolytope(0, ((),), (), (), None, (frozenset(),))
         return RealizationResult(P, point, point, lattice, (), (1,))
 
     dual, adm = initial_dual(P)
     counts = [dual.n_vertices]
     melted: set[Tube] = set()
-    sequence = melt_order(enumerate_tubes(P, proper_only=True))
+    sequence = melt_order(system.proper_tubes())
     for tau in sequence:
-        face_ids = frozenset(
-            i for i, lab in enumerate(dual.vertex_labels) if adm.le(lab, adm.s_tau(tau))
-        )
+        top = adm.s_tau(tau)
+        face_ids = frozenset(i for i, lab in enumerate(dual.vertex_labels) if adm.le(lab, top))
         melted.add(tau)
         adm = admissible_tubings(P, MeltedSet.of(P, melted))
         try:
             dual = stellar_subdivide(dual, face_ids, adm)
         except MismatchError as exc:
-            raise MismatchError(f"melting {tau}: {exc}") from exc
+            raise MismatchError(f"{system.stage} {tau}: {exc}") from exc
         counts.append(dual.n_vertices)
         check_bit_budget(itertools.chain.from_iterable(dual.vertices),
-                         f"realization after melting {tau}")
+                         f"realization after {system.stage} {tau}")
 
     _check_final_lattice(P, dual, lattice)
     primal = polar_dual(dual)
     return RealizationResult(P, dual, primal, lattice, tuple(sequence), tuple(counts))
 
 
-def _check_final_lattice(P: Poset, dual: RationalPolytope, lattice: FaceLattice) -> None:
+def realize_poset_associahedron(P: Poset) -> RealizationResult:
+    """The melting induction on a finite poset: its P-associahedron."""
+    return realize(P)
+
+
+def _check_final_lattice(P, dual: RationalPolytope, lattice: FaceLattice) -> None:
     """The final dual's faces must be exactly the proper tubings."""
-    strip = lambda T: frozenset(t for t in T if 1 < len(t) < len(P.elements))
+    system = tube_system(P)
+    strip = lambda T: frozenset(t for t in T if t != system.root and len(t) > 1)
     vertex_tubes = [strip(lab) for lab in dual.vertex_labels]
     if any(len(ts) != 1 for ts in vertex_tubes):
         raise MismatchError("final dual vertices are not labeled by single tubes")
     tube_of = [next(iter(ts)) for ts in vertex_tubes]
-    if set(tube_of) != set(enumerate_tubes(P, proper_only=True)):
+    if set(tube_of) != set(system.proper_tubes()):
         raise MismatchError("final dual vertices do not match proper tubes")
     facet_tubings = {strip(f.label) for f in dual.facets}
     expected = {frozenset(key) for key in lattice.faces_of_dim(0)}
     if facet_tubings != expected:
         raise MismatchError("final dual facets do not match maximal tubings")
     for f, inc in zip(dual.facets, dual.incidence):
-        tubes_on = {tube_of[i] for i in inc}
-        if tubes_on != set(strip(f.label)):
+        if {tube_of[i] for i in inc} != strip(f.label):
             raise MismatchError("final dual incidence disagrees with membership")

@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple
 
 from .errors import NotGradedError
-from .poset import Poset, quotient_poset
+from .poset import Poset, find_cycle, quotient_poset
 from .tubes import (
     Tube,
     Tubing,
@@ -24,7 +24,6 @@ from .tubes import (
     full_tube,
     is_tubing,
     tubing_tree,
-    _find_cycle,
 )
 
 
@@ -175,7 +174,7 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
             blocks = frozenset(chosen)
             if strict_blocks and len(blocks) == 1:
                 return
-            if len(blocks) > 1 and _find_cycle(d_graph(P, blocks)) is not None:
+            if len(blocks) > 1 and find_cycle(d_graph(P, blocks)) is not None:
                 return
             results.append(blocks)
             return

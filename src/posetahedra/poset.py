@@ -13,8 +13,6 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Mapping
 
-import networkx as nx
-
 from .errors import (
     CycleError,
     DegenerateError,
@@ -42,10 +40,10 @@ class Poset:
 
     @cached_property
     def _strict(self) -> frozenset[tuple[int, int]]:
-        g = nx.DiGraph(self.covers)
-        g.add_nodes_from(self.elements)
-        closure = nx.transitive_closure_dag(g)
-        return frozenset(closure.edges())
+        up: dict[int, set[int]] = {e: set() for e in self.elements}
+        for i, j in self.covers:
+            up[i].add(j)
+        return frozenset((i, j) for i, above in _strictly_above(up).items() for j in above)
 
     @cached_property
     def hasse_adjacency(self) -> dict[int, tuple[int, ...]]:
@@ -79,47 +77,80 @@ class Poset:
         return f"Poset({len(self.elements)} elements, covers={list(self.covers)})"
 
 
-@dataclass(frozen=True)
-class SubsetView:
-    """A nonempty subset of a poset's elements, kept in sorted order."""
-
-    parent: Poset
-    members: tuple[int, ...]
-
-    def __post_init__(self):
-        if not self.members:
-            raise ValueError("SubsetView must be nonempty")
-        missing = set(self.members) - set(self.parent.elements)
-        if missing:
-            raise ValueError(f"members {sorted(missing)} not in the poset")
-        object.__setattr__(self, "members", tuple(sorted(set(self.members))))
-
-
 def _members(subset) -> tuple[int, ...]:
-    if isinstance(subset, SubsetView):
-        return subset.members
     return tuple(sorted(set(subset)))
+
+
+def find_cycle(adjacency: Mapping) -> list | None:
+    """A directed cycle of the digraph as a vertex list, or None if acyclic.
+
+    ``adjacency`` maps every vertex to its successors.  Depth-first search
+    with an explicit stack; the cycle is the path from the first vertex
+    found on the current path back to the end of that path.
+    """
+    done: set = set()
+    for start in adjacency:
+        if start in done:
+            continue
+        path, on_path = [start], {start}
+        branches = [iter(adjacency[start])]
+        while branches:
+            for w in branches[-1]:
+                if w in on_path:
+                    return path[path.index(w):]
+                if w not in done:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(adjacency[w]))
+                    break
+            else:
+                v = path.pop()
+                on_path.discard(v)
+                done.add(v)
+                branches.pop()
+    return None
+
+
+def _strictly_above(up: dict[int, set[int]]) -> dict[int, set[int]]:
+    """Everything reachable from each vertex, by one search per vertex."""
+    reach: dict[int, set[int]] = {}
+    for v in up:
+        seen: set[int] = set()
+        stack = list(up[v])
+        while stack:
+            w = stack.pop()
+            if w not in seen:
+                seen.add(w)
+                stack.extend(up[w])
+        reach[v] = seen
+    return reach
 
 
 def build_poset(covers: Iterable[tuple[int, int]]) -> Poset:
     """Build a poset from cover pairs (redundant pairs are reduced away).
 
-    Raises CycleError / DisconnectedError / TooSmallError when the input is
-    not a finite connected poset on at least two elements.
+    Raises CycleError / TooSmallError / DisconnectedError, in that order,
+    when the input is not a finite connected poset on at least two elements.
     """
     pairs = [(int(i), int(j)) for i, j in covers]
-    g = nx.DiGraph()
-    g.add_edges_from(pairs)
-    if any(i == j for i, j in pairs) or not nx.is_directed_acyclic_graph(g):
+    up: dict[int, set[int]] = {}
+    for i, j in pairs:
+        up.setdefault(i, set()).add(j)
+        up.setdefault(j, set())
+    if find_cycle(up) is not None:  # a self-loop is a cycle of length one
         raise CycleError("cover relations contain a directed cycle")
-    if g.number_of_nodes() < 2:
+    if len(up) < 2:
         raise TooSmallError("a poset needs at least two elements")
-    reduction = nx.transitive_reduction(g)
-    if not nx.is_connected(reduction.to_undirected()):
+    reach = _strictly_above(up)
+    # i <. j when j is above i but above none of i's other successors
+    redges = tuple(sorted(
+        (i, j) for i, succ in up.items()
+        for j in succ.difference(*(reach[k] for k in succ))
+    ))
+    P = Poset(elements=tuple(sorted(up)), covers=redges)
+    if not is_connected(P, P.elements):
         raise DisconnectedError("Hasse diagram is not connected")
-    elements = tuple(sorted(g.nodes))
-    redges = tuple(sorted(reduction.edges()))
-    return Poset(elements=elements, covers=redges)
+    return P
 
 
 def is_convex(P: Poset, subset) -> bool:
@@ -206,9 +237,10 @@ def quotient_poset(P: Poset, partition) -> Poset:
         for e in b:
             rep[e] = min(b)
     edges = {(rep[i], rep[j]) for i, j in P._strict if rep[i] != rep[j]}
-    g = nx.DiGraph(edges)
-    g.add_nodes_from(rep.values())
-    if not nx.is_directed_acyclic_graph(g):
+    depends: dict[int, list[int]] = {r: [] for r in rep.values()}
+    for a, b in edges:
+        depends[a].append(b)
+    if find_cycle(depends) is not None:
         raise NotATubingError("partition dependency digraph has a cycle")
     return build_poset(sorted(edges))
 
@@ -265,27 +297,3 @@ def _require_coords(members, x) -> None:
     missing = [i for i in members if i not in x]
     if missing:
         raise KeyError(f"vector lacks coordinates for {missing}")
-
-
-@dataclass(frozen=True)
-class OrderFunctional:
-    """A named linear functional: alpha_P, alpha_tau(t) or avg_tau(t)."""
-
-    poset: Poset
-    kind: str
-    tube: tuple[int, ...] | None = None
-
-    _KINDS = ("alpha_P", "alpha_tau", "avg_tau")
-
-    def __post_init__(self):
-        if self.kind not in self._KINDS:
-            raise ValueError(f"kind must be one of {self._KINDS}")
-        if self.kind != "alpha_P" and self.tube is None:
-            raise ValueError(f"{self.kind} needs a tube")
-
-    def __call__(self, x: Mapping[int, Fraction]) -> Fraction:
-        if self.kind == "alpha_P":
-            return alpha(self.poset, self.poset.elements, x)
-        if self.kind == "alpha_tau":
-            return alpha(self.poset, self.tube, x)
-        return avg(self.tube, x)

@@ -12,10 +12,11 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import MalformedTreeError, NotAPartitionError, NotATubeError, NotATubingError
-from .poset import Poset, build_poset, is_connected, is_convex
+from .poset import Poset, build_poset, find_cycle, is_connected, is_convex
 
 
 @dataclass(frozen=True, order=True)
@@ -106,34 +107,6 @@ def d_graph(P: Poset, tubes: Iterable[Tube]) -> dict[Tube, tuple[Tube, ...]]:
     return out
 
 
-def _find_cycle(adj: dict[Tube, tuple[Tube, ...]]) -> list[Tube] | None:
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in adj}
-    stack: list[Tube] = []
-
-    def dfs(v: Tube) -> list[Tube] | None:
-        color[v] = GRAY
-        stack.append(v)
-        for w in adj[v]:
-            if color[w] == GRAY:
-                return stack[stack.index(w):]
-            if color[w] == WHITE:
-                cyc = dfs(w)
-                if cyc is not None:
-                    return cyc
-        stack.pop()
-        color[v] = BLACK
-        return None
-
-    for v in adj:
-        if color[v] == WHITE:
-            cyc = dfs(v)
-            if cyc is not None:
-                return cyc
-            stack.clear()
-    return None
-
-
 class TubingCheck(NamedTuple):
     ok: bool
     crossing: tuple[Tube, Tube] | None = None
@@ -149,7 +122,7 @@ def is_tubing(P: Poset, tubes: Iterable[Tube]) -> TubingCheck:
     for a, b in itertools.combinations(tubes, 2):
         if not nested_or_disjoint(a, b):
             return TubingCheck(False, crossing=(a, b))
-    cycle = _find_cycle(d_graph(P, tubes))
+    cycle = find_cycle(d_graph(P, tubes))
     if cycle is not None:
         return TubingCheck(False, cycle=tuple(cycle))
     return TubingCheck(True)
@@ -261,8 +234,8 @@ class TubingTree:
 
     host: Poset
     root: Tube
-    parent: dict[Tube, Tube] = field(hash=False)
-    children: dict[Tube, tuple[Tube, ...]] = field(hash=False)
+    parent: Mapping[Tube, Tube] = field(hash=False)  # read-only views
+    children: Mapping[Tube, tuple[Tube, ...]] = field(hash=False)
 
     def nodes(self) -> tuple[Tube, ...]:
         return tuple(sorted(self.children, key=Tube.key))
@@ -306,18 +279,11 @@ def tubing_tree(T: Tubing) -> TubingTree:
     for t, p in parent.items():
         children[p].append(t)
     children_t = {t: tuple(sorted(c, key=Tube.key)) for t, c in children.items()}
-    return TubingTree(host=P, root=root, parent=parent, children=children_t)
+    return TubingTree(host=P, root=root, parent=MappingProxyType(parent),
+                      children=MappingProxyType(children_t))
 
 
 # -- bijections with classical face labels ------------------------------------
-
-
-def chain_poset(n: int) -> Poset:
-    return build_poset([(i, i + 1) for i in range(1, n)])
-
-
-def claw_poset(n: int, hub: int = 0) -> Poset:
-    return build_poset([(hub, i) for i in range(1, n + 1)])
 
 
 def tubing_from_plane_tree(tree) -> Tubing:
@@ -348,7 +314,7 @@ def tubing_from_plane_tree(tree) -> Tubing:
     n = len(leaves)
     if leaves != list(range(1, n + 1)):
         raise MalformedTreeError("leaves must be labeled 1..n left to right")
-    host = chain_poset(n)
+    host = build_poset([(i, i + 1) for i in range(1, n)])
     return Tubing.of(host, [Tube.of(s) for s in tube_sets])
 
 
@@ -365,7 +331,7 @@ def tubing_from_ordered_set_partition(blocks: Sequence[Iterable[int]]) -> Tubing
     n = len(ground)
     if ground != list(range(1, n + 1)) or len(set(ground)) != n:
         raise NotAPartitionError("blocks must partition 1..n")
-    host = claw_poset(n)
+    host = build_poset([(0, i) for i in range(1, n + 1)])
     tubes = []
     prefix: set[int] = {0}
     for b in blocks[:-1]:

@@ -19,7 +19,7 @@ CASES = {
     "w5": (corpus.w5(), geometry.realize_poset_associahedron,
            geometry._check_final_lattice, corpus.chain(5)),
     "cchain3": (corpus.circular_chain(3), affine.realize_affine_cyclohedron,
-                affine._check_final_affine, corpus.circular_claw(3)),
+                geometry._check_final_lattice, corpus.circular_claw(3)),
 }
 
 

@@ -1,9 +1,16 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 import oracles
+import posetahedra
 from posetahedra import corpus
 from posetahedra.errors import (
     CycleError,
@@ -14,8 +21,6 @@ from posetahedra.errors import (
     TooSmallError,
 )
 from posetahedra.poset import (
-    OrderFunctional,
-    SubsetView,
     alpha,
     build_poset,
     ideal_filter_splits,
@@ -25,6 +30,7 @@ from posetahedra.poset import (
     quotient_poset,
     res,
 )
+from strategies import SETTINGS
 
 W5_COVERS = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
 
@@ -68,6 +74,45 @@ class TestBuildPoset:
             assert build_poset(P.covers) == P
 
 
+relation_lists = st.lists(st.tuples(st.integers(1, 6), st.integers(1, 6)), max_size=10)
+upward_lists = relation_lists.map(lambda pairs: [(min(p), max(p)) for p in pairs if p[0] != p[1]])
+
+
+@SETTINGS
+@given(st.one_of(relation_lists, upward_lists))
+@example([])
+@example([(1, 1), (1, 2)])
+@example([(1, 2), (2, 3), (3, 1)])
+@example([(1, 2), (3, 4)])
+@example([(1, 2), (2, 3), (1, 3), (1, 3)])
+def test_build_poset_matches_oracle(pairs):
+    """Closure, reduction and the first failing check, against brute force."""
+    rel = oracles.closure(pairs)
+    elements = oracles.elements_of(pairs)
+    if any(a == b for a, b in rel):
+        expected = CycleError
+    elif len(elements) < 2:
+        expected = TooSmallError
+    elif not oracles.connected(oracles.hasse(pairs), elements):
+        expected = DisconnectedError
+    else:
+        P = build_poset(pairs)
+        assert P.elements == tuple(elements)
+        assert list(P.covers) == oracles.hasse(pairs)
+        assert P._strict == rel
+        return
+    with pytest.raises(expected):
+        build_poset(pairs)
+
+
+def test_import_leaves_networkx_out():
+    src = str(Path(posetahedra.__file__).resolve().parents[1])
+    code = "import sys, posetahedra; print('networkx' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": src})
+    assert out.stdout.strip() == "False"
+
+
 class TestConvexConnected:
     def test_w5_examples(self, w5):
         assert not is_convex(w5, {1, 2, 4})
@@ -94,14 +139,6 @@ class TestConvexConnected:
                 S = [P.elements[k] for k in range(n) if mask >> k & 1]
                 assert is_convex(P, S) == oracles.convex(rel, S, P.elements), (name, S)
                 assert is_connected(P, S) == oracles.connected(hp, S), (name, S)
-
-    def test_subset_view_validation(self, w5):
-        view = SubsetView(w5, (4, 2))
-        assert view.members == (2, 4)
-        with pytest.raises(ValueError):
-            SubsetView(w5, ())
-        with pytest.raises(ValueError):
-            SubsetView(w5, (9,))
 
 
 class TestIdealFilterSplits:
@@ -200,12 +237,3 @@ class TestFunctionals:
                 r = res(P, P.elements, x)
                 assert alpha(P, P.elements, r) == 1
                 assert sum(r.values()) == 0
-
-    def test_order_functional(self, c3):
-        assert OrderFunctional(c3, "alpha_P")(self.X) == 1
-        assert OrderFunctional(c3, "alpha_tau", (1, 2))(self.X) == F(1, 2)
-        assert OrderFunctional(c3, "avg_tau", (2, 3))(self.X) == F(1, 4)
-        with pytest.raises(ValueError):
-            OrderFunctional(c3, "alpha_tau")
-        with pytest.raises(ValueError):
-            OrderFunctional(c3, "nonsense")
