@@ -89,7 +89,7 @@ def order_polytope(P: Poset) -> RationalPolytope:
     return poly
 
 
-# -- admissible tubings ------------------------------------------------------
+# -- admissible tubings -------------------------------------------------------
 
 
 @singledispatch
