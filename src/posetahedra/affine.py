@@ -290,14 +290,19 @@ def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bo
 
 
 def class_contains(A: AffinePoset, outer: AffineTube, inner: AffineTube) -> bool:
-    """Some instance of outer contains the canonical instance of inner."""
+    """Some instance of outer contains the canonical instance of inner.
+
+    The instance shifted by d can only contain inner when it starts at or
+    below min(inner) and ends at or above max(inner), which bounds d on
+    both sides.
+    """
     if outer.is_full:
         return True
     if inner.is_full:
         return False
-    lo = (min(inner.members) - min(outer.members)) // A.n - 1
-    hi = (max(inner.members) - min(outer.members)) // A.n + 1
-    return any(inner.as_set <= outer.instance(d, A.n) for d in range(lo, hi + 2))
+    lo = (max(inner.members) - max(outer.members)) // A.n
+    hi = (min(inner.members) - min(outer.members)) // A.n
+    return any(inner.as_set <= outer.instance(d, A.n) for d in range(lo, hi + 1))
 
 
 def _min_relation_shift(A: AffinePoset, a: AffineTube, b: AffineTube) -> int:

@@ -22,7 +22,7 @@ from functools import cached_property, singledispatch
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
-from .linalg import affine_rank, nullspace
+from .linalg import affine_rank, homogeneous, integer_rank, nullspace
 from .polytope import (
     Chart,
     Facet,
@@ -180,8 +180,14 @@ class AdmissiblePoset:
         return t in self.melted
 
     def dim(self, T: AdmTubing) -> int:
-        m = sum(1 for t in T if t in self.melted)
-        return self.system.size + m - (len(T) - m) - 2
+        return self._dims[T]
+
+    @cached_property
+    def _dims(self) -> dict[AdmTubing, int]:
+        """dim(T) for every element, from the melted bits of its mask."""
+        order, base = self.order, self.system.size - 2
+        return {T: base + 2 * (order.mask(T) & order.melted).bit_count() - len(T)
+                for T in self.elements}
 
     @cached_property
     def order(self) -> FaceOrder:
@@ -308,9 +314,10 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
 
 def rebuild_from_lattice(dim, vertices, labels, adm) -> RationalPolytope:
     """Solve every facet hyperplane from the lattice and certify the result."""
+    rows = [homogeneous(v) for v in vertices]
     masks = [adm.order.mask(lab) for lab in labels]
     facets = [
-        facet_through(vertices, adm.order.below(masks, Tf), label=Tf) for Tf in adm.facets()
+        facet_through(rows, adm.order.below(masks, Tf), label=Tf) for Tf in adm.facets()
     ]
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels))
     lattice_match(poly, adm)
@@ -324,7 +331,7 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     intersection of the tight sets of the facets above it, and (b) affinely
     span dim(T) dimensions.  Vertex and facet sets are integer bitsets: a
     vertex lies in the intersection when its row of incident facets holds
-    every facet above T.
+    every facet above T.  Ranks are taken on Q's homogeneous rows.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -350,7 +357,7 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         if cut != below:
             raise MismatchError(
                 f"face {_face_name(T)} vertex set disagrees with facet intersection")
-        if affine_rank([Q.vertices[i] for i in ids]) != adm.dim(T):
+        if integer_rank([Q.rows[i] for i in ids]) - 1 != adm.dim(T):
             raise MismatchError(f"face {_face_name(T)} has wrong dimension")
 
 

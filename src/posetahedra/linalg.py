@@ -1,8 +1,11 @@
-"""Small exact linear algebra over Fraction.
+"""Small exact linear algebra over Fraction and over the integers.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry in column order, so identical inputs give identical bases.  Matrices
 are lists of row lists; no numpy because all arithmetic must stay rational.
+Ranks and hyperplanes are taken over the integers, on points cleared of
+denominators to homogeneous rows (``homogeneous``); ``rref`` and the
+solves built on it stay on Fraction for the affine charts.
 """
 
 from __future__ import annotations
@@ -107,10 +110,7 @@ def integer_rank(rows) -> int:
     for row in rows:
         for c, b in basis:
             if row[c]:
-                row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
-                g = math.gcd(*row)
-                if g > 1:
-                    row = [x // g for x in row]
+                row = _eliminate(row, b, c)
         pivot = next((c for c, x in enumerate(row) if x), None)
         if pivot is not None:
             basis.append((pivot, row))
@@ -119,46 +119,50 @@ def integer_rank(rows) -> int:
     return len(basis)
 
 
-def hyperplane_through(points) -> tuple[Row, Fraction] | None:
-    """The unique hyperplane n.x = b through the points, or None.
+def _eliminate(row: list[int], b: list[int], c: int) -> list[int]:
+    """b[c] * row - row[c] * b, which is 0 in column c, over the gcd of its entries."""
+    row = [b[c] * x - row[c] * y for x, y in zip(row, b)]
+    g = math.gcd(*row)
+    return [x // g for x in row] if g > 1 else row
 
-    Returns None when the points do not affinely span a hyperplane
-    (codimension != 1).  The scale/orientation of (n, b) is arbitrary.
+
+def hyperplane_through(rows) -> tuple[list[int], int] | None:
+    """The hyperplane <n, v> = b through the points with the given rows, or None.
+
+    ``rows`` holds each point as its homogeneous row D * (v, 1).  The
+    vector (n, -b) spans the kernel of those rows; it is found by
+    fraction-free Gauss-Jordan elimination and returned as a primitive
+    integer (n, b).  Returns None when the kernel is not a line, that is
+    when the points do not affinely span a hyperplane, or when its normal
+    is zero.  The orientation of (n, b) is arbitrary.
     """
-    points = list(points)
-    if not points:
+    basis: dict[int, list[int]] = {}  # pivot column -> row, 0 in every other pivot column
+    width = 0
+    for row in rows:
+        width = len(row)
+        for c, b in basis.items():
+            if row[c]:
+                row = _eliminate(row, b, c)
+        pivot = next((c for c, x in enumerate(row) if x), None)
+        if pivot is None:
+            continue
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _eliminate(b, row, pivot)
+        basis[pivot] = row
+    free = [c for c in range(width) if c not in basis]
+    if len(free) != 1:
         return None
-    d = len(points[0])
-    rows = [list(p) + [Fraction(-1)] for p in points]
-    basis = nullspace(rows, d + 1)
-    if len(basis) != 1:
+    # each basis row is a * e_c + r * e_free, so the kernel is spanned by
+    # L * e_free - sum_c (r L / a) e_c, L the lcm of the pivots
+    f = free[0]
+    lcm = math.lcm(*(b[c] for c, b in basis.items()))
+    vec = [0] * width
+    vec[f] = lcm
+    for c, b in basis.items():
+        vec[c] = -b[f] * (lcm // b[c])
+    g = math.gcd(*vec)
+    *normal, neg_offset = (x // g for x in vec)
+    if not any(normal):
         return None
-    vec = basis[0]
-    normal, offset = vec[:d], vec[d]
-    if all(x == 0 for x in normal):
-        return None
-    return normal, offset
-
-
-def primitive(normal, offset) -> tuple[Row, Fraction]:
-    """Scale (n, b) by a positive rational so entries are coprime integers."""
-    entries = list(normal) + [offset]
-    lcm = 1
-    for e in entries:
-        if e != 0:
-            d = e.denominator
-            lcm = lcm * d // _gcd(lcm, d)
-    scaled = [e * lcm for e in entries]
-    g = 0
-    for e in scaled:
-        g = _gcd(g, abs(e.numerator))
-    if g > 1:
-        scaled = [e / g for e in scaled]
-    return scaled[:-1], scaled[-1]
-
-
-def _gcd(a, b):
-    a, b = int(a), int(b)
-    while b:
-        a, b = b, a % b
-    return a
+    return normal, -neg_offset

@@ -7,13 +7,16 @@ space R^A, which is how order polytopes remember their poset coordinates.
 Certification is exact: a facet's tight vertex set must match its claimed
 incidence row, and every other vertex must be strictly beneath.  Both are
 read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
-pair, evaluated in integers after clearing denominators once.
+pair, evaluated in integers on the vertices' homogeneous rows, which each
+polytope clears of denominators once (``RationalPolytope.rows``).  Facet
+hyperplanes and ranks are solved on the same rows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from operator import mul
 from typing import Iterable, Mapping, Sequence
 
@@ -74,6 +77,15 @@ class RationalPolytope:
     chart: Chart | None = None
     vertex_labels: tuple | None = None
 
+    @cached_property
+    def rows(self) -> tuple[list[int], ...]:
+        """Each vertex v as its integer row D * (v, 1), cleared once.
+
+        A cached property rather than a field, so that a copy made by
+        ``dataclasses.replace`` clears its own vertices.
+        """
+        return tuple(map(linalg.homogeneous, self.vertices))
+
     @property
     def n_vertices(self) -> int:
         return len(self.vertices)
@@ -94,7 +106,7 @@ class RationalPolytope:
         return replace(self, vertices=verts, facets=facets, chart=None)
 
     def tight_set(self, facet: Facet) -> frozenset[int]:
-        row = side_signs(facet.normal, facet.offset, map(linalg.homogeneous, self.vertices))
+        row = side_signs(facet.normal, facet.offset, self.rows)
         return frozenset(i for i, s in enumerate(row) if s == 0)
 
     def face_from_vertices(self, vertex_ids: Iterable[int]) -> frozenset[int]:
@@ -121,10 +133,10 @@ class RationalPolytope:
         """
         if len(set(self.vertices)) != len(self.vertices):
             raise MismatchError("duplicate vertices")
-        if self.vertices and linalg.affine_rank(self.vertices) != self.dim:
+        rows = self.rows
+        if rows and linalg.integer_rank(rows) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
         if signs is None:
-            rows = [linalg.homogeneous(v) for v in self.vertices]
             signs = [side_signs(f.normal, f.offset, rows) for f in self.facets]
         for facet, claimed, row in zip(self.facets, self.incidence, signs):
             for i, s in enumerate(row):
@@ -132,8 +144,8 @@ class RationalPolytope:
                     raise MismatchError(f"vertex {i} beyond facet {facet.label}")
                 if (s == 0) != (i in claimed):
                     raise MismatchError(f"incidence mismatch on facet {facet.label}")
-            tight_pts = [self.vertices[i] for i in claimed]
-            if self.dim >= 1 and linalg.affine_rank(tight_pts) != self.dim - 1:
+            tight = [rows[i] for i in claimed]
+            if self.dim >= 1 and linalg.integer_rank(tight) - 1 != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
 
 
@@ -157,13 +169,14 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None) ->
     """Assemble a polytope, computing incidence by exact evaluation."""
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
-    rows = [linalg.homogeneous(v) for v in vertices]
+    rows = tuple(map(linalg.homogeneous, vertices))
     signs = [side_signs(f.normal, f.offset, rows) for f in facets]
     incidence = tuple(frozenset(i for i, s in enumerate(row) if s == 0) for row in signs)
     poly = RationalPolytope(
         dim=dim, vertices=vertices, facets=facets, incidence=incidence,
         chart=chart, vertex_labels=vertex_labels,
     )
+    poly.__dict__["rows"] = rows  # fill the cached property: these are its rows
     poly.certify(signs)
     return poly
 
@@ -198,21 +211,22 @@ def polar_dual(Q: RationalPolytope) -> RationalPolytope:
     return dual
 
 
-def facet_through(vertices: Sequence[Point], tight_ids: Iterable[int],
+def facet_through(rows: Sequence[list[int]], tight_ids: Iterable[int],
                   label=None) -> Facet:
     """The supporting hyperplane spanned by the tight vertices.
 
-    The normal is oriented so all remaining vertices are strictly beneath;
-    raises MismatchError when the tight set is not a facet's vertex set.
+    ``rows`` holds every vertex as its homogeneous row (``RationalPolytope.rows``).
+    The hyperplane is solved in integers and scaled to coprime integer
+    entries, with the normal oriented so all remaining vertices are
+    strictly beneath; raises MismatchError when the tight set is not a
+    facet's vertex set.
     """
-    tight_ids = sorted(set(tight_ids))
-    pts = [vertices[i] for i in tight_ids]
-    plane = linalg.hyperplane_through(pts)
+    tight = set(tight_ids)
+    plane = linalg.hyperplane_through([rows[i] for i in sorted(tight)])
     if plane is None:
         raise MismatchError("claimed facet vertices do not span a hyperplane")
     normal, offset = plane
-    tight = set(tight_ids)
-    row = side_signs(normal, offset, [linalg.homogeneous(v) for v in vertices])
+    row = side_signs(normal, offset, rows)
     others = [s for i, s in enumerate(row) if i not in tight]
     signs = set(others) - {0}
     if signs == {1, -1} or not others:
@@ -220,5 +234,4 @@ def facet_through(vertices: Sequence[Point], tight_ids: Iterable[int],
     if 1 in signs:
         normal = [-n for n in normal]
         offset = -offset
-    normal, offset = linalg.primitive(normal, offset)
-    return Facet(tuple(normal), offset, label=label)
+    return Facet(tuple(map(Fraction, normal)), Fraction(offset), label=label)

@@ -195,3 +195,107 @@ def res(covers, members, x):
         return None
     mean = sum((Fraction(x[i]) for i in members), Fraction(0)) / len(members)
     return {i: (Fraction(x[i]) - mean) / scale for i in members}
+
+
+# -- the Fraction hyperplane solve before facets were solved in integers -----
+
+
+def rref(rows, ncols):
+    """Reduced row echelon form and the pivot column indices."""
+    mat = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    r = 0
+    for c in range(ncols):
+        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pivot is None:
+            continue
+        mat[r], mat[pivot] = mat[pivot], mat[r]
+        inv = mat[r][c]
+        mat[r] = [x / inv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat, pivots
+
+
+def nullspace(rows, ncols):
+    """Basis of the kernel; one vector per free column, free entry set to 1."""
+    mat, pivots = rref(rows, ncols)
+    free = [c for c in range(ncols) if c not in pivots]
+    basis = []
+    for fc in free:
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -mat[r][fc]
+        basis.append(vec)
+    return basis
+
+
+def hyperplane_through(points):
+    """The unique hyperplane n.x = b through the points, or None.
+
+    Returns None when the points do not affinely span a hyperplane
+    (codimension != 1).  The scale/orientation of (n, b) is arbitrary.
+    """
+    points = list(points)
+    if not points:
+        return None
+    d = len(points[0])
+    rows = [list(p) + [Fraction(-1)] for p in points]
+    basis = nullspace(rows, d + 1)
+    if len(basis) != 1:
+        return None
+    vec = basis[0]
+    normal, offset = vec[:d], vec[d]
+    if all(x == 0 for x in normal):
+        return None
+    return normal, offset
+
+
+def primitive(normal, offset):
+    """Scale (n, b) by a positive rational so entries are coprime integers."""
+    entries = list(normal) + [offset]
+    lcm = 1
+    for e in entries:
+        if e != 0:
+            d = e.denominator
+            lcm = lcm * d // _gcd(lcm, d)
+    scaled = [e * lcm for e in entries]
+    g = 0
+    for e in scaled:
+        g = _gcd(g, abs(e.numerator))
+    if g > 1:
+        scaled = [e / g for e in scaled]
+    return scaled[:-1], scaled[-1]
+
+
+def _gcd(a, b):
+    a, b = int(a), int(b)
+    while b:
+        a, b = b, a % b
+    return a
+
+
+def oriented_facet(vertices, tight_ids):
+    """(normal, offset) of the facet through the tight vertices, primitive
+    and oriented with every other vertex beneath, or None when the tight
+    vertices span no supporting hyperplane."""
+    tight = set(tight_ids)
+    plane = hyperplane_through([vertices[i] for i in sorted(tight)])
+    if plane is None:
+        return None
+    normal, offset = plane
+    values = [sum(n * x for n, x in zip(normal, v)) - offset
+              for i, v in enumerate(vertices) if i not in tight]
+    if not values or (any(x > 0 for x in values) and any(x < 0 for x in values)):
+        return None
+    if any(x > 0 for x in values):
+        normal, offset = [-n for n in normal], -offset
+    normal, offset = primitive(normal, offset)
+    return tuple(normal), offset

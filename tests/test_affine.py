@@ -3,6 +3,8 @@ import math
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posetahedra import corpus
 from posetahedra.affine import (
@@ -34,6 +36,7 @@ from posetahedra.errors import (
     OverlapError,
 )
 from posetahedra.lattice import EMPTY, f_vector, h_vector
+from strategies import SETTINGS
 
 
 @pytest.fixture
@@ -145,6 +148,35 @@ class TestAffineTubes:
         # instances {3,4} and {4,5} = {1,2}+3 overlap in one element
         assert not class_nested_or_disjoint(cc3, t12, t34)
         assert class_contains(cc3, AffineTube((3, 4, 5)), t12)
+
+
+@st.composite
+def tube_class_pairs(draw):
+    """A period n and two classes of member sets spanning up to six periods,
+    the inner one often a subset of the outer one, and full classes too.
+    Only the period and the members matter to class_contains, so the sets
+    need not be tubes."""
+    n = draw(st.integers(1, 4))
+    A = corpus.circular_chain(n)
+    spread = st.sets(st.integers(1, 6 * n), min_size=1, max_size=6)
+    outer = draw(spread)
+    # a subset lying high in outer is canonical only after a shift by
+    # several periods, so outer's containing instance lies that far below
+    inner = draw(st.one_of(spread, st.sets(st.sampled_from(sorted(outer)), min_size=1)))
+    full = draw(st.sampled_from(["neither", "neither", "outer", "inner"]))
+    return (A, AffineTube.full() if full == "outer" else AffineTube.of(A, outer),
+            AffineTube.full() if full == "inner" else AffineTube.of(A, inner))
+
+
+@SETTINGS
+@given(tube_class_pairs())
+def test_class_contains_matches_shift_scan(case):
+    A, outer, inner = case
+    if outer.is_full or inner.is_full:
+        expected = outer.is_full
+    else:
+        expected = any(inner.as_set <= outer.instance(d, A.n) for d in range(-40, 41))
+    assert class_contains(A, outer, inner) == expected
 
 
 class TestAffineTubings:
@@ -312,6 +344,14 @@ class TestAffineRealization:
         R = realize_affine_cyclohedron(A)
         assert R.primal.n_vertices == len(enumerate_affine_tubings(A, max_only=True))
         assert R.primal.n_facets == nverts  # polygon: facets = vertices
+
+    def test_tube_class_spanning_two_periods(self):
+        # {1,6} spans three periods of 2; its shift by -2, {-3,2}, holds {2}
+        A = build_affine_poset(2, [(1, 6), (2, 3)])
+        assert class_contains(A, AffineTube((1, 6)), AffineTube((2,)))
+        R = realize_affine_cyclohedron(A)
+        assert R.primal.n_vertices == len(enumerate_affine_tubings(A, max_only=True)) == 2
+        assert R.melt_sequence == (AffineTube((1, 6)), AffineTube((2, 3)))
 
     def test_order_one_point(self):
         R = realize_affine_cyclohedron(corpus.circular_chain(1))

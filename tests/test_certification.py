@@ -81,7 +81,7 @@ def test_claimed_facet_does_not_support(w5_dual):
     assert on_no_facet
     for ids in on_no_facet:
         with pytest.raises(MismatchError, match="does not support"):
-            facet_through(dual.vertices, ids)
+            facet_through(dual.rows, ids)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """The integer kernels of certification against the code they replaced.
 
 The bitset face order must agree with the per-pair tube loop, the integer
-affine rank with Fraction row reduction, and the integer side signs with
-Fraction evaluation of the facet functional.
+affine rank with Fraction row reduction, the integer side signs with
+Fraction evaluation of the facet functional, and the integer hyperplane
+solve with the Fraction one, both alone and as every facet of every
+melting stage.
 """
 
 import functools
@@ -14,11 +16,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from posetahedra import corpus
+from posetahedra import corpus, geometry
 from posetahedra.affine import affine_admissible_tubings, class_contains, enumerate_affine_tubes
 from posetahedra.geometry import MeltedSet, admissible_tubings
-from posetahedra.linalg import affine_rank, homogeneous, rank
-from posetahedra.polytope import Facet, side_signs
+from posetahedra.linalg import affine_rank, homogeneous, hyperplane_through, rank
+from posetahedra.polytope import Facet, facet_through, side_signs
 from posetahedra.tubes import enumerate_tubes
 from strategies import SETTINGS, connected_posets
 
@@ -102,3 +104,82 @@ def test_integer_signs_match_facet_value(case, data):
     expected = [(facet.value(p) > facet.offset) - (facet.value(p) < facet.offset)
                 for p in points]
     assert signs == expected
+
+
+@st.composite
+def near_hyperplanes(draw):
+    """d to d + 2 points on a random (d - 1)-flat in dimension 1..5; some
+    sets repeat a point, some move the first point off the flat."""
+    d = draw(st.integers(1, 5))
+    vector = st.lists(rationals, min_size=d, max_size=d)
+    base = draw(vector)
+    directions = draw(st.lists(vector, min_size=d - 1, max_size=d - 1))
+    points = []
+    for _ in range(draw(st.integers(d, d + 2))):
+        coeffs = draw(st.lists(rationals, min_size=d - 1, max_size=d - 1))
+        points.append(tuple(
+            b + sum((c * v[k] for c, v in zip(coeffs, directions)), F(0))
+            for k, b in enumerate(base)
+        ))
+    if draw(st.booleans()):
+        points.append(draw(st.sampled_from(points)))
+    if draw(st.booleans()):
+        points[0] = tuple(x + y for x, y in zip(points[0], draw(vector)))
+    return points
+
+
+def _check_hyperplane(points):
+    got = hyperplane_through([homogeneous(p) for p in points])
+    want = oracles.hyperplane_through(points)
+    if want is None:
+        assert got is None
+    else:
+        normal, offset = oracles.primitive(*want)
+        # the orientation of either solve is arbitrary
+        assert got in ((normal, offset), ([-n for n in normal], -offset))
+
+
+@SETTINGS
+@given(point_sets())
+def test_integer_hyperplane_matches_fraction_solve(case):
+    _check_hyperplane(case[1])
+
+
+@SETTINGS
+@given(near_hyperplanes())
+def test_integer_hyperplane_matches_fraction_solve_near_hyperplanes(points):
+    _check_hyperplane(points)
+
+
+@pytest.mark.parametrize("rows", [
+    [],
+    [[1]],                   # a point in dimension 0
+    [[2, 1, 2], [2, 1, 2]],  # one point twice in the plane
+    [[1, 0, 0], [0, 1, 0]],  # kernel (0, 0, 1): a zero normal, which no points clear to
+])
+def test_integer_hyperplane_none(rows):
+    assert hyperplane_through(rows) is None
+
+
+def test_integer_hyperplane_is_primitive():
+    # 4 * (1/2, 1) is not primitive; its hyperplane -2x = -1 is
+    assert hyperplane_through([[2, 4]]) == ([-2], -1)
+
+
+@pytest.mark.parametrize("host", [corpus.w5(), corpus.circular_chain(3)], ids=["w5", "cchain3"])
+def test_facets_match_fraction_solve_at_every_stage(monkeypatch, host):
+    stages = []
+    rebuild = geometry.rebuild_from_lattice
+
+    def recording(*args):
+        stages.append(rebuild(*args))
+        return stages[-1]
+
+    monkeypatch.setattr(geometry, "rebuild_from_lattice", recording)
+    R = geometry.realize(host)
+    assert len(stages) == len(R.melt_sequence) + 1
+    for Q in stages:
+        for facet, inc in zip(Q.facets, Q.incidence):
+            assert (facet.normal, facet.offset) == oracles.oriented_facet(Q.vertices, inc)
+            assert all(type(x) is F for x in (*facet.normal, facet.offset))
+            assert facet_through(Q.rows, inc, facet.label) == facet
