@@ -398,6 +398,25 @@ class TestStratum:
         assert point == stratum_point(c4, T)
         assert tubing_of(point).tubes == T.tubes
 
+    def test_interior_is_read_only(self, c4):
+        from posetahedra.compact import Stratum
+
+        stratum = Stratum.canonical(c4, Tubing.of(c4, [T12]))
+        with pytest.raises(TypeError):
+            stratum.interior[full_tube(c4)] = {1: F(0), 2: F(0), 3: F(0), 4: F(0)}
+        with pytest.raises(TypeError):
+            stratum.interior[T12][1] = F(0)
+        assert stratum.point() == stratum_point(c4, Tubing.of(c4, [T12]))
+
+    def test_interior_is_copied(self, c4):
+        from posetahedra.compact import Stratum
+
+        T = Tubing.of(c4, [T12])
+        interior = {tube: dict(vec) for tube, vec in Stratum.canonical(c4, T).interior.items()}
+        stratum = Stratum(T, interior)
+        interior[T12][1] = F(5)  # the stratum keeps its own copy
+        assert stratum.point() == stratum_point(c4, T)
+
     def test_dims_sum_identity(self, w5):
         from posetahedra.compact import Stratum
         from posetahedra.tubes import enumerate_proper_tubings
