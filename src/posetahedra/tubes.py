@@ -18,6 +18,9 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 from .errors import MalformedTreeError, NotAPartitionError, NotATubeError, NotATubingError
 from .poset import Poset, build_poset, find_cycle, is_connected, is_convex
 
+# Hosts (or host and flag) kept by each per-host cache of tubes and tubings
+CACHE_SIZE = 128
+
 
 @dataclass(frozen=True, order=True)
 class Tube:
@@ -73,7 +76,7 @@ def full_tube(P: Poset) -> Tube:
     return Tube(tuple(P.elements))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
     """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|."""
     n = len(P.elements)
@@ -171,7 +174,7 @@ class Tubing:
         return "Tubing[" + " ".join(map(repr, self.sorted_tubes)) + "]"
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, ...]:
     """All proper tubings, by backtracking over tubes in canonical order.
 
@@ -265,22 +268,31 @@ class TubingTree:
 
 
 def tubing_tree(T: Tubing) -> TubingTree:
+    """The nesting tree, built in one sweep over the nodes, largest first.
+
+    ``owner[e]`` is the smallest node seen so far that contains e.  A
+    tubing is laminar, so every earlier node meeting a later node t
+    contains it, and those nodes form a chain: the parent of t is the
+    owner of any one of its members.
+    """
     P = T.host
+    n = len(P.elements)
     root = full_tube(P)
-    nodes = {root} | set(T.tubes) | {Tube((e,)) for e in P.elements}
-    ordered = sorted(nodes, key=lambda t: (-len(t), t.members))
+    # a tube of size n is the root and one of size 1 a singleton node
+    middle = sorted((t for t in T.tubes if 1 < len(t) < n), key=lambda t: (-len(t), t.members))
+    ordered = [root, *middle, *(Tube((e,)) for e in P.elements)]
+    owner = dict.fromkeys(root.members, 0)
+    below: list[list[Tube]] = [[] for _ in ordered]
     parent: dict[Tube, Tube] = {}
-    for t in ordered:
-        if t == root:
-            continue
-        candidates = [s for s in ordered if t != s and t.issubset(s)]
-        parent[t] = min(candidates, key=lambda s: (len(s), s.members))
-    children: dict[Tube, list[Tube]] = {t: [] for t in ordered}
-    for t, p in parent.items():
-        children[p].append(t)
-    children_t = {t: tuple(sorted(c, key=Tube.key)) for t, c in children.items()}
+    for k, t in enumerate(ordered[1:], 1):
+        up = owner[t.members[0]]
+        parent[t] = ordered[up]
+        below[up].append(t)
+        for e in t.members:
+            owner[e] = k
+    children = {t: tuple(sorted(c, key=Tube.key)) for t, c in zip(ordered, below)}
     return TubingTree(host=P, root=root, parent=MappingProxyType(parent),
-                      children=MappingProxyType(children_t))
+                      children=MappingProxyType(children))
 
 
 # -- bijections with classical face labels ------------------------------------

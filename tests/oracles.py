@@ -197,6 +197,33 @@ def res(covers, members, x):
     return {i: (Fraction(x[i]) - mean) / scale for i in members}
 
 
+# -- the nesting tree before it was built in one sweep -----------------------
+
+
+def tubing_tree(T, Tube):
+    """The nesting tree of a tubing as (parent, children) plain dicts.
+
+    Each node's parent is the smallest strictly larger node containing it,
+    found by a search over all nodes.  ``Tube`` is the tube class; the full
+    poset is the tube of all its elements.
+    """
+    P = T.host
+    root = Tube(tuple(P.elements))
+    nodes = {root} | set(T.tubes) | {Tube((e,)) for e in P.elements}
+    ordered = sorted(nodes, key=lambda t: (-len(t), t.members))
+    parent = {}
+    for t in ordered:
+        if t == root:
+            continue
+        candidates = [s for s in ordered if t != s and t.issubset(s)]
+        parent[t] = min(candidates, key=lambda s: (len(s), s.members))
+    children = {t: [] for t in ordered}
+    for t, p in parent.items():
+        children[p].append(t)
+    children_t = {t: tuple(sorted(c, key=Tube.key)) for t, c in children.items()}
+    return parent, children_t
+
+
 # -- the Fraction hyperplane solve before facets were solved in integers -----
 
 

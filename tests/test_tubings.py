@@ -1,6 +1,7 @@
 import itertools
 
 import pytest
+from hypothesis import given
 
 import oracles
 from posetahedra import corpus
@@ -18,6 +19,7 @@ from posetahedra.tubes import (
     tubing_from_plane_tree,
     tubing_tree,
 )
+from strategies import SETTINGS, connected_posets
 
 SMALL = ["chain4", "chain5", "claw3", "diamond4", "n4", "w5"]
 
@@ -144,6 +146,24 @@ class TestTubingTree:
         T = Tubing.of(w5, [(1, 2, 3), (4, 5)])
         tree = tubing_tree(T)
         assert set(tree.children[full_tube(w5)]) == {Tube.of((1, 2, 3)), Tube.of((4, 5))}
+
+    @staticmethod
+    def check_against_search(P):
+        for T in enumerate_proper_tubings(P):
+            tree = tubing_tree(T)
+            parent, children = oracles.tubing_tree(T, Tube)
+            assert dict(tree.parent) == parent, T
+            assert dict(tree.children) == children, T
+
+    @SETTINGS
+    @given(connected_posets())
+    def test_one_pass_tree_matches_search_random(self, P):
+        self.check_against_search(P)
+
+    @pytest.mark.parametrize("name", [name for name, P in corpus.DESK_POSETS.items()
+                                      if len(P.elements) <= 7])
+    def test_one_pass_tree_matches_search_corpus(self, name):
+        self.check_against_search(corpus.DESK_POSETS[name])
 
     def test_minimal_containing(self, c4):
         T = Tubing.of(c4, [(1, 2), (1, 2, 3)])
