@@ -8,6 +8,7 @@ with vectors represented as ``{element_id: Fraction}`` mappings.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -275,22 +276,42 @@ def res(P: Poset, subset, x: Mapping[int, Fraction]) -> Vector:
     """Normalized restriction: proj_sigma0 scaled to make alpha equal 1.
 
     The result does not change when x is scaled by a positive number, so x
-    is cleared to integer numerators n over one common denominator first.
-    With k the subset size, s the sum of the n and a their alpha, each
-    coordinate is then the single fraction (k*n_i - s) / (k*a).
+    is cleared to integer numerators over one common denominator and handed
+    to :func:`res_cleared`.
     """
     members = _members(subset)
     _require_coords(members, x)
     # zip drops the common denominator that ends the homogeneous row
     num = dict(zip(members, homogeneous([frac(x[i]) for i in members])))
+    return res_cleared(P, members, num)[0]
+
+
+def res_cleared(P: Poset, members: tuple[int, ...],
+                num: Mapping[int, int]) -> tuple[Vector, tuple[int, ...]]:
+    """The core of res on a point already cleared to integer numerators.
+
+    ``num`` holds the numerators n of x over one positive common
+    denominator (any positive multiple of x will do) and ``members`` is the
+    sorted subset.  With k the subset size, s the sum of the n over it and a
+    their alpha, coordinate i of the restriction is (k*n_i - s) / (k*a).
+    Returns the restriction and its homogeneous row: the numerators and the
+    denominator k*a divided by their gcd g, where g takes the sign of k*a so
+    that the denominator is positive.
+    """
     scale = sum(num[j] - num[i] for i, j in P.covers_within(members))
     if scale == 0:
         raise DegenerateError(
             f"alpha vanishes on {list(members)}; coordinates are constant there"
         )
     k = len(members)
-    total = sum(num.values())
-    return {i: Fraction(k * n - total, k * scale) for i, n in num.items()}
+    total = sum(num[i] for i in members)
+    den = k * scale
+    tops = [k * num[i] - total for i in members]
+    g = math.gcd(den, *tops)
+    if den < 0:
+        g = -g
+    vec = {i: Fraction(top, den) for i, top in zip(members, tops)}
+    return vec, (*(top // g for top in tops), den // g)
 
 
 def _require_coords(members, x) -> None:
