@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .errors import (
     IncoherentError,
@@ -29,11 +29,23 @@ from .errors import (
     WrongFaceError,
 )
 from .linalg import homogeneous
-from .poset import Poset, Vector, alpha, avg, proj_sigma0, res
+from .poset import Poset, Vector, res, res_cleared
 from .rational import frac
-from .tubes import Tube, Tubing, TubingTree, enumerate_tubes, full_tube, is_tubing, tubing_tree
+from .tubes import (
+    CACHE_SIZE,
+    Tube,
+    Tubing,
+    TubingTree,
+    enumerate_tubes,
+    full_tube,
+    has_arrow,
+    is_tubing,
+    tubing_tree,
+)
 
 SCALE_GUARD = Fraction(1, 10)
+
+Row = tuple[int, ...]
 
 
 def nonsingleton_tubes(P: Poset) -> tuple[Tube, ...]:
@@ -44,17 +56,27 @@ def nonsingleton_tubes(P: Poset) -> tuple[Tube, ...]:
 class ConfigPoint:
     """One order-polytope point per non-singleton tube of the host poset.
 
-    The components are copied on construction and frozen: the outer mapping
-    and every component are read-only views, so the cached ``tubing`` and
-    ``tree`` cannot go stale.
+    The components are copied on construction, in element order, and
+    frozen: the outer mapping and every component are read-only views, so
+    the cached ``rows``, ``tubing`` and ``tree`` cannot go stale.
     """
 
     host: Poset
     components: Mapping[Tube, Mapping[int, Fraction]] = field(hash=False)
 
     def __post_init__(self):
-        frozen = {tube: MappingProxyType(dict(vec)) for tube, vec in self.components.items()}
+        frozen = {tube: _frozen(vec) for tube, vec in self.components.items()}
         object.__setattr__(self, "components", MappingProxyType(frozen))
+
+    @classmethod
+    def _trusted(cls, host: Poset, components: dict[Tube, Mapping[int, Fraction]],
+                 rows: dict[Tube, Row]) -> "ConfigPoint":
+        """A point on components that are already frozen views in element
+        order, with their rows; neither is copied or checked."""
+        point = object.__new__(cls)
+        point.__dict__.update(host=host, components=MappingProxyType(components),
+                              rows=MappingProxyType(rows))
+        return point
 
     def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
         return self.components[tube]
@@ -65,6 +87,12 @@ class ConfigPoint:
             raise ValueError("components must cover every non-singleton tube")
         for tube, vec in self.components.items():
             _check_polytope_point(self.host, tube, vec)
+
+    @cached_property
+    def rows(self) -> Mapping[Tube, Row]:
+        """Each component cleared once: its homogeneous row, numerators in
+        the order of the tube's members, then the common denominator."""
+        return MappingProxyType({tube: _row(tube, vec) for tube, vec in self.components.items()})
 
     @cached_property
     def tree(self) -> TubingTree:
@@ -79,16 +107,33 @@ class ConfigPoint:
             and self.components == other.components
 
 
-def _check_polytope_point(P: Poset, tube: Tube, vec: Mapping[int, Fraction]) -> None:
+def _frozen(vec: Mapping[int, Fraction]) -> Mapping[int, Fraction]:
+    return MappingProxyType(dict(sorted(vec.items())))
+
+
+def _row(tube: Tube, vec: Mapping[int, Fraction]) -> Row:
+    return tuple(homogeneous([vec[i] for i in tube.members]))
+
+
+def _check_polytope_point(P: Poset, tube: Tube, vec: Mapping[int, Fraction]) -> Row:
+    """Check that the component is a point of Ord(tube) and return its row.
+
+    The checks run on the numerators n over the row's denominator D: the
+    point sums to zero when the n do, and alpha is 1 when alpha(n) = D.
+    """
     if set(vec) != tube.as_set:
         raise ValueError(f"component {tube} has wrong index set")
-    if sum(vec.values()) != 0:
+    row = _row(tube, vec)
+    num = dict(zip(tube.members, row))  # zip drops D
+    covers = P.covers_within(tube.members)
+    if sum(num.values()) != 0:
         raise ValueError(f"component {tube} does not sum to zero")
-    if alpha(P, tube.members, vec) != 1:
+    if sum(num[j] - num[i] for i, j in covers) != row[-1]:
         raise ValueError(f"component {tube} is not normalized")
-    for i, j in P.covers_within(tube.members):
-        if vec[i] > vec[j]:
+    for i, j in covers:
+        if num[i] > num[j]:
             raise ValueError(f"component {tube} is not order-preserving")
+    return row
 
 
 # -- restriction embedding ----------------------------------------------------
@@ -98,7 +143,9 @@ def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
     """Restrict a strict configuration to every non-singleton tube.
 
     The input lives in the open order cone: coordinates sum to zero and
-    increase strictly along every relation.
+    increase strictly along every relation.  Restriction is transitive,
+    res(X, res(P, x)) = res(X, x), so this is the point filled in from the
+    root component alone.
     """
     x = {i: frac(v) for i, v in x.items()}
     if set(x) != set(P.elements):
@@ -108,11 +155,12 @@ def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
     for i, j in P.covers:
         if x[i] >= x[j]:
             raise NotStrictError(f"need x[{i}] < x[{j}]")
-    comps = {t: res(P, t.members, x) for t in nonsingleton_tubes(P)}
-    return ConfigPoint(P, comps)
+    root = full_tube(P)
+    tree = tubing_tree(Tubing(P, frozenset()))
+    return _fill_from_tree(P, tree, *_cleared({root: res(P, root.members, x)}))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def _nested_pairs(P: Poset) -> tuple[tuple[Tube, Tube], ...]:
     """Covering pairs (inner, outer) of inclusion among non-singleton tubes.
 
@@ -130,35 +178,58 @@ def _nested_pairs(P: Poset) -> tuple[tuple[Tube, Tube], ...]:
     return tuple(pairs)
 
 
+class _HostIndex(NamedTuple):
+    """Per-host tables of the non-singleton tubes."""
+
+    tubes: tuple[Tube, ...]
+    # covering pairs (inner, outer), their indices in tubes, and the
+    # positions of inner's members among outer's
+    pairs: tuple[tuple[Tube, Tube, int, int, tuple[int, ...]], ...]
+    # every non-singleton tube strictly inside each non-singleton tube
+    inside: Mapping[Tube, tuple[Tube, ...]]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def _host_index(P: Poset) -> _HostIndex:
+    tubes = nonsingleton_tubes(P)
+    index = {tube: k for k, tube in enumerate(tubes)}
+    pairs = tuple((inner, outer, index[inner], index[outer],
+                   tuple(outer.members.index(i) for i in inner.members))
+                  for inner, outer in _nested_pairs(P))
+    inside = {top: tuple(t for t in tubes if t.as_set < top.as_set) for top in tubes}
+    return _HostIndex(tubes, pairs, MappingProxyType(inside))
+
+
 def is_coherent(c: ConfigPoint) -> tuple[bool, tuple[Tube, Tube] | None]:
     """Check the nested-projection condition on every covering tube pair.
 
-    Each component is cleared to integer numerators once; a positive common
-    factor per component changes neither proportionality nor its sign.
-    With k = |inner| and S the sum of the outer numerators B over inner,
-    the outer point projects to (k*B[i] - S) / k, so proportionality to the
-    inner numerators Z with a nonnegative factor is a cross-product test
-    against a pivot coordinate p plus one sign comparison; zero vectors need
-    no special case.  On failure the offending (inner, outer) pair is the
-    witness.
+    It reads the point's rows, each component cleared to integer numerators
+    once; a positive common factor per component changes neither
+    proportionality nor its sign.  With k = |inner| and S the sum of the
+    outer numerators B over inner, the outer point projects to
+    (k*B[i] - S) / k, so proportionality to the inner numerators Z with a
+    nonnegative factor is a cross-product test against a pivot coordinate p
+    plus one sign comparison; zero vectors need no special case.  On failure
+    the offending (inner, outer) pair is the witness.
     """
-    # zip drops the common denominator that ends each homogeneous row
-    cleared = {tube: dict(zip(vec, homogeneous(vec.values())))
-               for tube, vec in c.components.items()}
-    for inner, outer in _nested_pairs(c.host):
-        big, z = cleared[outer], cleared[inner]
-        members = inner.members
-        k = len(members)
-        total = sum(big[i] for i in members)
-        pivot = next((i for i in members if z[i]), None)
-        if pivot is None:  # zero component: not an order-polytope point
+    index = _host_index(c.host)
+    rows = [c.rows[tube] for tube in index.tubes]
+    for inner, outer, i, o, at in index.pairs:
+        big, z = rows[o], rows[i]  # z ends with its denominator, which k leaves out
+        k = len(at)
+        y = [big[p] for p in at]
+        total = sum(y)
+        for pivot in range(k):
+            zp = z[pivot]
+            if zp:
+                break
+        else:  # zero component: not an order-polytope point
             return False, (inner, outer)
-        zp = z[pivot]
-        yp = k * big[pivot] - total
+        yp = k * y[pivot] - total
         if yp * zp < 0:
             return False, (inner, outer)
-        for i in members:
-            if (k * big[i] - total) * zp != yp * z[i]:
+        for q in range(k):
+            if (k * y[q] - total) * zp != yp * z[q]:
                 return False, (inner, outer)
     return True, None
 
@@ -167,22 +238,26 @@ def b_partition(P: Poset, tube_members: Iterable[int],
                 x: Mapping[int, Fraction]) -> frozenset[Tube]:
     """Connected components of the level sets of x on the tube."""
     members = tuple(sorted(set(tube_members)))
-    blocks: list[Tube] = []
+    return _level_blocks(P, members, {i: frac(x[i]) for i in members})
+
+
+def _level_blocks(P: Poset, members: tuple[int, ...], x: Mapping[int, object]) -> frozenset[Tube]:
+    """b_partition on exact values that compare directly (Fractions or a row's integers)."""
     unseen = set(members)
-    adjacency = {i: [j for j in P.hasse_adjacency[i] if j in set(members)] for i in members}
+    blocks: list[Tube] = []
     while unseen:
         start = min(unseen)
-        level = frac(x[start])
+        level = x[start]
         comp = {start}
         stack = [start]
         while stack:
             v = stack.pop()
-            for w in adjacency[v]:
-                if w in unseen and w not in comp and frac(x[w]) == level:
+            for w in P.hasse_adjacency[v]:
+                if w in unseen and w not in comp and x[w] == level:
                     comp.add(w)
                     stack.append(w)
         unseen -= comp
-        blocks.append(Tube.of(comp))
+        blocks.append(Tube(tuple(sorted(comp))))
     return frozenset(blocks)
 
 
@@ -199,11 +274,12 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
     if not ok:
         raise IncoherentError(f"incoherent at nested pair {witness}")
     P = c.host
+    rows = c.rows
     proper: set[Tube] = set()
     stack = [full_tube(P)]
     while stack:
         tube = stack.pop()
-        for block in b_partition(P, tube.members, c[tube]):
+        for block in _level_blocks(P, tube.members, dict(zip(tube.members, rows[tube]))):
             if len(block) > 1:
                 if 1 < len(block) < len(P.elements):
                     proper.add(block)
@@ -214,27 +290,61 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
 # -- stratum synthesis --------------------------------------------------------
 
 
-def _fill_from_tree(P: Poset, tree: TubingTree,
-                    tree_components: Mapping[Tube, Mapping[int, Fraction]],
-                    carried: ConfigPoint | None = None,
-                    moved: frozenset[Tube] = frozenset()) -> ConfigPoint:
-    """Extend components on tree tubes to all tubes by normalized restriction.
+def _cleared(components: Mapping[Tube, Mapping[int, Fraction]]
+             ) -> tuple[dict[Tube, Mapping[int, Fraction]], dict[Tube, Row]]:
+    """Frozen copies of the components and their rows."""
+    comps = {tube: _frozen(vec) for tube, vec in components.items()}
+    return comps, {tube: _row(tube, vec) for tube, vec in comps.items()}
 
-    With ``carried``, a tube whose minimal containing tree node is not in
-    ``moved`` keeps its component from ``carried``: that node's component
-    is unchanged, so the restriction would come out the same.
+
+def _fill_from_tree(P: Poset, tree: TubingTree,
+                    comps: dict[Tube, Mapping[int, Fraction]], rows: dict[Tube, Row],
+                    top: Tube | None = None) -> ConfigPoint:
+    """Complete tree components to a point by normalized restriction.
+
+    ``comps`` and ``rows`` hold frozen components, in element order, and
+    their rows for every tree node, and they are filled in place.  Only
+    the tubes strictly inside ``top`` (the root by default) are visited.
+    The minimal tree node containing such a tube X is found by walking down
+    from ``top``; X becomes res(X, y) of that node's component y, computed
+    on the node's row, when the node is ``top`` or when X has no component
+    yet.  Otherwise X keeps the component it has.
+
+    ``expand`` and ``collapse`` pass every component of their input, with
+    the new one on the parent tube ``top``, and trust the kept ones.  A
+    tube whose minimal node is another tree node keeps its component: that
+    node's component is unchanged, so the restriction would come out the
+    same.  In ``collapse`` this includes the tubes whose minimal node is
+    the tube tau put back, whose component is carried too: for X inside
+    tau, res(X, res(tau, y)) = res(X, y), so they already hold their
+    restriction of tau's component.
     """
-    comps: dict[Tube, Mapping[int, Fraction]] = {}
-    for tube in nonsingleton_tubes(P):
-        if tube in tree_components:
-            comps[tube] = tree_components[tube]
+    def owner_of(node: Tube) -> dict[int, Tube]:
+        """Each element of the node mapped to the child holding it."""
+        return {e: child for child in tree.children[node] for e in child.members}
+
+    top = tree.root if top is None else top
+    owners = {top: owner_of(top)}
+    nums: dict[Tube, dict[int, int]] = {}
+    for tube in _host_index(P).inside[top]:
+        first, members = tube.members[0], tube.as_set
+        node, owner = top, owners[top]
+        while members <= (below := owner[first]).as_set:
+            node = below
+            if tube in comps:
+                break
+            owner = owners.get(node)
+            if owner is None:
+                owner = owners[node] = owner_of(node)
+        if node is not top and tube in comps:  # a tree node, or carried
             continue
-        parent = tree.minimal_containing(tube.members)
-        if carried is not None and parent not in moved:
-            comps[tube] = carried[tube]
-        else:
-            comps[tube] = res(P, tube.members, tree_components[parent])
-    return ConfigPoint(P, comps)
+        num = nums.get(node)
+        if num is None:
+            # zip drops the common denominator that ends the row
+            num = nums[node] = dict(zip(node.members, rows[node]))
+        vec, rows[tube] = res_cleared(P, tube.members, num)
+        comps[tube] = MappingProxyType(vec)
+    return ConfigPoint._trusted(P, comps, rows)
 
 
 def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fraction]]) -> ConfigPoint:
@@ -246,49 +356,37 @@ def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fractio
     """
     tree = tubing_tree(T)
     tree_tubes = set(T.tubes) | {full_tube(P)}
-    comps: dict[Tube, Vector] = {}
+    comps: dict[Tube, Mapping[int, Fraction]] = {}
+    rows: dict[Tube, Row] = {}
     for tube in sorted(tree_tubes, key=Tube.key):
         if tube not in interior:
             raise WrongFaceError(f"missing interior point for {tube}")
-        vec = {i: frac(v) for i, v in interior[tube].items()}
-        _check_polytope_point(P, tube, vec)
+        comps[tube] = _frozen({i: frac(v) for i, v in interior[tube].items()})
+        rows[tube] = _check_polytope_point(P, tube, comps[tube])
         expected = frozenset(tree.children[tube])
-        if b_partition(P, tube.members, vec) != expected:
+        if _level_blocks(P, tube.members, dict(zip(tube.members, rows[tube]))) != expected:
             raise WrongFaceError(
                 f"point for {tube} is constant on the wrong blocks"
             )
-        comps[tube] = vec
-    return _fill_from_tree(P, tree, comps)
+    return _fill_from_tree(P, tree, comps, rows)
 
 
 def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
     """Canonical point of the open face of Ord(tube) with the given blocks.
 
-    Blocks get distinct values along a linear extension of the quotient, so
-    the level-set components are exactly the blocks.
+    Blocks get distinct integer heights along a linear extension of the
+    quotient, the smallest ready block first, so the level-set components
+    are exactly the blocks; the point is the restriction of the heights.
     """
-    blocks = sorted(blocks, key=Tube.key)
-    block_of = {e: b for b in blocks for e in b}
-    remaining = list(blocks)
-    heights: dict[Tube, int] = {}
-    level = 0
-    while remaining:
-        ready = [
-            b for b in remaining
-            if not any(
-                P.lt(i, j)
-                for other in remaining if other != b and other not in heights
-                for i in other for j in b
-            )
-        ]
-        b = min(ready, key=Tube.key)
-        heights[b] = level
-        level += 1
-        remaining.remove(b)
-    raw = {e: Fraction(heights[block_of[e]]) for e in tube.members}
-    shifted = proj_sigma0(tube.members, raw)
-    scale = alpha(P, tube.members, shifted)
-    return {e: v / scale for e, v in shifted.items()}
+    order = sorted(blocks, key=Tube.key)
+    before = {b: {a for a in order if a != b and has_arrow(P, a, b)} for b in order}
+    placed: set[Tube] = set()
+    height: dict[int, int] = {}
+    for level in range(len(order)):
+        b = next(b for b in order if b not in placed and before[b] <= placed)
+        placed.add(b)
+        height.update(dict.fromkeys(b.members, level))
+    return res_cleared(P, tube.members, height)[0]
 
 
 def stratum_point(P: Poset, T: Tubing) -> ConfigPoint:
@@ -301,11 +399,17 @@ class Stratum:
     """A proper tubing together with interior data for each tree tube.
 
     The product of the open faces has dimension |P| - |T| - 2; ``point()``
-    assembles the corresponding element of the compactification.
+    assembles the corresponding element of the compactification.  The
+    interior is copied on construction and frozen, as ConfigPoint's
+    components are.
     """
 
     tubing: Tubing
-    interior: dict[Tube, Vector] = field(hash=False)
+    interior: Mapping[Tube, Mapping[int, Fraction]] = field(hash=False)
+
+    def __post_init__(self):
+        frozen = {tube: MappingProxyType(dict(vec)) for tube, vec in self.interior.items()}
+        object.__setattr__(self, "interior", MappingProxyType(frozen))
 
     @staticmethod
     def canonical(P: Poset, T: Tubing) -> "Stratum":
@@ -376,17 +480,23 @@ def _require_adjacent(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> None:
         raise NotAdjacentError(f"{tau_plus} is not the parent of {tau}")
 
 
-def _t_max_core(xt: Vector, xp: Vector, up, down):
-    worst = Fraction(0)
-    for i, j in up:
-        gap = xp[j] - xp[i]
-        worst = max(worst, xt[i] / gap)
-    for j, i in down:
-        gap = xp[i] - xp[j]
-        worst = max(worst, -xt[i] / gap)
-    if worst == 0:
+def _t_max_core(c: ConfigPoint, tau: Tube, tau_plus: Tube, up, down):
+    """1 / max(0, x[i] / gap) over the boundary relations, on the rows.
+
+    With x = v/E on tau and y = u/D on tau_plus, each ratio x[i] / gap is
+    (D/E) * v[i] / g, g the gap of the numerators u, so the largest v[i] / g
+    is found by cross products and only the result is a Fraction.
+    """
+    v = dict(zip(tau.members, c.rows[tau]))
+    u = dict(zip(tau_plus.members, c.rows[tau_plus]))
+    ratios = [(v[i], u[j] - u[i]) for i, j in up] + [(-v[i], u[i] - u[j]) for j, i in down]
+    top, gap = 0, 1  # the largest ratio so far, top / gap with gap > 0
+    for n, g in ratios:
+        if n * gap > top * g:
+            top, gap = n, g
+    if top == 0:
         return float("inf")
-    return 1 / worst
+    return Fraction(c.rows[tau][-1] * gap, c.rows[tau_plus][-1] * top)
 
 
 def t_max(c: ConfigPoint, tau: Tube, tau_plus: Tube):
@@ -398,7 +508,7 @@ def t_max(c: ConfigPoint, tau: Tube, tau_plus: Tube):
     """
     _require_adjacent(c, tau, tau_plus)
     up, down = _boundary_pairs(c.host, tau, tau_plus)
-    return _t_max_core(c[tau], c[tau_plus], up, down)
+    return _t_max_core(c, tau, tau_plus, up, down)
 
 
 def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
@@ -410,18 +520,18 @@ def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
     if t == 0:
         return c
     P = c.host
-    z = dict(c[tau_plus])
-    for i in tau:
-        z[i] += t * c[tau][i]
-    scale = alpha(P, tau_plus.members, z)
-    new_parent = {i: v / scale for i, v in z.items()}
-    new_tubing = Tubing(P, c.tubing.tubes - {tau})
-    tree = tubing_tree(new_tubing)
-    tree_comps = {
-        tube: (new_parent if tube == tau_plus else c[tube])
-        for tube in new_tubing.tubes | {full_tube(P)}
-    }
-    return _fill_from_tree(P, tree, tree_comps, c, frozenset((tau, tau_plus)))
+    # The new parent point is y + t*x on tau over its alpha, which is its
+    # restriction to tau_plus, as y + t*x sums to zero.  With y = u/D,
+    # x = v/E and t = p/q, y + t*x is cleared by D*E*q.
+    u, v = c.rows[tau_plus], c.rows[tau]
+    num = {i: n * v[-1] * t.denominator for i, n in zip(tau_plus.members, u)}
+    for i, n in zip(tau.members, v):
+        num[i] += n * u[-1] * t.numerator
+    comps, rows = c.components.copy(), c.rows.copy()
+    new_parent, rows[tau_plus] = res_cleared(P, tau_plus.members, num)
+    comps[tau_plus] = MappingProxyType(new_parent)
+    tree = tubing_tree(Tubing(P, c.tubing.tubes - {tau}))
+    return _fill_from_tree(P, tree, comps, rows, tau_plus)
 
 
 def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fraction]:
@@ -445,24 +555,30 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     if tree.parent.get(tau) != tau_plus:
         raise NotAdjacentError(f"{tau_plus} would not be the parent of {tau}")
 
-    yp = c[tau_plus]
-    mean = avg(tau.members, yp)
+    # The collapsed parent point is z over alpha(z), z being y with its
+    # average on tau; as z sums to zero, that is its restriction to
+    # tau_plus.  With y = u/D, |tau|*D*z has the integer numerators |tau|*u
+    # off tau and the sum of u over tau on it, which the domain inequalities
+    # compare.
+    u = dict(zip(tau_plus.members, c.rows[tau_plus]))
+    k = len(tau)
+    mean = sum(u[i] for i in tau.members)
+    num = {i: mean if i in tau.as_set else k * n for i, n in u.items()}
     up, down = _boundary_pairs(P, tau, tau_plus)
     for i, j in up:
-        if not mean < yp[j]:
+        if not mean < num[j]:
             raise NotInCollError(f"need avg < x[{j}] on {tau_plus}")
     for j, i in down:
-        if not yp[j] < mean:
+        if not num[j] < mean:
             raise NotInCollError(f"need x[{j}] < avg on {tau_plus}")
+    scale = Fraction(sum(num[j] - num[i] for i, j in P.covers_within(tau_plus.members)),
+                     k * c.rows[tau_plus][-1])  # alpha(z)
+    comps, rows = c.components.copy(), c.rows.copy()
+    collapsed_parent, rows[tau_plus] = res_cleared(P, tau_plus.members, num)
+    comps[tau_plus] = MappingProxyType(collapsed_parent)
+    point = _fill_from_tree(P, tree, comps, rows, tau_plus)
 
-    z = {i: (mean if i in tau else yp[i]) for i in tau_plus.members}
-    scale = alpha(P, tau_plus.members, z)
-    collapsed_parent = {i: v / scale for i, v in z.items()}
-    tree_comps: dict[Tube, Vector] = {}
-    for tube in bigger.tubes | {full_tube(P)}:
-        tree_comps[tube] = collapsed_parent if tube == tau_plus else c[tube]
-    point = _fill_from_tree(P, tree, tree_comps, c, frozenset((tau, tau_plus)))
-
+    yp = c[tau_plus]
     ts = set()
     for i in tau:
         if point[tau][i] != 0:
@@ -470,7 +586,7 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     if len(ts) != 1:
         raise NotInCollError("recovered expansion scale is inconsistent")
     t = ts.pop()
-    if not 0 < t < _t_max_core(point[tau], point[tau_plus], up, down):
+    if not 0 < t < _t_max_core(point, tau, tau_plus, up, down):
         raise NotInCollError(f"recovered expansion scale {t} is outside (0, t_max)")
     return point, t
 
@@ -601,7 +717,8 @@ def ratio_counterexample_demo(targets=(Fraction(0), Fraction(1)),
     root = full_tube(P)
     limit_root = {1: Fraction(-1, 8), 2: Fraction(-1, 8), 3: Fraction(3, 8), 4: Fraction(-1, 8)}
     tree = tubing_tree(Tubing.of(P, [tube24]))
-    limit = _fill_from_tree(P, tree, {root: limit_root, tube24: {2: Fraction(-1, 2), 4: Fraction(1, 2)}})
+    limit = _fill_from_tree(P, tree, *_cleared(
+        {root: limit_root, tube24: {2: Fraction(-1, 2), 4: Fraction(1, 2)}}))
 
     curves = []
     for target in parsed:

@@ -15,7 +15,9 @@ import oracles
 from posetahedra import corpus
 from posetahedra.compact import (
     ConfigPoint,
+    _cleared,
     _fill_from_tree,
+    _host_index,
     _nested_pairs,
     collapse,
     embed,
@@ -26,8 +28,15 @@ from posetahedra.compact import (
     t_max,
 )
 from posetahedra.errors import DegenerateError
-from posetahedra.poset import res
-from posetahedra.tubes import enumerate_proper_tubings, full_tube, tubing_tree
+from posetahedra.linalg import homogeneous
+from posetahedra.poset import build_poset, res, res_cleared
+from posetahedra.tubes import (
+    CACHE_SIZE,
+    enumerate_proper_tubings,
+    enumerate_tubes,
+    full_tube,
+    tubing_tree,
+)
 from strategies import SETTINGS, connected_posets
 
 steps = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
@@ -111,13 +120,18 @@ def test_integer_res_matches_fraction_res(P, constant, data):
         got = res(P, members, x)
         assert got == expected
         assert all(type(v) is F for v in got.values())
+        # the core on a cleared point gives the same restriction and its row,
+        # also where alpha is negative
+        num = dict(zip(members, homogeneous([x[i] for i in members])))
+        vec, row = res_cleared(P, tuple(members), num)
+        assert vec == expected and row == tuple(homogeneous(vec.values()))
 
 
 def full_rebuild(point):
     """The point rebuilt from its tree components by restriction alone."""
     P = point.host
     nodes = point.tubing.tubes | {full_tube(P)}
-    return _fill_from_tree(P, point.tree, {tube: point[tube] for tube in nodes})
+    return _fill_from_tree(P, point.tree, *_cleared({tube: point[tube] for tube in nodes}))
 
 
 @pytest.mark.parametrize("name", ["w5", "chain5"])
@@ -134,3 +148,65 @@ def test_expand_collapse_match_full_rebuild(name):
             back, t_back = collapse(moved, tau, parent)
             assert back == full_rebuild(back), (T, tau)
             assert back == point and t_back == t
+
+
+def assert_rows_cleared(point):
+    """Every coordinate is a Fraction and every row is its component's."""
+    for tube, vec in point.components.items():
+        assert all(type(v) is F for v in vec.values()), tube
+        assert point.rows[tube] == tuple(homogeneous(vec.values())), tube
+
+
+@st.composite
+def strata(draw):
+    """A random poset and one of its proper tubings with at least one tube."""
+    P = draw(connected_posets())
+    tubings = [T for T in enumerate_proper_tubings(P) if T.tubes]
+    return P, draw(st.sampled_from(tubings))
+
+
+def draw_t(data, point, tau, parent):
+    tm = t_max(point, tau, parent)
+    k = data.draw(st.integers(1, 7))
+    return F(k, 4) if tm == float("inf") else tm * F(k, 8)
+
+
+@SETTINGS
+@given(strata(), st.data())
+def test_random_expand_collapse_round_trip(stratum, data):
+    """collapse(expand(c, tau, tau+, t)) = (c, t), both moves equal a full
+    rebuild, and every returned point carries the rows of its components;
+    a second expand starts from a point that expand built."""
+    P, T = stratum
+    point = stratum_point(P, T)
+    assert_rows_cleared(point)
+    for tau, parent in tubing_tree(T).adjacent_pairs():
+        t = draw_t(data, point, tau, parent)
+        moved = expand(point, tau, parent, t)
+        assert moved.tubing.tubes == T.tubes - {tau}
+        assert moved == full_rebuild(moved), (T, tau)
+        assert_rows_cleared(moved)
+        back, t_back = collapse(moved, tau, parent)
+        assert back == full_rebuild(back), (T, tau)
+        assert_rows_cleared(back)
+        assert back == point and t_back == t
+        for tau2, parent2 in moved.tree.adjacent_pairs():
+            t2 = draw_t(data, moved, tau2, parent2)
+            twice = expand(moved, tau2, parent2, t2)
+            assert twice == full_rebuild(twice), (T, tau, tau2)
+            assert_rows_cleared(twice)
+            assert collapse(twice, tau2, parent2) == (moved, t2)
+
+
+def test_host_caches_are_bounded():
+    """Each per-host cache keeps at most CACHE_SIZE entries: one host more
+    than that evicts the oldest."""
+    caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings)
+    for cache in caches:
+        assert cache.cache_info().maxsize == CACHE_SIZE
+    for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
+        P = build_poset([(shift, shift + 1), (shift + 1, shift + 2)])
+        enumerate_proper_tubings(P)
+        _host_index(P)
+    for cache in caches:
+        assert cache.cache_info().currsize == CACHE_SIZE, cache
