@@ -308,7 +308,8 @@ def _fill_from_tree(P: Poset, tree: TubingTree,
     The minimal tree node containing such a tube X is found by walking down
     from ``top``; X becomes res(X, y) of that node's component y, computed
     on the node's row, when the node is ``top`` or when X has no component
-    yet.  Otherwise X keeps the component it has.
+    yet.  Otherwise X keeps the component it has, and the walk stops at the
+    first node below ``top``.
 
     ``expand`` and ``collapse`` pass every component of their input, with
     the new one on the parent tube ``top``, and trust the kept ones.  A

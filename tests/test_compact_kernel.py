@@ -151,10 +151,15 @@ def test_expand_collapse_match_full_rebuild(name):
 
 
 def assert_rows_cleared(point):
-    """Every coordinate is a Fraction and every row is its component's."""
+    """Every coordinate is a Fraction, every row is its component's, and
+    every component is the restriction of its minimal tree tube's, found
+    without the fill's own walk."""
     for tube, vec in point.components.items():
         assert all(type(v) is F for v in vec.values()), tube
         assert point.rows[tube] == tuple(homogeneous(vec.values())), tube
+        node = point.tree.minimal_containing(tube.members)
+        if node != tube:
+            assert vec == res(point.host, tube.members, point[node]), tube
 
 
 @st.composite
