@@ -2,7 +2,8 @@
 
 Coherence on covering pairs must give the all-pairs verdict, the integer
 restriction must equal the Fraction one, and expand/collapse, which carry
-unchanged restrictions over from their input, must equal a full rebuild.
+unchanged restrictions and rows over from their input, must equal a full
+rebuild, on the corpus and on random posets.
 """
 
 from fractions import Fraction as F
@@ -150,7 +151,7 @@ def test_expand_collapse_match_full_rebuild(name):
             assert back == point and t_back == t
 
 
-def assert_rows_cleared(point):
+def assert_exact(point):
     """Every coordinate is a Fraction, every row is its component's, and
     every component is the restriction of its minimal tree tube's, found
     without the fill's own walk."""
@@ -184,22 +185,22 @@ def test_random_expand_collapse_round_trip(stratum, data):
     a second expand starts from a point that expand built."""
     P, T = stratum
     point = stratum_point(P, T)
-    assert_rows_cleared(point)
+    assert_exact(point)
     for tau, parent in tubing_tree(T).adjacent_pairs():
         t = draw_t(data, point, tau, parent)
         moved = expand(point, tau, parent, t)
         assert moved.tubing.tubes == T.tubes - {tau}
         assert moved == full_rebuild(moved), (T, tau)
-        assert_rows_cleared(moved)
+        assert_exact(moved)
         back, t_back = collapse(moved, tau, parent)
         assert back == full_rebuild(back), (T, tau)
-        assert_rows_cleared(back)
+        assert_exact(back)
         assert back == point and t_back == t
         for tau2, parent2 in moved.tree.adjacent_pairs():
             t2 = draw_t(data, moved, tau2, parent2)
             twice = expand(moved, tau2, parent2, t2)
             assert twice == full_rebuild(twice), (T, tau, tau2)
-            assert_rows_cleared(twice)
+            assert_exact(twice)
             assert collapse(twice, tau2, parent2) == (moved, t2)
 
 
