@@ -16,6 +16,7 @@ from typing import Iterable, NamedTuple
 from .errors import NotGradedError
 from .poset import Poset, find_cycle, quotient_poset
 from .tubes import (
+    CACHE_SIZE,
     Tube,
     Tubing,
     d_graph,
@@ -23,7 +24,9 @@ from .tubes import (
     enumerate_tubes,
     full_tube,
     is_tubing,
+    tube_complex,
     tubing_tree,
+    walk_tubings,
 )
 
 
@@ -89,17 +92,8 @@ class FaceLattice:
     def faces_of_dim(self, d: int) -> tuple[FaceKey, ...]:
         return tuple(f for f, fd in zip(self.faces, self.dims) if fd == d)
 
-    def vertex_keys(self) -> tuple[FaceKey, ...]:
-        return self.faces_of_dim(0)
-
-    def facet_keys(self) -> tuple[FaceKey, ...]:
-        return self.faces_of_dim(self.dim - 1)
-
     def upper_covers(self, i: int) -> tuple[int, ...]:
         return self._cover_index.upper[i]
-
-    def lower_covers(self, i: int) -> tuple[int, ...]:
-        return self._cover_index.lower[i]
 
     def check_graded(self) -> None:
         if self.dim not in self.dims:
@@ -134,28 +128,35 @@ def id_key(key: FaceKey):
     return ("SET", frozenset(key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def associahedron_face_lattice(P: Poset) -> FaceLattice:
     """Faces are proper tubings under reverse inclusion.
 
     dim(face of T) = |P| - |T| - 2; removing one tube is a covering step,
-    and the empty face sits below the vertices (maximal tubings).
+    and the empty face sits below the vertices (maximal tubings).  Each
+    tubing is a bitmask over ``tube_complex(P).tubes``; the faces covering
+    it are its mask with one bit cleared.
     """
     n = len(P.elements)
-    tubings = enumerate_proper_tubings(P)
-    keyed = {EMPTY: -1}
-    for T in tubings:
-        keyed[T.tubes] = n - len(T.tubes) - 2
-    covers = []
-    for T in tubings:
-        for t in T.tubes:
-            covers.append((T.tubes, T.tubes - {t}))
-        if len(T.tubes) == n - 2:
-            covers.append((EMPTY, T.tubes))
-    return _build("associahedron", n - 2, keyed, covers)
+    items = sorted(((T.tubes, n - len(T.tubes) - 2) for T in enumerate_proper_tubings(P)),
+                   key=_face_sort_key)
+    bit = {t: 1 << k for k, t in enumerate(tube_complex(P).tubes)}
+    masks = [sum(bit[t] for t in key) for key, _ in items]
+    position = {mask: p for p, mask in enumerate(masks, 1)}  # EMPTY is face 0
+    covers = [(0, p) for p, (_, d) in enumerate(items, 1) if d == 0]
+    for p, mask in enumerate(masks, 1):
+        rest = mask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            covers.append((p, position[mask ^ low]))
+    covers.sort()
+    return FaceLattice(kind="associahedron", dim=n - 2,
+                       faces=(EMPTY, *(key for key, _ in items)),
+                       dims=(-1, *(d for _, d in items)), covers=tuple(covers))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
                       strict_blocks: bool = False) -> tuple[frozenset[Tube], ...]:
     """All partitions of ``members`` into tubes with acyclic dependencies.
@@ -190,7 +191,7 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
     return tuple(results)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     """Faces are tubing partitions ordered by refinement.
 
@@ -267,37 +268,25 @@ def is_flag_dual(P: Poset) -> FlagCheck:
 
     On failure returns a minimal non-tubing whose proper subsets are all
     tubings (found by extending tubings one tube at a time, so the first
-    hit in canonical order is minimal).
+    hit in canonical order is minimal).  The walk is the tubing walk of
+    ``tube_complex(P)``: the candidates it rejects for closing a cycle are
+    the only families to test, and ``is_tubing`` checks each witness.
     """
-    tubes = enumerate_tubes(P, proper_only=True)
-    n = len(tubes)
-    pair_ok = [[bool(is_tubing(P, (a, b))) for b in tubes] for a in tubes]
-    chosen: list[int] = []
-    witness: list[FlagCheck] = []
+    cx = tube_complex(P)
 
-    def subsets_are_tubings(idxs: list[int]) -> bool:
-        return all(
-            bool(is_tubing(P, [tubes[k] for k in idxs if k != drop])) for drop in idxs
-        )
+    def witness(chosen: list[int], i: int) -> FlagCheck | None:
+        two_cycles = cx.arrow[i] & cx.arrow_in[i]
+        if any(two_cycles >> j & 1 for j in chosen):
+            return None  # a pair of the candidate is no tubing
+        family = [cx.tubes[k] for k in chosen] + [cx.tubes[i]]
+        if len(family) >= 3 and all(
+            is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))
+        ):
+            return FlagCheck(False, tuple(family))
+        return None
 
-    def extend(start: int) -> bool:
-        for i in range(start, n):
-            if not all(pair_ok[i][j] and pair_ok[j][i] for j in chosen):
-                continue
-            candidate = chosen + [i]
-            if bool(is_tubing(P, [tubes[k] for k in candidate])):
-                chosen.append(i)
-                if extend(i + 1):
-                    return True
-                chosen.pop()
-            elif len(candidate) >= 3 and subsets_are_tubings(candidate):
-                witness.append(FlagCheck(False, tuple(tubes[k] for k in candidate)))
-                return True
-        return False
-
-    if extend(0):
-        return witness[0]
-    return FlagCheck(True)
+    found = walk_tubings(cx, lambda chosen: None, witness)
+    return FlagCheck(True) if found is None else found
 
 
 def face_product_decomposition(P: Poset, T: Tubing) -> list[Poset]:

@@ -2,9 +2,11 @@
 
 A tube is a convex connected nonempty subset; a tubing is a family of tubes
 that is pairwise nested-or-disjoint whose dependency digraph (edges between
-disjoint tubes carrying an order relation) is acyclic.  The complex of
-proper tubings is enumerated by backtracking with incremental cycle checks;
-it is not flag, so clique-style shortcuts would be unsound.
+disjoint tubes carrying an order relation) is acyclic.  The proper tubes of
+a host are indexed once as integer bitsets (``tube_complex``), and one
+backtracker walks the complex of proper tubings on that index with a
+reach-set cycle test; the complex is not flag, so clique-style shortcuts
+would be unsound.
 """
 
 from __future__ import annotations
@@ -157,10 +159,6 @@ class Tubing:
     def key(self):
         return (len(self.tubes), tuple(t.members for t in self.sorted_tubes))
 
-    def is_proper(self) -> bool:
-        n = len(self.host.elements)
-        return all(1 < len(t) < n for t in self.tubes)
-
     def __len__(self) -> int:
         return len(self.tubes)
 
@@ -174,61 +172,122 @@ class Tubing:
         return "Tubing[" + " ".join(map(repr, self.sorted_tubes)) + "]"
 
 
+class TubeComplex(NamedTuple):
+    """The proper tubes of a host in canonical order, with bitset relations.
+
+    Bit k of a mask stands for ``tubes[k]``.  ``compat[i]`` holds the tubes
+    nested with or disjoint from tube i (tube i included), ``arrow[i]`` the
+    tubes b disjoint from tube i with some member of i strictly below some
+    member of b, and ``arrow_in[i]`` the tubes with an arrow into tube i.
+    """
+
+    tubes: tuple[Tube, ...]
+    compat: tuple[int, ...]
+    arrow: tuple[int, ...]
+    arrow_in: tuple[int, ...]
+    max_tubes: int  # tubes in a maximal tubing: |P| - 2
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def tube_complex(P: Poset) -> TubeComplex:
+    """Index the proper tubes of P once, on element bitmasks and up-sets."""
+    tubes = enumerate_tubes(P, proper_only=True)
+    bit = {e: 1 << k for k, e in enumerate(P.elements)}
+    above = dict.fromkeys(P.elements, 0)  # strict up-set of each element
+    for i, j in P._strict:
+        above[i] |= bit[j]
+    masks, ups = [], []
+    for t in tubes:
+        mask = up = 0
+        for e in t.members:
+            mask |= bit[e]
+            up |= above[e]
+        masks.append(mask)
+        ups.append(up)
+    compat, arrow = [], []
+    for a, up in zip(masks, ups):
+        nested = out = 0
+        for k, b in enumerate(masks):
+            meet = a & b
+            if not meet:
+                nested |= 1 << k
+                if up & b:
+                    out |= 1 << k
+            elif meet == a or meet == b:
+                nested |= 1 << k
+        compat.append(nested)
+        arrow.append(out)
+    n = len(tubes)
+    arrow_in = tuple(sum(1 << k for k in range(n) if arrow[k] >> i & 1) for i in range(n))
+    return TubeComplex(tubes, tuple(compat), tuple(arrow), arrow_in, len(P.elements) - 2)
+
+
+def walk_tubings(cx: TubeComplex, visit, reject=None):
+    """Depth-first over the proper tubings of ``cx``, each before its extensions.
+
+    ``visit(chosen)`` sees every tubing as its increasing list of tube
+    indices.  A candidate is taken when it is compatible with every chosen
+    tube and closes no cycle of the dependency digraph.  The chosen prefix
+    is acyclic, so a new cycle runs through the candidate: ``reach[d]`` is
+    the set of chosen tubes reachable from ``chosen[d]`` (itself included),
+    and the candidate closes a cycle iff a tube it reaches has an arrow into
+    it.  ``reject(chosen, i)`` sees each compatible candidate i that closes
+    a cycle; a result other than None stops the walk and is returned.
+    Without ``reject`` a maximal tubing is not extended: nothing can be.
+    """
+    compat, arrow, arrow_in = cx.compat, cx.arrow, cx.arrow_in
+    stop_at = cx.max_tubes if reject is None else None
+    chosen: list[int] = []
+
+    def extend(start: int, allowed: int, reach: list[int]):
+        visit(chosen)
+        if len(chosen) == stop_at:
+            return None
+        candidates = allowed >> start << start
+        while candidates:
+            low = candidates & -candidates
+            candidates ^= low
+            i = low.bit_length() - 1
+            out, into = arrow[i], arrow_in[i]
+            reached = low
+            for j, r in zip(chosen, reach):
+                if out >> j & 1:
+                    reached |= r
+            if reached & into:
+                if reject is not None:
+                    found = reject(chosen, i)
+                    if found is not None:
+                        return found
+                continue
+            chosen.append(i)
+            found = extend(i + 1, allowed & compat[i],
+                           [r | reached if r & into else r for r in reach] + [reached])
+            chosen.pop()
+            if found is not None:
+                return found
+        return None
+
+    return extend(0, (1 << len(cx.tubes)) - 1, [])
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, ...]:
-    """All proper tubings, by backtracking over tubes in canonical order.
-
-    Compatibility with the chosen prefix is pairwise (nested-or-disjoint)
-    plus an incremental acyclicity check: a new cycle must pass through the
-    tube just added, so one DFS from it suffices.  With max_only, only
-    tubings of size |P|-2 (the polytope's vertices) are returned.
+    """All proper tubings, sorted by ``Tubing.key``, from one walk of the
+    tube complex.  With max_only, only tubings of size |P|-2 (the
+    polytope's vertices) are returned.
     """
-    tubes = enumerate_tubes(P, proper_only=True)
-    n = len(tubes)
-    target = len(P.elements) - 2
-    compat = [[nested_or_disjoint(a, b) for b in tubes] for a in tubes]
-    arrow = [[a != b and a.isdisjoint(b) and has_arrow(P, a, b) for b in tubes] for a in tubes]
+    cx = tube_complex(P)
+    found: list[tuple[int, ...]] = []
 
-    chosen: list[int] = []
-    succ: dict[int, set[int]] = {}
-    results: list[frozenset[Tube]] = []
+    def visit(chosen: list[int]) -> None:
+        if not max_only or len(chosen) == cx.max_tubes:
+            found.append(tuple(chosen))
 
-    def creates_cycle(i: int) -> bool:
-        seen = set()
-        stack = list(succ[i])
-        while stack:
-            v = stack.pop()
-            if v == i:
-                return True
-            if v not in seen:
-                seen.add(v)
-                stack.extend(succ[v])
-        return False
-
-    def extend(start: int) -> None:
-        if not max_only or len(chosen) == target:
-            results.append(frozenset(tubes[k] for k in chosen))
-        if len(chosen) == target:
-            return
-        for i in range(start, n):
-            if not all(compat[i][j] for j in chosen):
-                continue
-            succ[i] = {j for j in chosen if arrow[i][j]}
-            for j in chosen:
-                if arrow[j][i]:
-                    succ[j].add(i)
-            if not creates_cycle(i):
-                chosen.append(i)
-                extend(i + 1)
-                chosen.pop()
-            for j in chosen:
-                succ[j].discard(i)
-            del succ[i]
-
-    extend(0)
-    tubings = [Tubing(P, ts) for ts in results]
-    tubings.sort(key=Tubing.key)
-    return tuple(tubings)
+    walk_tubings(cx, visit)
+    tubes = cx.tubes
+    # chosen indices increase, so they list the tubes in Tubing.sorted_tubes order
+    found.sort(key=lambda idxs: (len(idxs), tuple(tubes[k].members for k in idxs)))
+    return tuple(Tubing(P, frozenset(tubes[k] for k in idxs)) for idxs in found)
 
 
 @dataclass(frozen=True)

@@ -326,3 +326,192 @@ def oriented_facet(vertices, tight_ids):
         normal, offset = [-n for n in normal], -offset
     normal, offset = primitive(normal, offset)
     return tuple(normal), offset
+
+
+# -- the tubing walks before they ran on one bitset tube complex -------------
+#
+# Copies of enumerate_proper_tubings (with creates_cycle), is_flag_dual and
+# associahedron_face_lattice as they were, with the helpers they used.  The
+# host enters only through its cover pairs and ``Tube`` is the tube class,
+# so nothing here comes from the package.
+
+
+def proper_tubes(P, Tube):
+    """The proper tubes of P as ``Tube``s, in (size, members) order."""
+    return [Tube(members) for members in tubes(P.covers, proper=True)]
+
+
+def _nested_or_disjoint(a, b):
+    return a.issubset(b) or b.issubset(a) or a.isdisjoint(b)
+
+
+def _has_arrow(rel, a, b):
+    """True iff some i in a is strictly below some j in b."""
+    return any((i, j) in rel for i in a for j in b)
+
+
+def _find_cycle(adjacency):
+    done = set()
+    for start in adjacency:
+        if start in done:
+            continue
+        path, on_path = [start], {start}
+        branches = [iter(adjacency[start])]
+        while branches:
+            for w in branches[-1]:
+                if w in on_path:
+                    return path[path.index(w):]
+                if w not in done:
+                    path.append(w)
+                    on_path.add(w)
+                    branches.append(iter(adjacency[w]))
+                    break
+            else:
+                v = path.pop()
+                on_path.discard(v)
+                done.add(v)
+                branches.pop()
+    return None
+
+
+def _d_graph(rel, tubes_, Tube):
+    tubes_ = sorted(set(tubes_), key=Tube.key)
+    out = {}
+    for a in tubes_:
+        targets = [b for b in tubes_ if a != b and a.isdisjoint(b) and _has_arrow(rel, a, b)]
+        out[a] = tuple(targets)
+    return out
+
+
+def _is_tubing(rel, tubes_, Tube):
+    tubes_ = sorted(set(tubes_), key=Tube.key)
+    for a, b in itertools.combinations(tubes_, 2):
+        if not _nested_or_disjoint(a, b):
+            return False
+    return _find_cycle(_d_graph(rel, tubes_, Tube)) is None
+
+
+def _tubing_key(ts, Tube):
+    return (len(ts), tuple(t.members for t in sorted(ts, key=Tube.key)))
+
+
+def enumerate_proper_tubings(P, Tube, max_only=False):
+    """Proper tubings as frozensets of ``Tube``s, in the library's order."""
+    rel = closure(P.covers)
+    tubes_ = proper_tubes(P, Tube)
+    n = len(tubes_)
+    target = len(elements_of(P.covers)) - 2
+    compat = [[_nested_or_disjoint(a, b) for b in tubes_] for a in tubes_]
+    arrow = [[a != b and a.isdisjoint(b) and _has_arrow(rel, a, b) for b in tubes_]
+             for a in tubes_]
+
+    chosen = []
+    succ = {}
+    results = []
+
+    def creates_cycle(i):
+        seen = set()
+        stack = list(succ[i])
+        while stack:
+            v = stack.pop()
+            if v == i:
+                return True
+            if v not in seen:
+                seen.add(v)
+                stack.extend(succ[v])
+        return False
+
+    def extend(start):
+        if not max_only or len(chosen) == target:
+            results.append(frozenset(tubes_[k] for k in chosen))
+        if len(chosen) == target:
+            return
+        for i in range(start, n):
+            if not all(compat[i][j] for j in chosen):
+                continue
+            succ[i] = {j for j in chosen if arrow[i][j]}
+            for j in chosen:
+                if arrow[j][i]:
+                    succ[j].add(i)
+            if not creates_cycle(i):
+                chosen.append(i)
+                extend(i + 1)
+                chosen.pop()
+            for j in chosen:
+                succ[j].discard(i)
+            del succ[i]
+
+    extend(0)
+    results.sort(key=lambda ts: _tubing_key(ts, Tube))
+    return results
+
+
+def is_flag_dual(P, Tube):
+    """(ok, witness): witness is None when every pairwise compatible family
+    of proper tubes is a tubing."""
+    rel = closure(P.covers)
+    tubes_ = proper_tubes(P, Tube)
+    n = len(tubes_)
+    pair_ok = [[_is_tubing(rel, (a, b), Tube) for b in tubes_] for a in tubes_]
+    chosen = []
+    witness = []
+
+    def subsets_are_tubings(idxs):
+        return all(
+            _is_tubing(rel, [tubes_[k] for k in idxs if k != drop], Tube) for drop in idxs
+        )
+
+    def extend(start):
+        for i in range(start, n):
+            if not all(pair_ok[i][j] and pair_ok[j][i] for j in chosen):
+                continue
+            candidate = chosen + [i]
+            if _is_tubing(rel, [tubes_[k] for k in candidate], Tube):
+                chosen.append(i)
+                if extend(i + 1):
+                    return True
+                chosen.pop()
+            elif len(candidate) >= 3 and subsets_are_tubings(candidate):
+                witness.append(tuple(tubes_[k] for k in candidate))
+                return True
+        return False
+
+    if extend(0):
+        return False, witness[0]
+    return True, None
+
+
+EMPTY = None  # the empty face in the oracle lattice
+
+
+def associahedron_face_lattice(P, Tube):
+    """(faces, dims, covers) with the empty face as ``EMPTY``."""
+    n = len(elements_of(P.covers))
+    tubings_ = enumerate_proper_tubings(P, Tube)
+    keyed = {EMPTY: -1}
+    for T in tubings_:
+        keyed[T] = n - len(T) - 2
+    covers = []
+    for T in tubings_:
+        for t in T:
+            covers.append((T, T - {t}))
+        if len(T) == n - 2:
+            covers.append((EMPTY, T))
+
+    def face_sort_key(item):
+        key, dim = item
+        if key is EMPTY:
+            return (dim, ())
+        return (dim, tuple(sorted(t.members for t in key)))
+
+    def id_key(key):
+        if key is EMPTY:
+            return ("EMPTY",)
+        return ("SET", frozenset(key))
+
+    items = sorted(keyed.items(), key=face_sort_key)
+    faces = tuple(k for k, _ in items)
+    dims = tuple(d for _, d in items)
+    index = {id_key(k): i for i, k in enumerate(faces)}
+    cover_pairs = tuple(sorted((index[id_key(a)], index[id_key(b)]) for a, b in covers))
+    return faces, dims, cover_pairs

@@ -29,6 +29,11 @@ from posetahedra.compact import (
     t_max,
 )
 from posetahedra.errors import DegenerateError
+from posetahedra.lattice import (
+    associahedron_face_lattice,
+    order_polytope_face_lattice,
+    tubing_partitions,
+)
 from posetahedra.linalg import homogeneous
 from posetahedra.poset import build_poset, res, res_cleared
 from posetahedra.tubes import (
@@ -36,6 +41,7 @@ from posetahedra.tubes import (
     enumerate_proper_tubings,
     enumerate_tubes,
     full_tube,
+    tube_complex,
     tubing_tree,
 )
 from strategies import SETTINGS, connected_posets
@@ -207,12 +213,15 @@ def test_random_expand_collapse_round_trip(stratum, data):
 def test_host_caches_are_bounded():
     """Each per-host cache keeps at most CACHE_SIZE entries: one host more
     than that evicts the oldest."""
-    caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings)
+    caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
+              tube_complex, associahedron_face_lattice, order_polytope_face_lattice,
+              tubing_partitions)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
         P = build_poset([(shift, shift + 1), (shift + 1, shift + 2)])
-        enumerate_proper_tubings(P)
+        associahedron_face_lattice(P)
+        order_polytope_face_lattice(P)
         _host_index(P)
     for cache in caches:
         assert cache.cache_info().currsize == CACHE_SIZE, cache
