@@ -31,10 +31,11 @@ from .errors import (
     OverlapError,
 )
 from . import geometry
-from .lattice import EMPTY, FaceLattice, _build, tubing_partitions
+from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .linalg import nullspace
 from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
 from .poset import Poset, build_poset, find_cycle, quotient_poset
+from .tubes import CACHE_SIZE
 
 INF = float("inf")
 
@@ -246,7 +247,7 @@ def make_affine_tube(A: AffinePoset, members) -> AffineTube:
     return tube
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[AffineTube, ...]:
     """Canonical representatives of tube classes.
 
@@ -435,7 +436,7 @@ class AffineTubing:
         return iter(sorted(self.classes, key=AffineTube.key))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset[AffineTube], ...]:
     """All proper periodic tubings as sets of class representatives."""
     classes = enumerate_affine_tubes(A, proper_only=True)
@@ -461,25 +462,11 @@ def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[fr
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def cyclohedron_face_lattice(A: AffinePoset) -> FaceLattice:
-    """Faces are proper periodic tubings under reverse inclusion.
-
-    A tubing of k classes labels a face of dimension n - k - 1; removing a
-    class is a covering step and the empty face sits under the vertices.
-    """
-    n = A.n
-    tubings = enumerate_affine_tubings(A)
-    keyed = {EMPTY: -1}
-    for T in tubings:
-        keyed[T] = n - len(T) - 1
-    covers = []
-    for T in tubings:
-        for c in T:
-            covers.append((T, T - {c}))
-        if len(T) == n - 1:
-            covers.append((EMPTY, T))
-    return _build("cyclohedron", n - 1, keyed, covers)
+    """The face lattice of the affine poset cyclohedron, of dimension n - 1."""
+    return tubing_face_lattice("cyclohedron", enumerate_affine_tubes(A, proper_only=True),
+                               enumerate_affine_tubings(A), A.n - 1)
 
 
 def tube_from_signed_pair(A: AffinePoset, kplus, kminus) -> AffineTube:

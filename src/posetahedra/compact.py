@@ -63,6 +63,9 @@ class ConfigPoint:
 
     host: Poset
     components: Mapping[Tube, Mapping[int, Fraction]] = field(hash=False)
+    # True on points made by _trusted, whose components are normalized
+    # restrictions by construction; tubing_of validates the others.
+    _filled = False
 
     def __post_init__(self):
         frozen = {tube: _frozen(vec) for tube, vec in self.components.items()}
@@ -75,7 +78,7 @@ class ConfigPoint:
         order, with their rows; neither is copied or checked."""
         point = object.__new__(cls)
         point.__dict__.update(host=host, components=MappingProxyType(components),
-                              rows=MappingProxyType(rows))
+                              rows=MappingProxyType(rows), _filled=True)
         return point
 
     def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
@@ -264,7 +267,9 @@ def _level_blocks(P: Poset, members: tuple[int, ...], x: Mapping[int, object]) -
 def tubing_of(c: ConfigPoint) -> Tubing:
     """The stratum tubing: recursive level-set blocks starting at the root.
 
-    The result is cached on the point, so repeated queries are free.
+    The result is cached on the point, so repeated queries are free.  An
+    incoherent point raises IncoherentError; a point built by the public
+    constructor is then validated, raising ValueError.
     """
     return c.tubing
 
@@ -273,6 +278,8 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
     ok, witness = is_coherent(c)
     if not ok:
         raise IncoherentError(f"incoherent at nested pair {witness}")
+    if not c._filled:
+        c.validate()
     P = c.host
     rows = c.rows
     proper: set[Tube] = set()

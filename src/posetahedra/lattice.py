@@ -11,7 +11,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import NotGradedError
 from .poset import Poset, find_cycle, quotient_poset
@@ -42,8 +42,6 @@ FaceKey = object  # frozenset[Tube] | _EmptyFace
 
 def _face_sort_key(item):
     key, dim = item
-    if key is EMPTY:
-        return (dim, ())
     return (dim, tuple(sorted(t.members for t in key)))
 
 
@@ -96,6 +94,15 @@ class FaceLattice:
         return self._cover_index.upper[i]
 
     def check_graded(self) -> None:
+        """Raise NotGradedError unless the lattice is graded by its dims.
+
+        A lattice that passes is not checked again: it is frozen.
+        """
+        self._graded
+
+    @cached_property
+    def _graded(self) -> bool:
+        """check_graded's work; a failure raises, so it caches nothing."""
         if self.dim not in self.dims:
             raise NotGradedError("missing top face")
         for a, b in self.covers:
@@ -107,40 +114,26 @@ class FaceLattice:
                 raise NotGradedError(f"face {self.faces[i]} has no upper cover")
             if d > -1 and not cover_index.lower[i]:
                 raise NotGradedError(f"face {self.faces[i]} has no lower cover")
+        return True
 
     def euler_sum(self) -> int:
         """Alternating sum over all faces including the empty one."""
         return sum(-1 if d % 2 else 1 for d in self.dims)
 
 
-def _build(kind: str, dim: int, keyed_dims: dict, cover_pairs: Iterable) -> FaceLattice:
-    items = sorted(keyed_dims.items(), key=_face_sort_key)
-    faces = tuple(k for k, _ in items)
-    dims = tuple(d for _, d in items)
-    index = {id_key(k): i for i, k in enumerate(faces)}
-    covers = tuple(sorted((index[id_key(a)], index[id_key(b)]) for a, b in cover_pairs))
-    return FaceLattice(kind=kind, dim=dim, faces=faces, dims=dims, covers=covers)
-
-
-def id_key(key: FaceKey):
-    if key is EMPTY:
-        return ("EMPTY",)
-    return ("SET", frozenset(key))
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def associahedron_face_lattice(P: Poset) -> FaceLattice:
+def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Iterable[frozenset],
+                        dim: int) -> FaceLattice:
     """Faces are proper tubings under reverse inclusion.
 
-    dim(face of T) = |P| - |T| - 2; removing one tube is a covering step,
-    and the empty face sits below the vertices (maximal tubings).  Each
-    tubing is a bitmask over ``tube_complex(P).tubes``; the faces covering
-    it are its mask with one bit cleared.
+    ``tubes`` lists every proper tube and ``tubings`` every proper tubing,
+    as a frozenset of those tubes; a tubing of k tubes is a face of
+    dimension dim - k.  Removing one tube is a covering step, and the empty
+    face sits below the vertices (the tubings of dim tubes).  Each tubing
+    is a bitmask over ``tubes``; the faces covering it are its mask with
+    one bit cleared.
     """
-    n = len(P.elements)
-    items = sorted(((T.tubes, n - len(T.tubes) - 2) for T in enumerate_proper_tubings(P)),
-                   key=_face_sort_key)
-    bit = {t: 1 << k for k, t in enumerate(tube_complex(P).tubes)}
+    items = sorted(((T, dim - len(T)) for T in tubings), key=_face_sort_key)
+    bit = {t: 1 << k for k, t in enumerate(tubes)}
     masks = [sum(bit[t] for t in key) for key, _ in items]
     position = {mask: p for p, mask in enumerate(masks, 1)}  # EMPTY is face 0
     covers = [(0, p) for p, (_, d) in enumerate(items, 1) if d == 0]
@@ -151,9 +144,16 @@ def associahedron_face_lattice(P: Poset) -> FaceLattice:
             rest ^= low
             covers.append((p, position[mask ^ low]))
     covers.sort()
-    return FaceLattice(kind="associahedron", dim=n - 2,
-                       faces=(EMPTY, *(key for key, _ in items)),
+    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *(key for key, _ in items)),
                        dims=(-1, *(d for _, d in items)), covers=tuple(covers))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def associahedron_face_lattice(P: Poset) -> FaceLattice:
+    """The face lattice of the poset associahedron, of dimension |P| - 2."""
+    return tubing_face_lattice("associahedron", tube_complex(P).tubes,
+                               (T.tubes for T in enumerate_proper_tubings(P)),
+                               len(P.elements) - 2)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -196,34 +196,22 @@ def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     """Faces are tubing partitions ordered by refinement.
 
     The one-block partition is the empty face; a face of partition T has
-    dimension |T| - 2.  Face inclusion holds when every block of the finer
-    partition sits inside a block of the coarser one.
+    dimension |T| - 2.  A face covers another when its partition is the
+    other's with two blocks merged, so the covers below a partition are
+    read off its block pairs.
     """
-    parts = tubing_partitions(P)
-    keyed = {}
-    for T in parts:
-        keyed[EMPTY if len(T) == 1 else T] = len(T) - 2
-    by_dim: dict[int, list] = {}
-    for key, d in keyed.items():
-        by_dim.setdefault(d, []).append(key)
+    items = sorted(((T, len(T) - 2) for T in tubing_partitions(P)), key=_face_sort_key)
+    position = {T: p for p, (T, _) in enumerate(items)}
     covers = []
-    for d in sorted(by_dim):
-        if d + 1 not in by_dim:
-            continue
-        for lo in by_dim[d]:
-            for hi in by_dim[d + 1]:
-                if _partition_le(lo, hi):
-                    covers.append((lo, hi))
-    return _build("order_polytope", len(P.elements) - 2, keyed, covers)
-
-
-def _partition_le(coarse, fine) -> bool:
-    """face(coarse) inside face(fine): every fine block inside a coarse block."""
-    if coarse is EMPTY:
-        return True
-    if fine is EMPTY:
-        return False
-    return all(any(f.issubset(c) for c in coarse) for f in fine)
+    for p, (T, _) in enumerate(items):
+        for a, b in itertools.combinations(T, 2):
+            merged = T - {a, b} | {Tube.of(a.members + b.members)}
+            if merged in position:
+                covers.append((position[merged], p))
+    covers.sort()
+    return FaceLattice(kind="order_polytope", dim=len(P.elements) - 2,
+                       faces=tuple(EMPTY if len(T) == 1 else T for T, _ in items),
+                       dims=tuple(d for _, d in items), covers=tuple(covers))
 
 
 def f_vector(L: FaceLattice) -> tuple[int, ...]:

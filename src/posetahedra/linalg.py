@@ -1,11 +1,14 @@
-"""Small exact linear algebra over Fraction and over the integers.
+"""Small exact linear algebra over the integers.
 
 Everything here is deterministic: pivots are chosen as the first nonzero
-entry in column order, so identical inputs give identical bases.  Matrices
-are lists of row lists; no numpy because all arithmetic must stay rational.
-Ranks and hyperplanes are taken over the integers, on points cleared of
-denominators to homogeneous rows (``homogeneous``); ``rref`` and the
-solves built on it stay on Fraction for the affine charts.
+entry of a reduced row, so identical inputs give identical bases.
+Matrices are lists of row lists; no numpy because all arithmetic must stay
+exact.  Ranks come from fraction-free echelon elimination
+(``integer_rank``).  Kernels, unique solves and hyperplanes are all read
+off one fraction-free Gauss-Jordan elimination (``_gauss_jordan``) of rows
+cleared of denominators.  Its rows are positive multiples of the rows of
+the reduced row echelon form, which is unique, so the answers equal those
+of Fraction row reduction.
 """
 
 from __future__ import annotations
@@ -20,64 +23,53 @@ class LinAlgError(Exception):
     pass
 
 
-def _copy(rows) -> list[Row]:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
-def rref(rows, ncols: int) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form and the pivot column indices."""
-    mat = _copy(rows)
-    pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pivot = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+def _gauss_jordan(rows) -> dict[int, list[int]]:
+    """Per pivot column c of the integer rows, a row of their span that is
+    nonzero at c and zero left of c and at every other pivot column."""
+    basis: dict[int, list[int]] = {}  # pivot column -> row
+    for row in rows:
+        for c, b in basis.items():
+            if row[c]:
+                row = _eliminate(row, b, c)
+        pivot = next((c for c, x in enumerate(row) if x), None)
         if pivot is None:
             continue
-        mat[r], mat[pivot] = mat[pivot], mat[r]
-        inv = mat[r][c]
-        mat[r] = [x / inv for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat, pivots
+        for c, b in basis.items():
+            if b[pivot]:
+                basis[c] = _eliminate(b, row, pivot)
+        basis[pivot] = row
+    return basis
 
 
-def rank(rows, ncols: int) -> int:
-    return len(rref(rows, ncols)[1])
+def _cleared(rows) -> list[list[int]]:
+    """Each row of ints or Fractions times its least common denominator."""
+    return [homogeneous(row)[:-1] for row in rows]
 
 
 def nullspace(rows, ncols: int) -> list[Row]:
     """Basis of the kernel; one vector per free column, free entry set to 1."""
-    mat, pivots = rref(rows, ncols)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
+    basis = _gauss_jordan(_cleared(rows))
+    kernel = []
+    for fc in range(ncols):
+        if fc in basis:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -mat[r][fc]
-        basis.append(vec)
-    return basis
+        for c, b in basis.items():
+            vec[c] = Fraction(-b[fc], b[c])
+        kernel.append(vec)
+    return kernel
 
 
 def solve_unique(rows, rhs) -> Row:
     """Solve A x = b when the solution exists and is unique."""
     ncols = len(rows[0]) if rows else 0
-    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
-    mat, pivots = rref(aug, ncols + 1)
-    if ncols in pivots:
+    basis = _gauss_jordan(_cleared([*row, b] for row, b in zip(rows, rhs)))
+    if ncols in basis:
         raise LinAlgError("inconsistent system")
-    if len(pivots) < ncols:
+    if len(basis) < ncols:
         raise LinAlgError("underdetermined system")
-    sol = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        sol[pc] = mat[r][ncols]
-    return sol
+    return [Fraction(basis[c][ncols], basis[c][c]) for c in range(ncols)]
 
 
 def affine_rank(points) -> int:
@@ -130,26 +122,14 @@ def hyperplane_through(rows) -> tuple[list[int], int] | None:
     """The hyperplane <n, v> = b through the points with the given rows, or None.
 
     ``rows`` holds each point as its homogeneous row D * (v, 1).  The
-    vector (n, -b) spans the kernel of those rows; it is found by
-    fraction-free Gauss-Jordan elimination and returned as a primitive
-    integer (n, b).  Returns None when the kernel is not a line, that is
-    when the points do not affinely span a hyperplane, or when its normal
-    is zero.  The orientation of (n, b) is arbitrary.
+    vector (n, -b) spans the kernel of those rows; it is read off their
+    Gauss-Jordan elimination and returned as a primitive integer (n, b).
+    Returns None when the kernel is not a line, that is when the points do
+    not affinely span a hyperplane, or when its normal is zero.  The
+    orientation of (n, b) is arbitrary.
     """
-    basis: dict[int, list[int]] = {}  # pivot column -> row, 0 in every other pivot column
-    width = 0
-    for row in rows:
-        width = len(row)
-        for c, b in basis.items():
-            if row[c]:
-                row = _eliminate(row, b, c)
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is None:
-            continue
-        for c, b in basis.items():
-            if b[pivot]:
-                basis[c] = _eliminate(b, row, pivot)
-        basis[pivot] = row
+    width = len(rows[0]) if rows else 0
+    basis = _gauss_jordan(rows)
     free = [c for c in range(width) if c not in basis]
     if len(free) != 1:
         return None

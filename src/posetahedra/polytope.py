@@ -46,14 +46,10 @@ class Chart:
         return dict(zip(self.ids, coords))
 
     def to_chart(self, x: Mapping[int, Fraction]) -> Point:
+        """Chart coordinates of an ambient point; LinAlgError when it is off the chart."""
         rhs = [frac(x[i]) - b for i, b in zip(self.ids, self.base)]
-        if not self.basis:
-            if any(r != 0 for r in rhs):
-                raise linalg.LinAlgError("point not on the chart")
-            return ()
         rows = [[vec[i] for vec in self.basis] for i in range(len(self.ids))]
-        sol = linalg.solve_unique(rows, rhs)
-        return tuple(sol)
+        return tuple(linalg.solve_unique(rows, rhs))
 
 
 @dataclass(frozen=True)
@@ -104,10 +100,6 @@ class RationalPolytope:
             Facet(f.normal, f.offset + f.value(shift), f.label) for f in self.facets
         )
         return replace(self, vertices=verts, facets=facets, chart=None)
-
-    def tight_set(self, facet: Facet) -> frozenset[int]:
-        row = side_signs(facet.normal, facet.offset, self.rows)
-        return frozenset(i for i, s in enumerate(row) if s == 0)
 
     def face_from_vertices(self, vertex_ids: Iterable[int]) -> frozenset[int]:
         """Vertex set of the smallest face containing the given vertices.

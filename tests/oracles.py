@@ -224,7 +224,7 @@ def tubing_tree(T, Tube):
     return parent, children_t
 
 
-# -- the Fraction hyperplane solve before facets were solved in integers -----
+# -- the Fraction row reduction that charts, solves and hyperplanes once used --
 
 
 def rref(rows, ncols):
@@ -262,6 +262,29 @@ def nullspace(rows, ncols):
             vec[pc] = -mat[r][fc]
         basis.append(vec)
     return basis
+
+
+def rank(rows, ncols):
+    return len(rref(rows, ncols)[1])
+
+
+class LinAlgError(Exception):
+    pass
+
+
+def solve_unique(rows, rhs):
+    """Solve A x = b when the solution exists and is unique."""
+    ncols = len(rows[0]) if rows else 0
+    aug = [list(row) + [b] for row, b in zip(rows, rhs)]
+    mat, pivots = rref(aug, ncols + 1)
+    if ncols in pivots:
+        raise LinAlgError("inconsistent system")
+    if len(pivots) < ncols:
+        raise LinAlgError("underdetermined system")
+    sol = [Fraction(0)] * ncols
+    for r, pc in enumerate(pivots):
+        sol[pc] = mat[r][ncols]
+    return sol
 
 
 def hyperplane_through(points):
@@ -497,6 +520,11 @@ def associahedron_face_lattice(P, Tube):
             covers.append((T, T - {t}))
         if len(T) == n - 2:
             covers.append((EMPTY, T))
+    return _lattice_of(keyed, covers)
+
+
+def _lattice_of(keyed, covers):
+    """(faces, dims, covers) as the old library's ``_build`` assembled them."""
 
     def face_sort_key(item):
         key, dim = item
@@ -515,3 +543,49 @@ def associahedron_face_lattice(P, Tube):
     index = {id_key(k): i for i, k in enumerate(faces)}
     cover_pairs = tuple(sorted((index[id_key(a)], index[id_key(b)]) for a, b in covers))
     return faces, dims, cover_pairs
+
+
+def cyclohedron_face_lattice(n, tubings):
+    """(faces, dims, covers) of the cyclohedron of a period-n host, built
+    from its proper periodic tubings (frozensets of class representatives)
+    by the old library code."""
+    keyed = {EMPTY: -1}
+    for T in tubings:
+        keyed[T] = n - len(T) - 1
+    covers = []
+    for T in tubings:
+        for c in T:
+            covers.append((T, T - {c}))
+        if len(T) == n - 1:
+            covers.append((EMPTY, T))
+    return _lattice_of(keyed, covers)
+
+
+def _partition_le(coarse, fine) -> bool:
+    """face(coarse) inside face(fine): every fine block inside a coarse block."""
+    if coarse is EMPTY:
+        return True
+    if fine is EMPTY:
+        return False
+    return all(any(f.issubset(c) for c in coarse) for f in fine)
+
+
+def order_polytope_face_lattice(n, parts):
+    """(faces, dims, covers) of the order polytope of an n-element poset,
+    built from its tubing partitions by the old library code: every pair of
+    partitions in adjacent dimensions is compared block by block."""
+    keyed = {}
+    for T in parts:
+        keyed[EMPTY if len(T) == 1 else T] = len(T) - 2
+    by_dim = {}
+    for key, d in keyed.items():
+        by_dim.setdefault(d, []).append(key)
+    covers = []
+    for d in sorted(by_dim):
+        if d + 1 not in by_dim:
+            continue
+        for lo in by_dim[d]:
+            for hi in by_dim[d + 1]:
+                if _partition_le(lo, hi):
+                    covers.append((lo, hi))
+    return _lattice_of(keyed, covers)

@@ -14,6 +14,12 @@ from hypothesis import strategies as st
 
 import oracles
 from posetahedra import corpus
+from posetahedra.affine import (
+    build_affine_poset,
+    cyclohedron_face_lattice,
+    enumerate_affine_tubes,
+    enumerate_affine_tubings,
+)
 from posetahedra.compact import (
     ConfigPoint,
     _cleared,
@@ -215,7 +221,8 @@ def test_host_caches_are_bounded():
     than that evicts the oldest."""
     caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
               tube_complex, associahedron_face_lattice, order_polytope_face_lattice,
-              tubing_partitions)
+              tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
+              cyclohedron_face_lattice)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
@@ -223,5 +230,7 @@ def test_host_caches_are_bounded():
         associahedron_face_lattice(P)
         order_polytope_face_lattice(P)
         _host_index(P)
+        # period-1 hosts with distinct generators: each a cache entry, no tubes
+        cyclohedron_face_lattice(build_affine_poset(1, [(1, shift + 2)]))
     for cache in caches:
         assert cache.cache_info().currsize == CACHE_SIZE, cache

@@ -96,6 +96,24 @@ class TestCoherence:
             tubing_of(bad)
 
 
+class TestNormalization:
+    def test_unnormalized_component_is_rejected(self, c4):
+        """A coherent point whose {1,2} component is doubled (alpha 2, not 1)
+        is refused by every entry point that reads its stratum."""
+        c = stratum_point(c4, Tubing.of(c4, [T12]))
+        comps = {t: dict(v) for t, v in c.components.items()}
+        comps[T12] = {i: 2 * x for i, x in comps[T12].items()}
+        bad = ConfigPoint(c4, comps)
+        assert is_coherent(bad) == (True, None)
+        root = full_tube(c4)
+        calls = (lambda: bad.validate(), lambda: tubing_of(bad),
+                 lambda: t_max(bad, T12, root), lambda: expand(bad, T12, root, F(1, 8)),
+                 lambda: collapse(bad, T12, root))
+        for call in calls:
+            with pytest.raises(ValueError, match="not normalized"):
+                call()
+
+
 class TestFrozenComponents:
     def test_components_are_read_only(self, c3):
         c = embed(c3, {1: F(-1, 2), 2: F(0), 3: F(1, 2)})

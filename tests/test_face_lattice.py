@@ -83,8 +83,26 @@ class TestGradedChecks:
         L = self.pentagon()
         vertex, top = L.dims.index(0), L.dims.index(L.dim)
         bad = dataclasses.replace(L, covers=L.covers + ((vertex, top),))
-        with pytest.raises(NotGradedError, match="dimension gap"):
-            f_vector(bad)
+        for vector in (f_vector, h_vector, f_vector):  # a failure is not remembered
+            with pytest.raises(NotGradedError, match="dimension gap"):
+                vector(bad)
+
+    def test_graded_once(self):
+        """h_vector after f_vector does not grade the lattice again."""
+
+        class Covers(tuple):
+            reads = 0
+
+            def __iter__(self):
+                Covers.reads += 1
+                return super().__iter__()
+
+        L = self.pentagon()
+        counted = dataclasses.replace(L, covers=Covers(L.covers))
+        assert f_vector(counted) == f_vector(L)
+        reads = Covers.reads
+        assert h_vector(counted) == h_vector(L)
+        assert Covers.reads == reads
 
     def test_face_without_upper_cover(self):
         L = self.pentagon()

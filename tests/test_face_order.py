@@ -4,7 +4,9 @@ The bitset face order must agree with the per-pair tube loop, the integer
 affine rank with Fraction row reduction, the integer side signs with
 Fraction evaluation of the facet functional, and the integer hyperplane
 solve with the Fraction one, both alone and as every facet of every
-melting stage.
+melting stage.  Kernels and unique solves, read off the same integer
+elimination, must equal Fraction row reduction, alone and as every chart
+of the corpus.
 """
 
 import functools
@@ -17,9 +19,21 @@ from hypothesis import strategies as st
 
 import oracles
 from posetahedra import corpus, geometry
-from posetahedra.affine import affine_admissible_tubings, class_contains, enumerate_affine_tubes
-from posetahedra.geometry import MeltedSet, admissible_tubings
-from posetahedra.linalg import affine_rank, homogeneous, hyperplane_through, rank
+from posetahedra.affine import (
+    affine_admissible_tubings,
+    affine_order_polytope,
+    class_contains,
+    enumerate_affine_tubes,
+)
+from posetahedra.geometry import MeltedSet, admissible_tubings, order_polytope
+from posetahedra.linalg import (
+    LinAlgError,
+    affine_rank,
+    homogeneous,
+    hyperplane_through,
+    nullspace,
+    solve_unique,
+)
 from posetahedra.polytope import Facet, facet_through, side_signs
 from posetahedra.tubes import enumerate_tubes
 from strategies import SETTINGS, connected_posets
@@ -85,7 +99,7 @@ def point_sets(draw):
 @given(point_sets())
 def test_integer_affine_rank_matches_fraction_rank(case):
     d, points = case
-    expected = -1 if not points else rank(
+    expected = -1 if not points else oracles.rank(
         [[x - b for x, b in zip(p, points[0])] for p in points[1:]], d)
     assert affine_rank(points) == expected
 
@@ -183,3 +197,91 @@ def test_facets_match_fraction_solve_at_every_stage(monkeypatch, host):
             assert (facet.normal, facet.offset) == oracles.oriented_facet(Q.vertices, inc)
             assert all(type(x) is F for x in (*facet.normal, facet.offset))
             assert facet_through(Q.rows, inc, facet.label) == facet
+
+
+@st.composite
+def systems(draw):
+    """A rational system A x = b of 0..6 rows in 1..5 columns; rows are
+    often zero or combinations of earlier rows, so that ranks fall short."""
+    ncols = draw(st.integers(1, 5))
+    entry = st.one_of(st.just(F(0)), rationals)
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        if rows and draw(st.booleans()):
+            coeffs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+            rows.append([sum((c * r[k] for c, r in zip(coeffs, rows)), F(0))
+                         for k in range(ncols)])
+        else:
+            rows.append(draw(st.lists(entry, min_size=ncols, max_size=ncols)))
+    rhs = draw(st.lists(rationals, min_size=len(rows), max_size=len(rows)))
+    return rows, ncols, rhs
+
+
+@SETTINGS
+@given(systems())
+def test_kernel_matches_fraction_row_reduction(case):
+    rows, ncols, _ = case
+    assert nullspace(rows, ncols) == oracles.nullspace(rows, ncols)
+
+
+@SETTINGS
+@given(systems())
+def test_unique_solve_matches_fraction_row_reduction(case):
+    rows, _, rhs = case
+    try:
+        want = oracles.solve_unique(rows, rhs)
+    except oracles.LinAlgError as exc:
+        with pytest.raises(LinAlgError, match=str(exc)):
+            solve_unique(rows, rhs)
+    else:
+        assert solve_unique(rows, rhs) == want
+
+
+@pytest.mark.parametrize("rows,rhs,error", [
+    ([[F(1), F(2)], [F(2), F(4)]], [F(1), F(3)], "inconsistent"),
+    ([[F(1), F(2)], [F(2), F(4)]], [F(1), F(2)], "underdetermined"),
+    ([[F(0), F(0)]], [F(0)], "underdetermined"),
+])
+def test_unique_solve_raises(rows, rhs, error):
+    with pytest.raises(oracles.LinAlgError, match=error):
+        oracles.solve_unique(rows, rhs)
+    with pytest.raises(LinAlgError, match=error):
+        solve_unique(rows, rhs)
+
+
+def _check_chart(Q, rows):
+    """The chart's basis is the Fraction kernel of its defining rows, and
+    each vertex the Fraction solve of its ambient point."""
+    chart = Q.chart
+    assert chart.basis == tuple(map(tuple, oracles.nullspace(rows, len(chart.ids))))
+    columns = [list(col) for col in zip(*chart.basis)]
+    for u in Q.vertices:
+        x = chart.to_ambient(u)
+        rhs = [x[i] - b for i, b in zip(chart.ids, chart.base)]
+        assert tuple(oracles.solve_unique(columns, rhs)) == u
+        assert chart.to_chart(x) == u
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_POSETS))
+def test_order_polytope_chart_matches_fraction_row_reduction(name):
+    P = corpus.DESK_POSETS[name]
+    weight = dict.fromkeys(P.elements, 0)
+    for i, j in P.covers:
+        weight[i] -= 1
+        weight[j] += 1
+    _check_chart(order_polytope(P), [[F(1)] * len(P.elements), [F(weight[e]) for e in P.elements]])
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE))
+def test_affine_order_polytope_chart_matches_fraction_row_reduction(name):
+    A = corpus.DESK_AFFINE[name]
+    _check_chart(affine_order_polytope(A), [[F(1)] * A.n])
+
+
+@pytest.mark.parametrize("n", [2, 4])  # a point chart (no basis) and a plane
+def test_point_off_the_chart_is_refused(n):
+    chart = order_polytope(corpus.chain(n)).chart
+    x = chart.to_ambient([F(1)] * chart.dim)
+    x[1] += 1  # the ambient point no longer sums to zero
+    with pytest.raises(LinAlgError):
+        chart.to_chart(x)

@@ -1,11 +1,13 @@
-"""The bitset tube complex and its one tubing walk, against the predicates
-and against verbatim copies of the walks it replaced (``oracles``)."""
+"""The bitset tube complex, its one tubing walk and the face-lattice
+builders, against the predicates and against verbatim copies of the code
+they replaced (``oracles``)."""
 
 import pytest
 from hypothesis import given
 
 import oracles
 from posetahedra import corpus, lattice
+from posetahedra.affine import cyclohedron_face_lattice, enumerate_affine_tubings
 from posetahedra.lattice import (
     EMPTY,
     associahedron_face_lattice,
@@ -13,6 +15,7 @@ from posetahedra.lattice import (
     h_vector,
     is_flag_dual,
     order_polytope_face_lattice,
+    tubing_partitions,
 )
 from posetahedra.poset import build_poset
 from posetahedra.tubes import (
@@ -28,6 +31,8 @@ from strategies import SETTINGS, connected_posets
 # The corpus, plus a host whose flag walk meets a candidate of three tubes
 # with a 2-cycle against its prefix: {1,2,4} after {1,2}, {3,5}.
 HOSTS = {**corpus.DESK_POSETS, "vee5": build_poset([(2, 1), (2, 3), (2, 4), (5, 3), (5, 4)])}
+AFFINE_HOSTS = {**corpus.DESK_AFFINE, "cchain5": corpus.circular_chain(5),
+                "cclaw5": corpus.circular_claw(5)}
 
 
 def check_complex_bits(P):
@@ -53,12 +58,20 @@ def check_flag(P):
     assert (check.ok, check.witness) == oracles.is_flag_dual(P, Tube)
 
 
-def check_face_lattice(P):
-    L = associahedron_face_lattice(P)
-    faces, dims, covers = oracles.associahedron_face_lattice(P, Tube)
+def assert_same_lattice(L, old):
+    faces, dims, covers = old
     assert tuple(oracles.EMPTY if f is EMPTY else f for f in L.faces) == faces
     assert L.dims == dims
     assert L.covers == covers
+
+
+def check_face_lattice(P):
+    assert_same_lattice(associahedron_face_lattice(P), oracles.associahedron_face_lattice(P, Tube))
+
+
+def check_order_lattice(P):
+    old = oracles.order_polytope_face_lattice(len(P.elements), tubing_partitions(P))
+    assert_same_lattice(order_polytope_face_lattice(P), old)
 
 
 def check_flag_tests_compatible_families(P):
@@ -80,7 +93,7 @@ def check_flag_tests_compatible_families(P):
 
 
 CHECKS = (check_complex_bits, check_tubings, check_flag, check_face_lattice,
-          check_flag_tests_compatible_families)
+          check_order_lattice, check_flag_tests_compatible_families)
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
@@ -92,6 +105,21 @@ def test_host(check, name):
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
 def test_random_posets(check):
     SETTINGS(given(connected_posets(max_size=6))(check))()
+
+
+@SETTINGS
+@given(connected_posets(max_size=7))
+def test_lattices_match_old_builders_up_to_seven_elements(P):
+    check_face_lattice(P)
+    check_order_lattice(P)
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_HOSTS))
+def test_cyclohedron_lattice_matches_old_builder(name):
+    A = AFFINE_HOSTS[name]
+    L = cyclohedron_face_lattice(A)
+    assert (L.kind, L.dim) == ("cyclohedron", A.n - 1)
+    assert_same_lattice(L, oracles.cyclohedron_face_lattice(A.n, enumerate_affine_tubings(A)))
 
 
 def test_h6_is_the_non_flag_host():
