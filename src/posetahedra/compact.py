@@ -85,11 +85,17 @@ class ConfigPoint:
         return self.components[tube]
 
     def validate(self) -> None:
-        expected = set(nonsingleton_tubes(self.host))
-        if set(self.components) != expected:
-            raise ValueError("components must cover every non-singleton tube")
+        self._check_cover()
         for tube, vec in self.components.items():
             _check_polytope_point(self.host, tube, vec)
+
+    def _check_cover(self) -> None:
+        """One component per non-singleton tube, each on the tube's elements."""
+        if set(self.components) != set(nonsingleton_tubes(self.host)):
+            raise ValueError("components must cover every non-singleton tube")
+        for tube, vec in self.components.items():
+            if set(vec) != tube.as_set:
+                raise ValueError(f"component {tube} has wrong index set")
 
     @cached_property
     def rows(self) -> Mapping[Tube, Row]:
@@ -268,18 +274,23 @@ def tubing_of(c: ConfigPoint) -> Tubing:
     """The stratum tubing: recursive level-set blocks starting at the root.
 
     The result is cached on the point, so repeated queries are free.  An
-    incoherent point raises IncoherentError; a point built by the public
-    constructor is then validated, raising ValueError.
+    incoherent point raises IncoherentError.  A point built by the public
+    constructor is validated, raising ValueError: that it has a component
+    on each non-singleton tube before the coherence check, and that each
+    component is a point of its order polytope after it.
     """
     return c.tubing
 
 
 def _tubing_of_checked(c: ConfigPoint) -> Tubing:
+    if not c._filled:
+        c._check_cover()  # is_coherent reads a row per tube
     ok, witness = is_coherent(c)
     if not ok:
         raise IncoherentError(f"incoherent at nested pair {witness}")
     if not c._filled:
-        c.validate()
+        for tube, vec in c.components.items():
+            _check_polytope_point(c.host, tube, vec)
     P = c.host
     rows = c.rows
     proper: set[Tube] = set()

@@ -3,10 +3,9 @@
 Everything here is deterministic: pivots are chosen as the first nonzero
 entry of a reduced row, so identical inputs give identical bases.
 Matrices are lists of row lists; no numpy because all arithmetic must stay
-exact.  Ranks come from fraction-free echelon elimination
-(``integer_rank``).  Kernels, unique solves and hyperplanes are all read
-off one fraction-free Gauss-Jordan elimination (``_gauss_jordan``) of rows
-cleared of denominators.  Its rows are positive multiples of the rows of
+exact.  Ranks, kernels, unique solves and hyperplanes are all read off one
+fraction-free Gauss-Jordan elimination (``_gauss_jordan``) of rows cleared
+of denominators.  Its rows are positive multiples of the rows of
 the reduced row echelon form, which is unique, so the answers equal those
 of Fraction row reduction.
 """
@@ -38,6 +37,8 @@ def _gauss_jordan(rows) -> dict[int, list[int]]:
             if b[pivot]:
                 basis[c] = _eliminate(b, row, pivot)
         basis[pivot] = row
+        if len(basis) == len(row):  # every column a pivot: later rows reduce to 0
+            break
     return basis
 
 
@@ -92,23 +93,8 @@ def homogeneous(point) -> list[int]:
 
 
 def integer_rank(rows) -> int:
-    """Rank of integer rows by fraction-free elimination.
-
-    Each row is reduced against an echelon basis built from the rows before
-    it, then divided by the gcd of its entries, which keeps the integers
-    small and the result exact.
-    """
-    basis: list[tuple[int, list[int]]] = []  # (pivot column, row)
-    for row in rows:
-        for c, b in basis:
-            if row[c]:
-                row = _eliminate(row, b, c)
-        pivot = next((c for c, x in enumerate(row) if x), None)
-        if pivot is not None:
-            basis.append((pivot, row))
-            if len(basis) == len(row):
-                break
-    return len(basis)
+    """Rank of integer rows: the number of pivots of their elimination."""
+    return len(_gauss_jordan(rows))
 
 
 def _eliminate(row: list[int], b: list[int], c: int) -> list[int]:

@@ -113,6 +113,20 @@ class TestNormalization:
             with pytest.raises(ValueError, match="not normalized"):
                 call()
 
+    def test_missing_component_is_rejected(self, c4):
+        """A point lacking its {2,3} component is refused with ValueError,
+        not a KeyError from the coherence check, by every entry point."""
+        c = stratum_point(c4, Tubing.of(c4, [T12]))
+        comps = {t: dict(v) for t, v in c.components.items() if t != Tube.of((2, 3))}
+        bad = ConfigPoint(c4, comps)
+        root = full_tube(c4)
+        calls = (lambda: bad.validate(), lambda: tubing_of(bad),
+                 lambda: t_max(bad, T12, root), lambda: expand(bad, T12, root, F(1, 8)),
+                 lambda: collapse(bad, T12, root))
+        for call in calls:
+            with pytest.raises(ValueError, match="cover every non-singleton tube"):
+                call()
+
 
 class TestFrozenComponents:
     def test_components_are_read_only(self, c3):
