@@ -96,36 +96,43 @@ class TestCoherence:
             tubing_of(bad)
 
 
+def _double_12(comps):
+    """Double the {1,2} component: still coherent, but alpha is 2, not 1."""
+    comps[T12] = {i: 2 * x for i, x in comps[T12].items()}
+
+
+def _drop_23(comps):
+    """Drop the {2,3} component, which the coherence check reads."""
+    del comps[Tube.of((2, 3))]
+
+
 class TestNormalization:
-    def test_unnormalized_component_is_rejected(self, c4):
-        """A coherent point whose {1,2} component is doubled (alpha 2, not 1)
-        is refused by every entry point that reads its stratum."""
+    @pytest.mark.parametrize("tamper, message", [
+        (_double_12, "not normalized"),
+        (_drop_23, "cover every non-singleton tube"),
+    ], ids=["doubled", "missing"])
+    def test_bad_component_is_rejected(self, c4, tamper, message):
+        """chain4's [{1,2}] stratum point, tampered, is refused with
+        ValueError by every entry point that reads its stratum."""
         c = stratum_point(c4, Tubing.of(c4, [T12]))
         comps = {t: dict(v) for t, v in c.components.items()}
-        comps[T12] = {i: 2 * x for i, x in comps[T12].items()}
+        tamper(comps)
         bad = ConfigPoint(c4, comps)
-        assert is_coherent(bad) == (True, None)
         root = full_tube(c4)
         calls = (lambda: bad.validate(), lambda: tubing_of(bad),
                  lambda: t_max(bad, T12, root), lambda: expand(bad, T12, root, F(1, 8)),
                  lambda: collapse(bad, T12, root))
         for call in calls:
-            with pytest.raises(ValueError, match="not normalized"):
+            with pytest.raises(ValueError, match=message):
                 call()
 
-    def test_missing_component_is_rejected(self, c4):
-        """A point lacking its {2,3} component is refused with ValueError,
-        not a KeyError from the coherence check, by every entry point."""
+    def test_doubled_component_is_coherent(self, c4):
+        """The doubled point passes the coherence check, so only the
+        normalization check can refuse it."""
         c = stratum_point(c4, Tubing.of(c4, [T12]))
-        comps = {t: dict(v) for t, v in c.components.items() if t != Tube.of((2, 3))}
-        bad = ConfigPoint(c4, comps)
-        root = full_tube(c4)
-        calls = (lambda: bad.validate(), lambda: tubing_of(bad),
-                 lambda: t_max(bad, T12, root), lambda: expand(bad, T12, root, F(1, 8)),
-                 lambda: collapse(bad, T12, root))
-        for call in calls:
-            with pytest.raises(ValueError, match="cover every non-singleton tube"):
-                call()
+        comps = {t: dict(v) for t, v in c.components.items()}
+        _double_12(comps)
+        assert is_coherent(ConfigPoint(c4, comps)) == (True, None)
 
 
 class TestFrozenComponents:

@@ -31,6 +31,7 @@ from posetahedra.linalg import (
     affine_rank,
     homogeneous,
     hyperplane_through,
+    integer_rank,
     nullspace,
     solve_unique,
 )
@@ -219,9 +220,10 @@ def systems(draw):
 
 @SETTINGS
 @given(systems())
-def test_kernel_matches_fraction_row_reduction(case):
+def test_kernel_and_rank_match_fraction_row_reduction(case):
     rows, ncols, _ = case
     assert nullspace(rows, ncols) == oracles.nullspace(rows, ncols)
+    assert integer_rank(homogeneous(r)[:-1] for r in rows) == oracles.rank(rows, ncols)
 
 
 @SETTINGS
