@@ -636,8 +636,12 @@ class PeriodicTubes:
 geometry.tube_system.register(AffinePoset, PeriodicTubes)
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...]:
-    """Periodic tubing partitions of the integers, as class sets."""
+    """Periodic tubing partitions of the integers, as class sets.
+
+    Cached per host: every melting stage asks for them again, through a
+    fresh tube system."""
     classes = enumerate_affine_tubes(A, proper_only=False)
     finite = [c for c in classes if not c.is_full]
     by_residue: dict[int, list[AffineTube]] = {r: [] for r in range(1, A.n + 1)}

@@ -19,15 +19,17 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, singledispatch
+from operator import mul
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
-from .linalg import affine_rank, homogeneous, integer_rank, nullspace
+from .linalg import affine_rank, homogeneous, nullspace
 from .polytope import (
     Chart,
     Facet,
     RationalPolytope,
     facet_through,
+    halfspace_row,
     polar_dual,
     polytope_from_data,
 )
@@ -186,8 +188,8 @@ class AdmissiblePoset:
     def _dims(self) -> dict[AdmTubing, int]:
         """dim(T) for every element, from the melted bits of its mask."""
         order, base = self.order, self.system.size - 2
-        return {T: base + 2 * (order.mask(T) & order.melted).bit_count() - len(T)
-                for T in self.elements}
+        return {T: base + 2 * (mask & order.melted).bit_count() - len(T)
+                for T, mask in zip(self.elements, order.masks)}
 
     @cached_property
     def order(self) -> FaceOrder:
@@ -215,45 +217,75 @@ class AdmissiblePoset:
 
 
 class FaceOrder:
-    """The face order of admissible tubings on integer bitsets.
+    """The face order of admissible tubings on integer bitsets, indexed once.
 
-    Every tube occurring in an admissible tubing gets one bit; mask(T) is
-    the OR of the bits of T's tubes.  bad(T) holds the melted tubes missing
-    from T and the frozen tubes lying under no frozen tube of T, so
-    a <= b exactly when mask(a) & bad(b) == 0: melted tubes persist and
-    frozen tubes may coarsen.  ``contains(s, t)`` says frozen s contains t.
+    Every tube occurring in an admissible tubing gets one bit; ``masks[i]``
+    is the OR of the bits of the tubes of ``elements[i]``.  ``bads[i]``
+    holds the melted tubes missing from it and the frozen tubes lying under
+    no frozen tube of it, so a <= b exactly when mask(a) & bad(b) == 0:
+    melted tubes persist and frozen tubes may coarsen.  ``index`` maps each
+    element to its position.  ``contains(s, t)`` says frozen s contains t.
     Shared by the finite and the affine admissible posets.
     """
 
     def __init__(self, elements, is_melted, contains):
-        self.bit: dict = {}
-        for T in elements:
-            for t in T:
-                self.bit.setdefault(t, 1 << len(self.bit))
-        frozen = [t for t in self.bit if not is_melted(t)]
-        self.frozen = sum(self.bit[t] for t in frozen)
-        self.melted = (1 << len(self.bit)) - 1 - self.frozen
-        self.under = {
-            s: sum(self.bit[t] for t in frozen if contains(s, t)) for s in frozen
-        }
-
-    def mask(self, T) -> int:
-        # the tubes of T are distinct, so summing their bits is an OR
-        return sum(self.bit[t] for t in T)
-
-    def bad(self, T) -> int:
-        covered = 0
-        for t in T:
-            covered |= self.under.get(t, 0)
-        return (self.melted & ~self.mask(T)) | (self.frozen & ~covered)
+        bit: dict = {}
+        tube_bits = [[bit.setdefault(t, 1 << len(bit)) for t in T] for T in elements]
+        self.width = len(bit)
+        frozen_tubes = [t for t in bit if not is_melted(t)]
+        frozen = sum(bit[t] for t in frozen_tubes)
+        self.melted = (1 << self.width) - 1 - frozen
+        under = {bit[s]: sum(bit[t] for t in frozen_tubes if contains(s, t))
+                 for s in frozen_tubes}
+        self.masks: list[int] = []
+        self.bads: list[int] = []
+        for bits in tube_bits:
+            mask, covered = sum(bits), 0  # distinct bits: their sum is their OR
+            for b in bits:
+                covered |= under.get(b, 0)
+            self.masks.append(mask)
+            self.bads.append((self.melted & ~mask) | (frozen & ~covered))
+        self.index = {T: i for i, T in enumerate(elements)}
 
     def le(self, a, b) -> bool:
-        return not self.mask(a) & self.bad(b)
+        return not self.masks[self.index[a]] & self.bads[self.index[b]]
 
-    def below(self, masks, T) -> list[int]:
-        """Positions i, in order, with masks[i] the mask of a tubing <= T."""
-        bad = self.bad(T)
-        return [i for i, m in enumerate(masks) if not m & bad]
+    def below(self, labels):
+        """The map i -> positions k, ascending, with labels[k] <= elements[i].
+
+        Raises MismatchError when a label is not an element.
+        """
+        masks = []
+        for label in labels:
+            i = self.index.get(label)
+            if i is None:
+                raise MismatchError(f"vertex label {_face_name(label)} is not admissible")
+            masks.append(self.masks[i])
+
+        def positions(i):
+            bad = self.bads[i]
+            return [k for k, mask in enumerate(masks) if not mask & bad]
+        return positions
+
+
+def _bits(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def _union(sets: list[int], x: int) -> int:
+    """OR of sets[j] over the set bits j of x."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= sets[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def admissible_tubings(P: Poset, M: MeltedSet) -> AdmissiblePoset:
@@ -288,38 +320,48 @@ def admissible_tubings(P: Poset, M: MeltedSet) -> AdmissiblePoset:
 
 
 def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fraction, ...]:
-    """(1 + eps) times the face centroid, eps = half the room to the first
-    facet not containing the face.  The polytope must contain the origin."""
+    """(1 + eps) times the face centroid x, eps = half the room to the first
+    facet not containing the face.  The polytope must contain the origin.
+
+    Facets are evaluated in integers on the centroid's cleared row: for
+    each facet, nx = E D <n, x> and nb = E D b with the same E, D > 0.  As
+    <n, (1 + eps) x> = (1 + eps) <n, x>, the same values tell whether the
+    new point is beyond each facet.
+    """
     pts = [Q.vertices[i] for i in sorted(face_ids)]
     x = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
+    row = homogeneous(x)
+    values = []
     bound = None
     for facet, inc in zip(Q.facets, Q.incidence):
-        if face_ids <= inc:
-            continue
-        nx = facet.value(x)
-        if nx > 0:
-            t = (facet.offset - nx) / nx
+        coeffs = halfspace_row(facet.normal, facet.offset)
+        nb = -coeffs[-1] * row[-1]
+        nx = sum(map(mul, coeffs, row)) + nb
+        values.append((nx, nb))
+        if nx > 0 and not face_ids <= inc:
+            t = Fraction(nb - nx, nx)
             bound = t if bound is None else min(bound, t)
     if bound is not None and bound <= 0:
         raise EpsilonInfeasibleError("no positive pull-out factor exists")
     # with no binding facet any positive factor keeps the point beneath them
-    eps = Fraction(1) if bound is None else bound / 2
-    new_point = tuple((1 + eps) * c for c in x)
-    for facet, inc in zip(Q.facets, Q.incidence):
-        beyond = facet.value(new_point) > facet.offset
+    scale = 1 + (Fraction(1) if bound is None else bound / 2)
+    for (nx, nb), inc in zip(values, Q.incidence):
+        beyond = scale.numerator * nx > scale.denominator * nb
         if beyond != (face_ids <= inc):
             raise EpsilonInfeasibleError("pull-out point misclassifies a facet")
-    return new_point
+    return tuple(scale * c for c in x)
 
 
-def rebuild_from_lattice(dim, vertices, labels, adm) -> RationalPolytope:
-    """Solve every facet hyperplane from the lattice and certify the result."""
-    rows = [homogeneous(v) for v in vertices]
-    masks = [adm.order.mask(lab) for lab in labels]
-    facets = [
-        facet_through(rows, adm.order.below(masks, Tf), label=Tf) for Tf in adm.facets()
-    ]
-    poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels))
+def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks) -> RationalPolytope:
+    """Solve every facet hyperplane from the lattice and certify the result.
+
+    ``rows`` are the vertices' homogeneous rows and ``ranks`` the rank memo
+    of the realization (see ``RationalPolytope``); both go on to the polytope.
+    """
+    vertices_below, index = adm.order.below(labels), adm.order.index
+    facets = [facet_through(rows, vertices_below(index[Tf]), label=Tf) for Tf in adm.facets()]
+    poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
+                              rows=rows, ranks=ranks)
     lattice_match(poly, adm)
     return poly
 
@@ -329,9 +371,11 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
 
     For every admissible T the vertices below it must (a) be exactly the
     intersection of the tight sets of the facets above it, and (b) affinely
-    span dim(T) dimensions.  Vertex and facet sets are integer bitsets: a
-    vertex lies in the intersection when its row of incident facets holds
-    every facet above T.  Ranks are taken on Q's homogeneous rows.
+    span dim(T) dimensions.  Facet sets are integer bitsets taken per tube:
+    the facets above T are those whose bad set misses every tube of T, one
+    OR per tube of T, and their intersection is the AND of their incidence
+    columns.  Ranks are taken on Q's homogeneous rows, through Q's rank
+    memo.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -340,24 +384,32 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     if set(labels) != vertex_set or len(labels) != len(vertex_set):
         raise MismatchError("vertex labels disagree with the lattice")
     order = adm.order
-    masks = [order.mask(lab) for lab in labels]
-    facet_bads = [order.bad(f.label) for f in Q.facets]
-    not_rows = [-1] * len(labels)  # complement of each vertex's facet row
-    for k, inc in enumerate(Q.incidence):
-        for i in inc:
-            not_rows[i] &= ~(1 << k)
-    for T in adm.elements:
-        ids = order.below(masks, T)
-        below = sum(1 << i for i in ids)
-        mask = order.mask(T)
-        above = sum(1 << k for k, bad in enumerate(facet_bads) if not mask & bad)
+    vertices_below = order.below(labels)
+    spoilers = [0] * order.width  # per tube bit, the facets whose bad set holds it
+    spoiling = 0  # the tube bits that spoil some facet
+    columns = []  # per facet, the bitset of its vertices
+    for k, (facet, inc) in enumerate(zip(Q.facets, Q.incidence)):
+        i = order.index.get(facet.label)
+        if i is None:
+            raise MismatchError(f"facet label {_face_name(facet.label)} is not admissible")
+        spoiling |= order.bads[i]
+        for j in _bits(order.bads[i]):
+            spoilers[j] |= 1 << k
+        columns.append(sum(1 << v for v in inc))
+    every_facet = (1 << len(columns)) - 1
+    every_vertex = (1 << len(labels)) - 1
+    for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
+        above = every_facet & ~_union(spoilers, mask & spoiling)
         if adm.dim(T) < Q.dim and not above:
-            raise MismatchError(f"face {T} lies on no facet")
-        cut = sum(1 << i for i, not_row in enumerate(not_rows) if not above & not_row)
-        if cut != below:
+            raise MismatchError(f"face {_face_name(T)} lies on no facet")
+        cut = every_vertex
+        for k in _bits(above):
+            cut &= columns[k]
+        below = vertices_below(i)
+        if _bits(cut) != below:
             raise MismatchError(
                 f"face {_face_name(T)} vertex set disagrees with facet intersection")
-        if integer_rank([Q.rows[i] for i in ids]) - 1 != adm.dim(T):
+        if Q.rank(below) - 1 != adm.dim(T):
             raise MismatchError(f"face {_face_name(T)} has wrong dimension")
 
 
@@ -379,16 +431,18 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     new_point = _pullout_point(Q, face_ids)
 
     new_dim0 = set(new_lattice.vertices())
-    kept = [(v, lab) for v, lab in zip(Q.vertices, Q.vertex_labels) if lab in new_dim0]
-    removed = [lab for lab in Q.vertex_labels if lab not in new_dim0]
-    if removed and (len(removed) > 1 or len(face_ids) != 1):
+    kept = [k for k, lab in enumerate(Q.vertex_labels) if lab in new_dim0]
+    removed = len(Q.vertex_labels) - len(kept)
+    if removed and (removed > 1 or len(face_ids) != 1):
         raise MismatchError("subdivision removed an unexpected vertex")
     fresh = new_dim0 - set(Q.vertex_labels)
     if len(fresh) != 1:
         raise MismatchError("expected exactly one new vertex label")
-    vertices = tuple(v for v, _ in kept) + (new_point,)
-    labels = tuple(lab for _, lab in kept) + (next(iter(fresh)),)
-    return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice)
+    # kept vertices keep their cleared rows; only the new one is cleared
+    vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
+    labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
+    rows = tuple(Q.rows[k] for k in kept) + (tuple(homogeneous(new_point)),)
+    return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks)
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -416,7 +470,7 @@ def initial_dual(P: Poset) -> tuple[RationalPolytope, AdmissiblePoset]:
     ord_poly = system.order_polytope()
     dual = polar_dual(ord_poly)
     labels = [adm.s_tau(system.cover_tube(*f.label)) for f in ord_poly.facets]
-    dual = rebuild_from_lattice(dual.dim, dual.vertices, labels, adm)
+    dual = rebuild_from_lattice(dual.dim, dual.vertices, labels, adm, dual.rows, dual.ranks)
     return dual, adm
 
 

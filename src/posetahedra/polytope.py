@@ -9,7 +9,8 @@ incidence row, and every other vertex must be strictly beneath.  Both are
 read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
 pair, evaluated in integers on the vertices' homogeneous rows, which each
 polytope clears of denominators once (``RationalPolytope.rows``).  Facet
-hyperplanes and ranks are solved on the same rows.
+hyperplanes and ranks are solved on the same rows, and each rank is kept
+in a memo keyed by the rows themselves (``RationalPolytope.rank``).
 """
 
 from __future__ import annotations
@@ -74,13 +75,33 @@ class RationalPolytope:
     vertex_labels: tuple | None = None
 
     @cached_property
-    def rows(self) -> tuple[list[int], ...]:
+    def rows(self) -> tuple[tuple[int, ...], ...]:
         """Each vertex v as its integer row D * (v, 1), cleared once.
 
         A cached property rather than a field, so that a copy made by
         ``dataclasses.replace`` clears its own vertices.
         """
-        return tuple(map(linalg.homogeneous, self.vertices))
+        return tuple(map(_row, self.vertices))
+
+    @cached_property
+    def ranks(self) -> dict[tuple, int]:
+        """Memo of ``rank``: each tuple of vertex rows to its integer rank.
+
+        The key is the rows themselves, never vertex indices or labels, so
+        one memo can serve every polytope whose vertices it meets: the
+        melting induction hands it from each stage to the next, where kept
+        vertices keep their rows.  A copy made by ``dataclasses.replace``
+        starts an empty memo.
+        """
+        return {}
+
+    def rank(self, ids) -> int:
+        """Rank of the rows of the given vertices, taken in the given order."""
+        key = tuple(map(self.rows.__getitem__, ids))
+        rank = self.ranks.get(key)
+        if rank is None:
+            rank = self.ranks[key] = linalg.integer_rank(key)
+        return rank
 
     @property
     def n_vertices(self) -> int:
@@ -126,7 +147,7 @@ class RationalPolytope:
         if len(set(self.vertices)) != len(self.vertices):
             raise MismatchError("duplicate vertices")
         rows = self.rows
-        if rows and linalg.integer_rank(rows) - 1 != self.dim:
+        if rows and self.rank(range(len(rows))) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
         if signs is None:
             signs = [side_signs(f.normal, f.offset, rows) for f in self.facets]
@@ -136,20 +157,32 @@ class RationalPolytope:
                     raise MismatchError(f"vertex {i} beyond facet {facet.label}")
                 if (s == 0) != (i in claimed):
                     raise MismatchError(f"incidence mismatch on facet {facet.label}")
-            tight = [rows[i] for i in claimed]
-            if self.dim >= 1 and linalg.integer_rank(tight) - 1 != self.dim - 1:
+            if self.dim >= 1 and self.rank(sorted(claimed)) - 1 != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
+
+
+def _row(point) -> tuple[int, ...]:
+    return tuple(linalg.homogeneous(point))
+
+
+def halfspace_row(normal, offset) -> list[int]:
+    """The halfspace <n, v> <= b cleared of its denominators to (E n, -E b), E > 0.
+
+    Its dot product with a homogeneous row D * (v, 1) is E D (<n, v> - b).
+    """
+    *coeffs, offset, _ = linalg.homogeneous((*normal, offset))
+    coeffs.append(-offset)
+    return coeffs
 
 
 def side_signs(normal, offset, rows) -> list[int]:
     """sign(<normal, v> - offset) for every point v, in integers.
 
-    ``rows`` holds each point as its homogeneous row D * (v, 1).  The
-    halfspace is cleared of its own denominators to (E n, -E b); its dot
-    product with a row is E D (<n, v> - b), and E, D > 0 keep the sign.
+    ``rows`` holds each point as its homogeneous row D * (v, 1); its dot
+    product with the cleared halfspace (``halfspace_row``) is
+    E D (<n, v> - b), and E, D > 0 keep the sign.
     """
-    *coeffs, offset, _ = linalg.homogeneous((*normal, offset))
-    coeffs.append(-offset)
+    coeffs = halfspace_row(normal, offset)
     out = []
     for row in rows:
         val = sum(map(mul, coeffs, row))
@@ -157,18 +190,26 @@ def side_signs(normal, offset, rows) -> list[int]:
     return out
 
 
-def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None) -> RationalPolytope:
-    """Assemble a polytope, computing incidence by exact evaluation."""
+def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
+                       rows=None, ranks=None) -> RationalPolytope:
+    """Assemble a polytope, computing incidence by exact evaluation.
+
+    ``rows``, when the caller has them, are the vertices' homogeneous rows
+    (``RationalPolytope.rows``) and are not cleared again; ``ranks`` is a
+    rank memo to carry on (``RationalPolytope.ranks``).
+    """
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
-    rows = tuple(map(linalg.homogeneous, vertices))
+    rows = tuple(map(_row, vertices)) if rows is None else tuple(rows)
     signs = [side_signs(f.normal, f.offset, rows) for f in facets]
     incidence = tuple(frozenset(i for i, s in enumerate(row) if s == 0) for row in signs)
     poly = RationalPolytope(
         dim=dim, vertices=vertices, facets=facets, incidence=incidence,
         chart=chart, vertex_labels=vertex_labels,
     )
-    poly.__dict__["rows"] = rows  # fill the cached property: these are its rows
+    poly.__dict__["rows"] = rows  # fill the cached properties: these are its rows
+    if ranks is not None:
+        poly.__dict__["ranks"] = ranks
     poly.certify(signs)
     return poly
 

@@ -6,6 +6,7 @@ certificate, or the supporting-hyperplane solve.
 """
 
 import itertools
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction as F
 
@@ -51,6 +52,14 @@ def test_swapped_vertex_labels(w5_dual):
     # the message names a face whose vertex set the swap changed
     moved = [T for T in adm.elements if adm.le(labels[0], T) != adm.le(labels[1], T)]
     assert any(f"face {sorted(t.members for t in T)} " in str(info.value) for T in moved)
+
+
+def test_face_on_no_facet(w5_dual):
+    dual, adm = w5_dual
+    stripped = replace(dual, facets=(), incidence=())
+    name = re.escape(str(sorted(t.members for t in adm.elements[0])))
+    with pytest.raises(MismatchError, match=rf"^face {name} lies on no facet$"):
+        lattice_match(stripped, adm)
 
 
 def test_polytope_against_previous_lattice(w5):

@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 import oracles
 from posetahedra import corpus
 from posetahedra.affine import (
+    _affine_root_partitions,
     build_affine_poset,
     cyclohedron_face_lattice,
     enumerate_affine_tubes,
@@ -222,7 +223,7 @@ def test_host_caches_are_bounded():
     caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
               tube_complex, associahedron_face_lattice, order_polytope_face_lattice,
               tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
-              cyclohedron_face_lattice)
+              cyclohedron_face_lattice, _affine_root_partitions)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
@@ -231,6 +232,8 @@ def test_host_caches_are_bounded():
         order_polytope_face_lattice(P)
         _host_index(P)
         # period-1 hosts with distinct generators: each a cache entry, no tubes
-        cyclohedron_face_lattice(build_affine_poset(1, [(1, shift + 2)]))
+        A = build_affine_poset(1, [(1, shift + 2)])
+        cyclohedron_face_lattice(A)
+        _affine_root_partitions(A)
     for cache in caches:
         assert cache.cache_info().currsize == CACHE_SIZE, cache
