@@ -121,7 +121,7 @@ def _frozen(vec: Mapping[int, Fraction]) -> Mapping[int, Fraction]:
 
 
 def _row(tube: Tube, vec: Mapping[int, Fraction]) -> Row:
-    return tuple(homogeneous([vec[i] for i in tube.members]))
+    return homogeneous([vec[i] for i in tube.members])
 
 
 def _check_polytope_point(P: Poset, tube: Tube, vec: Mapping[int, Fraction]) -> Row:

@@ -441,7 +441,7 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     # kept vertices keep their cleared rows; only the new one is cleared
     vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
     labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
-    rows = tuple(Q.rows[k] for k in kept) + (tuple(homogeneous(new_point)),)
+    rows = tuple(Q.rows[k] for k in kept) + (homogeneous(new_point),)
     return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks)
 
 

@@ -83,13 +83,13 @@ def affine_rank(points) -> int:
     return integer_rank(homogeneous(p) for p in points) - 1
 
 
-def homogeneous(point) -> list[int]:
+def homogeneous(point) -> tuple[int, ...]:
     """The integer row D * (point, 1), D > 0 the least common denominator.
 
-    Entries may be ints or Fractions.
+    Entries may be ints or Fractions.  A tuple, so that rows can be keys.
     """
     den = math.lcm(*(x.denominator for x in point))
-    return [x.numerator * (den // x.denominator) for x in point] + [den]
+    return (*[x.numerator * (den // x.denominator) for x in point], den)
 
 
 def integer_rank(rows) -> int:

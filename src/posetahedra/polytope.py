@@ -81,17 +81,16 @@ class RationalPolytope:
         A cached property rather than a field, so that a copy made by
         ``dataclasses.replace`` clears its own vertices.
         """
-        return tuple(map(_row, self.vertices))
+        return tuple(map(linalg.homogeneous, self.vertices))
 
     @cached_property
     def ranks(self) -> dict[tuple, int]:
         """Memo of ``rank``: each tuple of vertex rows to its integer rank.
 
-        The key is the rows themselves, never vertex indices or labels, so
-        one memo can serve every polytope whose vertices it meets: the
-        melting induction hands it from each stage to the next, where kept
-        vertices keep their rows.  A copy made by ``dataclasses.replace``
-        starts an empty memo.
+        Keyed by the rows themselves, never by vertex index or label, so
+        the melting induction can hand one memo from stage to stage, where
+        kept vertices keep their rows.  A ``dataclasses.replace`` copy
+        starts an empty one.
         """
         return {}
 
@@ -161,10 +160,6 @@ class RationalPolytope:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
 
 
-def _row(point) -> tuple[int, ...]:
-    return tuple(linalg.homogeneous(point))
-
-
 def halfspace_row(normal, offset) -> list[int]:
     """The halfspace <n, v> <= b cleared of its denominators to (E n, -E b), E > 0.
 
@@ -200,7 +195,7 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
     """
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
-    rows = tuple(map(_row, vertices)) if rows is None else tuple(rows)
+    rows = tuple(map(linalg.homogeneous, vertices)) if rows is None else tuple(rows)
     signs = [side_signs(f.normal, f.offset, rows) for f in facets]
     incidence = tuple(frozenset(i for i, s in enumerate(row) if s == 0) for row in signs)
     poly = RationalPolytope(

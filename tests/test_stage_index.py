@@ -47,7 +47,7 @@ def _check_every_stage(host):
     ranks = {}  # the Fraction rank of each point set, which recurs from stage to stage
     for Q, adm in _stages(host):
         # each vertex was cleared once, and the rows handed on are its rows
-        assert Q.rows == tuple(tuple(homogeneous(v)) for v in Q.vertices)
+        assert Q.rows == tuple(map(homogeneous, Q.vertices))
         labels = Q.vertex_labels
         vertices_below = adm.order.below(labels)
         for i, T in enumerate(adm.elements):
