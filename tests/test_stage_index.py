@@ -72,7 +72,7 @@ def test_every_stage_matches_the_definitions_on_random_posets(P):
 
 
 def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
-    dual, adm = initial_dual(w5)
+    dual, _ = initial_dual(w5)
     square = sorted(next(inc for inc in dual.incidence if len(inc) == 4))
     # certifying the stage took this facet's rank and kept it
     assert dual.ranks[tuple(dual.rows[k] for k in square)] == 3
