@@ -507,6 +507,7 @@ def realize(P) -> RealizationResult:
 
     _check_final_lattice(P, dual, lattice)
     primal = polar_dual(dual)
+    dual.ranks.clear()  # the memo served this realization's stages; the result drops it
     return RealizationResult(P, dual, primal, lattice, tuple(sequence), tuple(counts))
 
 

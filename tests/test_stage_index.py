@@ -93,3 +93,6 @@ def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
     assert tampered.rank(square) == 4 and len(calls) == 1
     assert dual.rank(square) == 3 and len(calls) == 1
 
+
+def test_realization_drops_its_rank_memo(w5):
+    assert geometry.realize(w5).dual.ranks == {}
