@@ -253,13 +253,17 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
 
     Members of a connected tube on <= n vertices span at most (n-1) times
     the largest Hasse edge span, so the search window [1, n + (n-1)s] with
-    the minimum pinned to 1..n sees every class exactly once.
+    the minimum pinned to 1..n sees every class exactly once.  The search
+    runs once per host: the proper classes are the cached full list less
+    the singletons and the line.
     """
+    if proper_only:
+        return tuple(t for t in enumerate_affine_tubes(A, proper_only=False)
+                     if not t.is_full and len(t) > 1)
     n, s = A.n, A.max_edge_span
     window = range(1, n + max(0, (n - 1)) * s + 1)
     found = []
-    sizes = range(2 if proper_only else 1, n + 1)
-    for size in sizes:
+    for size in range(1, n + 1):
         for combo in itertools.combinations(window, size):
             if combo[0] > n:
                 continue
@@ -269,10 +273,7 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
                 continue
             if tube.members == combo:
                 found.append(tube)
-    found = sorted(set(found), key=AffineTube.key)
-    if not proper_only:
-        found.append(FULL)
-    return tuple(found)
+    return (*sorted(set(found), key=AffineTube.key), FULL)
 
 
 def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bool:

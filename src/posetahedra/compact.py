@@ -11,11 +11,12 @@ curves, never floating limits.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     IncoherentError,
@@ -29,7 +30,7 @@ from .errors import (
     WrongFaceError,
 )
 from .linalg import homogeneous
-from .poset import Poset, Vector, res, res_cleared
+from .poset import Poset, Vector, from_row, res, res_cleared
 from .rational import frac
 from .tubes import (
     CACHE_SIZE,
@@ -58,12 +59,14 @@ class ConfigPoint:
 
     The components are copied on construction, in element order, and
     frozen: the outer mapping and every component are read-only views, so
-    the cached ``rows``, ``tubing`` and ``tree`` cannot go stale.
+    the cached ``rows``, ``tubing`` and ``tree`` cannot go stale.  A point
+    built by the kernel holds only its rows; its components are read-only
+    ``Fraction`` views of them, each built the first time it is read.
     """
 
     host: Poset
     components: Mapping[Tube, Mapping[int, Fraction]] = field(hash=False)
-    # True on points made by _trusted, whose components are normalized
+    # True on points made by _trusted, whose rows are normalized
     # restrictions by construction; tubing_of validates the others.
     _filled = False
 
@@ -72,13 +75,15 @@ class ConfigPoint:
         object.__setattr__(self, "components", MappingProxyType(frozen))
 
     @classmethod
-    def _trusted(cls, host: Poset, components: dict[Tube, Mapping[int, Fraction]],
-                 rows: dict[Tube, Row]) -> "ConfigPoint":
-        """A point on components that are already frozen views in element
-        order, with their rows; neither is copied or checked."""
+    def _trusted(cls, host: Poset, rows: dict[Tube, Row],
+                 tree: TubingTree | None = None) -> "ConfigPoint":
+        """A point on the canonical rows of its components; they are not
+        copied or checked.  ``tree`` is the tubing tree the rows were filled
+        from, kept as a hint for ``tree``."""
         point = object.__new__(cls)
-        point.__dict__.update(host=host, components=MappingProxyType(components),
-                              rows=MappingProxyType(rows), _filled=True)
+        rows = MappingProxyType(rows)
+        point.__dict__.update(host=host, components=_RowComponents(rows), rows=rows,
+                              _filled=True, _tree_hint=tree)
         return point
 
     def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
@@ -105,6 +110,13 @@ class ConfigPoint:
 
     @cached_property
     def tree(self) -> TubingTree:
+        tubes = self.tubing.tubes
+        hint = self.__dict__.get("_tree_hint")
+        # the hint's proper tubes are its parent keys less the singletons,
+        # so they are the stratum's when these hold
+        if hint is not None and len(hint.parent) == len(self.host.elements) + len(tubes) \
+                and all(t in hint.parent for t in tubes):
+            return hint
         return tubing_tree(self.tubing)
 
     @cached_property
@@ -112,8 +124,44 @@ class ConfigPoint:
         return _tubing_of_checked(self)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, ConfigPoint) and self.host == other.host \
-            and self.components == other.components
+        if not isinstance(other, ConfigPoint) or self.host != other.host:
+            return False
+        if self._filled and other._filled:
+            # both sets of rows are canonical, so equal rows mean equal values
+            return self.rows == other.rows
+        return self.components == other.components
+
+
+class _RowComponents(Mapping):
+    """The read-only components of a kernel-built point.
+
+    Each component is a read-only ``Fraction`` view of its row, built the
+    first time it is read and then kept in ``_views``.
+    """
+
+    __slots__ = ("_rows", "_views")
+
+    def __init__(self, rows: Mapping[Tube, Row]):
+        self._rows = rows
+        self._views: dict[Tube, Mapping[int, Fraction]] = {}
+
+    def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
+        view = self._views.get(tube)
+        if view is None:
+            view = self._views[tube] = MappingProxyType(from_row(tube.members, self._rows[tube]))
+        return view
+
+    def __contains__(self, tube) -> bool:
+        return tube in self._rows
+
+    def __iter__(self):
+        return iter(self._rows)
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
 
 
 def _frozen(vec: Mapping[int, Fraction]) -> Mapping[int, Fraction]:
@@ -165,8 +213,9 @@ def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
         if x[i] >= x[j]:
             raise NotStrictError(f"need x[{i}] < x[{j}]")
     root = full_tube(P)
-    tree = tubing_tree(Tubing(P, frozenset()))
-    return _fill_from_tree(P, tree, *_cleared({root: res(P, root.members, x)}))
+    num = dict(zip(root.members, homogeneous([x[i] for i in root.members])))
+    row = res_cleared(_host_index(P).covers[root], root.members, num)
+    return _fill_from_tree(P, tubing_tree(Tubing(P, frozenset())), {root: row})
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -196,6 +245,8 @@ class _HostIndex(NamedTuple):
     pairs: tuple[tuple[Tube, Tube, int, int, tuple[int, ...]], ...]
     # every non-singleton tube strictly inside each non-singleton tube
     inside: Mapping[Tube, tuple[Tube, ...]]
+    # the host's cover pairs inside each non-singleton tube
+    covers: Mapping[Tube, tuple[tuple[int, int], ...]]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -206,7 +257,8 @@ def _host_index(P: Poset) -> _HostIndex:
                    tuple(outer.members.index(i) for i in inner.members))
                   for inner, outer in _nested_pairs(P))
     inside = {top: tuple(t for t in tubes if t.as_set < top.as_set) for top in tubes}
-    return _HostIndex(tubes, pairs, MappingProxyType(inside))
+    covers = {t: tuple(P.covers_within(t.members)) for t in tubes}
+    return _HostIndex(tubes, pairs, MappingProxyType(inside), MappingProxyType(covers))
 
 
 def is_coherent(c: ConfigPoint) -> tuple[bool, tuple[Tube, Tube] | None]:
@@ -308,62 +360,58 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
 # -- stratum synthesis --------------------------------------------------------
 
 
-def _cleared(components: Mapping[Tube, Mapping[int, Fraction]]
-             ) -> tuple[dict[Tube, Mapping[int, Fraction]], dict[Tube, Row]]:
-    """Frozen copies of the components and their rows."""
-    comps = {tube: _frozen(vec) for tube, vec in components.items()}
-    return comps, {tube: _row(tube, vec) for tube, vec in comps.items()}
+def _cleared(components: Mapping[Tube, Mapping[int, Fraction]]) -> dict[Tube, Row]:
+    """The rows of the components."""
+    return {tube: _row(tube, vec) for tube, vec in components.items()}
 
 
-def _fill_from_tree(P: Poset, tree: TubingTree,
-                    comps: dict[Tube, Mapping[int, Fraction]], rows: dict[Tube, Row],
+def _fill_from_tree(P: Poset, tree: TubingTree, rows: dict[Tube, Row],
                     top: Tube | None = None) -> ConfigPoint:
-    """Complete tree components to a point by normalized restriction.
+    """Complete the rows of tree components to a point by normalized restriction.
 
-    ``comps`` and ``rows`` hold frozen components, in element order, and
-    their rows for every tree node, and they are filled in place.  Only
-    the tubes strictly inside ``top`` (the root by default) are visited.
-    The minimal tree node containing such a tube X is found by walking down
-    from ``top``; X becomes res(X, y) of that node's component y, computed
-    on the node's row, when the node is ``top`` or when X has no component
-    yet.  Otherwise X keeps the component it has, and the walk stops at the
-    first node below ``top``.
+    ``rows`` holds the row of every tree node's component and is filled in
+    place.  Only the tubes strictly inside ``top`` (the root by default)
+    are visited.  The minimal tree node containing such a tube X is found by
+    walking down from ``top``; X gets the row of res(X, y), y that node's
+    component, computed on the node's row, when the node is ``top`` or when
+    X has no row yet.  Otherwise X keeps the row it has, and the walk stops
+    at the first node below ``top``.
 
-    ``expand`` and ``collapse`` pass every component of their input, with
-    the new one on the parent tube ``top``, and trust the kept ones.  A
-    tube whose minimal node is another tree node keeps its component: that
-    node's component is unchanged, so the restriction would come out the
-    same.  In ``collapse`` this includes the tubes whose minimal node is
-    the tube tau put back, whose component is carried too: for X inside
-    tau, res(X, res(tau, y)) = res(X, y), so they already hold their
-    restriction of tau's component.
+    ``expand`` and ``collapse`` pass every row of their input, with the new
+    one on the parent tube ``top``, and trust the kept ones.  A tube whose
+    minimal node is another tree node keeps its row: that node's component
+    is unchanged, so the restriction would come out the same.  In
+    ``collapse`` this includes the tubes whose minimal node is the tube tau
+    put back, whose row is carried too: for X inside tau,
+    res(X, res(tau, y)) = res(X, y), so they already hold their restriction
+    of tau's component.
     """
     def owner_of(node: Tube) -> dict[int, Tube]:
         """Each element of the node mapped to the child holding it."""
         return {e: child for child in tree.children[node] for e in child.members}
 
+    index = _host_index(P)
     top = tree.root if top is None else top
     owners = {top: owner_of(top)}
     nums: dict[Tube, dict[int, int]] = {}
-    for tube in _host_index(P).inside[top]:
+    for tube in index.inside[top]:
         first, members = tube.members[0], tube.as_set
         node, owner = top, owners[top]
         while members <= (below := owner[first]).as_set:
             node = below
-            if tube in comps:
+            if tube in rows:
                 break
             owner = owners.get(node)
             if owner is None:
                 owner = owners[node] = owner_of(node)
-        if node is not top and tube in comps:  # a tree node, or carried
+        if node is not top and tube in rows:  # a tree node, or carried
             continue
         num = nums.get(node)
         if num is None:
             # zip drops the common denominator that ends the row
             num = nums[node] = dict(zip(node.members, rows[node]))
-        vec, rows[tube] = res_cleared(P, tube.members, num)
-        comps[tube] = MappingProxyType(vec)
-    return ConfigPoint._trusted(P, comps, rows)
+        rows[tube] = res_cleared(index.covers[tube], tube.members, num)
+    return ConfigPoint._trusted(P, rows, tree)
 
 
 def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fraction]]) -> ConfigPoint:
@@ -373,21 +421,24 @@ def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fractio
     must lie in the open face whose blocks are exactly that tube's children
     in the nesting tree; everything else is reconstructed by restriction.
     """
-    tree = tubing_tree(T)
-    tree_tubes = set(T.tubes) | {full_tube(P)}
-    comps: dict[Tube, Mapping[int, Fraction]] = {}
+    return _synthesize(P, T, tubing_tree(T), interior)
+
+
+def _synthesize(P: Poset, T: Tubing, tree: TubingTree,
+                interior: Mapping[Tube, Mapping[int, Fraction]]) -> ConfigPoint:
+    """synthesize on the tubing tree of T, built by the caller."""
     rows: dict[Tube, Row] = {}
-    for tube in sorted(tree_tubes, key=Tube.key):
+    for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key):
         if tube not in interior:
             raise WrongFaceError(f"missing interior point for {tube}")
-        comps[tube] = _frozen({i: frac(v) for i, v in interior[tube].items()})
-        rows[tube] = _check_polytope_point(P, tube, comps[tube])
+        row = rows[tube] = _check_polytope_point(
+            P, tube, {i: frac(v) for i, v in interior[tube].items()})
         expected = frozenset(tree.children[tube])
-        if _level_blocks(P, tube.members, dict(zip(tube.members, rows[tube]))) != expected:
+        if _level_blocks(P, tube.members, dict(zip(tube.members, row))) != expected:
             raise WrongFaceError(
                 f"point for {tube} is constant on the wrong blocks"
             )
-    return _fill_from_tree(P, tree, comps, rows)
+    return _fill_from_tree(P, tree, rows)
 
 
 def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
@@ -405,7 +456,7 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
         b = next(b for b in order if b not in placed and before[b] <= placed)
         placed.add(b)
         height.update(dict.fromkeys(b.members, level))
-    return res_cleared(P, tube.members, height)[0]
+    return res(P, tube.members, height)
 
 
 def stratum_point(P: Poset, T: Tubing) -> ConfigPoint:
@@ -437,15 +488,21 @@ class Stratum:
             tube: face_interior_point(P, tube, tree.children[tube])
             for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key)
         }
-        return Stratum(T, interior)
+        stratum = Stratum(T, interior)
+        stratum.__dict__["tree"] = tree  # the cached tree of T, built once
+        return stratum
+
+    @cached_property
+    def tree(self) -> TubingTree:
+        return tubing_tree(self.tubing)
 
     @property
     def dim(self) -> int:
-        tree = tubing_tree(self.tubing)
+        tree = self.tree
         return sum(len(tree.children[t]) - 2 for t in tree.non_singleton_nodes())
 
     def point(self) -> ConfigPoint:
-        return synthesize(self.tubing.host, self.tubing, self.interior)
+        return _synthesize(self.tubing.host, self.tubing, self.tree, self.interior)
 
 
 # -- approach curves ----------------------------------------------------------
@@ -534,11 +591,11 @@ def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
     """Separate tau from its parent by scale t, landing in stratum T - {tau}."""
     t = frac(t)
     _require_adjacent(c, tau, tau_plus)
-    if t < 0 or t >= t_max(c, tau, tau_plus):
+    P = c.host
+    if t < 0 or t >= _t_max_core(c, tau, tau_plus, *_boundary_pairs(P, tau, tau_plus)):
         raise RangeError(f"need 0 <= t < t_max, got {t}")
     if t == 0:
         return c
-    P = c.host
     # The new parent point is y + t*x on tau over its alpha, which is its
     # restriction to tau_plus, as y + t*x sums to zero.  With y = u/D,
     # x = v/E and t = p/q, y + t*x is cleared by D*E*q.
@@ -546,11 +603,10 @@ def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
     num = {i: n * v[-1] * t.denominator for i, n in zip(tau_plus.members, u)}
     for i, n in zip(tau.members, v):
         num[i] += n * u[-1] * t.numerator
-    comps, rows = c.components.copy(), c.rows.copy()
-    new_parent, rows[tau_plus] = res_cleared(P, tau_plus.members, num)
-    comps[tau_plus] = MappingProxyType(new_parent)
+    rows = c.rows.copy()
+    rows[tau_plus] = res_cleared(_host_index(P).covers[tau_plus], tau_plus.members, num)
     tree = tubing_tree(Tubing(P, c.tubing.tubes - {tau}))
-    return _fill_from_tree(P, tree, comps, rows, tau_plus)
+    return _fill_from_tree(P, tree, rows, tau_plus)
 
 
 def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fraction]:
@@ -590,21 +646,24 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     for j, i in down:
         if not num[j] < mean:
             raise NotInCollError(f"need x[{j}] < avg on {tau_plus}")
-    scale = Fraction(sum(num[j] - num[i] for i, j in P.covers_within(tau_plus.members)),
-                     k * c.rows[tau_plus][-1])  # alpha(z)
-    comps, rows = c.components.copy(), c.rows.copy()
-    collapsed_parent, rows[tau_plus] = res_cleared(P, tau_plus.members, num)
-    comps[tau_plus] = MappingProxyType(collapsed_parent)
-    point = _fill_from_tree(P, tree, comps, rows, tau_plus)
+    covers = _host_index(P).covers[tau_plus]
+    rows = c.rows.copy()
+    rows[tau_plus] = res_cleared(covers, tau_plus.members, num)
+    point = _fill_from_tree(P, tree, rows, tau_plus)
 
-    yp = c[tau_plus]
-    ts = set()
-    for i in tau:
-        if point[tau][i] != 0:
-            ts.add((yp[i] / scale - point[tau_plus][i]) / point[tau][i])
-    if len(ts) != 1:
+    # t = (y[i] / alpha(z) - w[i]) / x[i] for i in tau, w the collapsed
+    # parent point and x the point on tau.  With w = m/W, x = v/E and
+    # alpha(z) = S / (|tau|*D), S the alpha of the numerators of z,
+    # t = E*d[i] / (S*W*v[i]) with d[i] = |tau|*u[i]*W - m[i]*S, which must
+    # come out the same for every i with v[i] != 0.
+    scale = sum(num[j] - num[i] for i, j in covers)
+    W, E = point.rows[tau_plus][-1], point.rows[tau][-1]
+    m = dict(zip(tau_plus.members, point.rows[tau_plus]))
+    ratios = [(k * u[i] * W - m[i] * scale, v) for i, v in zip(tau.members, point.rows[tau]) if v]
+    if not ratios or any(d * ratios[0][1] != ratios[0][0] * v for d, v in ratios):
         raise NotInCollError("recovered expansion scale is inconsistent")
-    t = ts.pop()
+    d, v = ratios[0]
+    t = Fraction(E * d, scale * W * v)
     if not 0 < t < _t_max_core(point, tau, tau_plus, up, down):
         raise NotInCollError(f"recovered expansion scale {t} is outside (0, t_max)")
     return point, t
@@ -736,7 +795,7 @@ def ratio_counterexample_demo(targets=(Fraction(0), Fraction(1)),
     root = full_tube(P)
     limit_root = {1: Fraction(-1, 8), 2: Fraction(-1, 8), 3: Fraction(3, 8), 4: Fraction(-1, 8)}
     tree = tubing_tree(Tubing.of(P, [tube24]))
-    limit = _fill_from_tree(P, tree, *_cleared(
+    limit = _fill_from_tree(P, tree, _cleared(
         {root: limit_root, tube24: {2: Fraction(-1, 2), 4: Fraction(1, 2)}}))
 
     curves = []

@@ -74,6 +74,10 @@ class BitBudgetError(PosetahedraError):
     """Rational coordinate sizes exceeded POSETAHEDRA_MAX_BITS."""
 
 
+class ElementBudgetError(PosetahedraError):
+    """The poset has more elements than tube enumeration takes."""
+
+
 # -- compactification --------------------------------------------------------
 
 class NotStrictError(ValidationError):

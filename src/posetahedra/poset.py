@@ -277,28 +277,31 @@ def res(P: Poset, subset, x: Mapping[int, Fraction]) -> Vector:
 
     The result does not change when x is scaled by a positive number, so x
     is cleared to integer numerators over one common denominator and handed
-    to :func:`res_cleared`.
+    to :func:`res_cleared`; the Fractions are built from the row it returns.
     """
     members = _members(subset)
     _require_coords(members, x)
     # zip drops the common denominator that ends the homogeneous row
     num = dict(zip(members, homogeneous([frac(x[i]) for i in members])))
-    return res_cleared(P, members, num)[0]
+    return from_row(members, res_cleared(P.covers_within(members), members, num))
 
 
-def res_cleared(P: Poset, members: tuple[int, ...],
-                num: Mapping[int, int]) -> tuple[Vector, tuple[int, ...]]:
+def res_cleared(covers: Iterable[tuple[int, int]], members: tuple[int, ...],
+                num: Mapping[int, int]) -> tuple[int, ...]:
     """The core of res on a point already cleared to integer numerators.
 
     ``num`` holds the numerators n of x over one positive common
-    denominator (any positive multiple of x will do) and ``members`` is the
-    sorted subset.  With k the subset size, s the sum of the n over it and a
-    their alpha, coordinate i of the restriction is (k*n_i - s) / (k*a).
-    Returns the restriction and its homogeneous row: the numerators and the
-    denominator k*a divided by their gcd g, where g takes the sign of k*a so
-    that the denominator is positive.
+    denominator (any positive multiple of x will do), ``members`` is the
+    sorted subset and ``covers`` the host's cover pairs inside it.  With k
+    the subset size, s the sum of the n over it and a their alpha,
+    coordinate i of the restriction is (k*n_i - s) / (k*a).  Returns the
+    restriction's homogeneous row: the numerators and the denominator k*a
+    divided by their gcd g, where g takes the sign of k*a so that the
+    denominator is positive.  That row is primitive with a positive last
+    entry, the same canonical form ``linalg.homogeneous`` gives, so equal
+    rows mean equal restrictions.
     """
-    scale = sum(num[j] - num[i] for i, j in P.covers_within(members))
+    scale = sum(num[j] - num[i] for i, j in covers)
     if scale == 0:
         raise DegenerateError(
             f"alpha vanishes on {list(members)}; coordinates are constant there"
@@ -310,8 +313,14 @@ def res_cleared(P: Poset, members: tuple[int, ...],
     g = math.gcd(den, *tops)
     if den < 0:
         g = -g
-    vec = {i: Fraction(top, den) for i, top in zip(members, tops)}
-    return vec, (*(top // g for top in tops), den // g)
+    return (*(top // g for top in tops), den // g)
+
+
+def from_row(members: Iterable[int], row: tuple[int, ...]) -> Vector:
+    """The point whose homogeneous row is ``row``, its numerators in the
+    order of ``members`` followed by the common denominator."""
+    den = row[-1]
+    return {i: Fraction(n, den) for i, n in zip(members, row)}
 
 
 def _require_coords(members, x) -> None:

@@ -17,11 +17,20 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .errors import MalformedTreeError, NotAPartitionError, NotATubeError, NotATubingError
+from .errors import (
+    ElementBudgetError,
+    MalformedTreeError,
+    NotAPartitionError,
+    NotATubeError,
+    NotATubingError,
+)
 from .poset import Poset, build_poset, find_cycle, is_connected, is_convex
 
 # Hosts (or host and flag) kept by each per-host cache of tubes and tubings
 CACHE_SIZE = 128
+# Most elements enumerate_tubes takes: it tests all 2^|P| subsets, which
+# takes about a second at 16 elements and doubles with each one more.
+MAX_ELEMENTS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -80,8 +89,14 @@ def full_tube(P: Poset) -> Tube:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
-    """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|."""
+    """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|.
+
+    Raises ElementBudgetError when |P| is above MAX_ELEMENTS.
+    """
     n = len(P.elements)
+    if n > MAX_ELEMENTS:
+        raise ElementBudgetError(
+            f"{n} elements: tube enumeration takes at most {MAX_ELEMENTS}")
     found = []
     for mask in range(1, 1 << n):
         members = tuple(P.elements[k] for k in range(n) if mask >> k & 1)

@@ -589,3 +589,31 @@ def order_polytope_face_lattice(n, parts):
                 if _partition_le(lo, hi):
                     covers.append((lo, hi))
     return _lattice_of(keyed, covers)
+
+
+# -- affine tube classes ------------------------------------------------------
+#
+# A copy of enumerate_affine_tubes as it was, when it searched once for each
+# value of proper_only.  The package's tube constructor, its error, the tube
+# class and the line class enter as arguments.
+
+
+def enumerate_affine_tubes(A, proper_only, make_affine_tube, NotATubeError, AffineTube, FULL):
+    n, s = A.n, A.max_edge_span
+    window = range(1, n + max(0, (n - 1)) * s + 1)
+    found = []
+    sizes = range(2 if proper_only else 1, n + 1)
+    for size in sizes:
+        for combo in itertools.combinations(window, size):
+            if combo[0] > n:
+                continue
+            try:
+                tube = make_affine_tube(A, combo)
+            except NotATubeError:
+                continue
+            if tube.members == combo:
+                found.append(tube)
+    found = sorted(set(found), key=AffineTube.key)
+    if not proper_only:
+        found.append(FULL)
+    return tuple(found)

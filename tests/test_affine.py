@@ -6,8 +6,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import oracles
 from posetahedra import corpus
 from posetahedra.affine import (
+    FULL,
     AffinePoset,
     AffineTube,
     affine_admissible_tubings,
@@ -126,6 +128,16 @@ class TestAffineTubes:
 
     def test_order_one_none(self):
         assert enumerate_affine_tubes(corpus.circular_chain(1)) == ()
+
+    @pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE))
+    @pytest.mark.parametrize("proper_only", [True, False])
+    def test_classes_match_the_old_search(self, name, proper_only):
+        """Both lists, the proper one filtered from the cached full one,
+        equal the old search for that flag, order included."""
+        A = corpus.DESK_AFFINE[name]
+        expected = oracles.enumerate_affine_tubes(A, proper_only, make_affine_tube,
+                                                  NotATubeError, AffineTube, FULL)
+        assert enumerate_affine_tubes(A, proper_only=proper_only) == expected
 
     def test_residue_repetition_rejected(self, cc3):
         with pytest.raises(NotATubeError):

@@ -2,8 +2,9 @@
 
 Coherence on covering pairs must give the all-pairs verdict, the integer
 restriction must equal the Fraction one, and expand/collapse, which carry
-unchanged restrictions and rows over from their input, must equal a full
-rebuild, on the corpus and on random posets.
+unchanged rows over from their input, must equal a full rebuild, on the
+corpus and on random posets.  Kernel-built points hold only rows: equal rows
+must mean equal values, and the round trip must build no Fraction component.
 """
 
 from fractions import Fraction as F
@@ -34,6 +35,7 @@ from posetahedra.compact import (
     nonsingleton_tubes,
     stratum_point,
     t_max,
+    tubing_of,
 )
 from posetahedra.errors import DegenerateError
 from posetahedra.lattice import (
@@ -42,7 +44,7 @@ from posetahedra.lattice import (
     tubing_partitions,
 )
 from posetahedra.linalg import homogeneous
-from posetahedra.poset import build_poset, res, res_cleared
+from posetahedra.poset import build_poset, from_row, res, res_cleared
 from posetahedra.tubes import (
     CACHE_SIZE,
     enumerate_proper_tubings,
@@ -134,18 +136,20 @@ def test_integer_res_matches_fraction_res(P, constant, data):
         got = res(P, members, x)
         assert got == expected
         assert all(type(v) is F for v in got.values())
-        # the core on a cleared point gives the same restriction and its row,
+        # the core on a cleared point gives the row of the same restriction,
         # also where alpha is negative
         num = dict(zip(members, homogeneous([x[i] for i in members])))
-        vec, row = res_cleared(P, tuple(members), num)
-        assert vec == expected and row == tuple(homogeneous(vec.values()))
+        row = res_cleared(P.covers_within(members), tuple(members), num)
+        assert from_row(members, row) == expected
+        assert row == tuple(homogeneous([expected[i] for i in members]))
 
 
 def full_rebuild(point):
-    """The point rebuilt from its tree components by restriction alone."""
+    """The point rebuilt by restriction alone from its tree components,
+    read as Fractions and cleared again."""
     P = point.host
     nodes = point.tubing.tubes | {full_tube(P)}
-    return _fill_from_tree(P, point.tree, *_cleared({tube: point[tube] for tube in nodes}))
+    return _fill_from_tree(P, point.tree, _cleared({tube: point[tube] for tube in nodes}))
 
 
 @pytest.mark.parametrize("name", ["w5", "chain5"])
@@ -215,6 +219,50 @@ def test_random_expand_collapse_round_trip(stratum, data):
             assert twice == full_rebuild(twice), (T, tau, tau2)
             assert_exact(twice)
             assert collapse(twice, tau2, parent2) == (moved, t2)
+
+
+@SETTINGS
+@given(strata(), st.data())
+def test_equal_rows_mean_equal_values(stratum, data):
+    """A kernel-built point equals the point the public constructor builds
+    from its components, read as Fractions, and an expansion at t > 0 moves
+    it; every expand and collapse result is exact."""
+    P, T = stratum
+    point = stratum_point(P, T)
+    kernel_points = [point]
+    for tau, parent in tubing_tree(T).adjacent_pairs():
+        moved = expand(point, tau, parent, draw_t(data, point, tau, parent))
+        back, _ = collapse(moved, tau, parent)
+        kernel_points += [moved, back]
+    for p in kernel_points:
+        public = ConfigPoint(P, {t: dict(v) for t, v in p.components.items()})
+        assert public == p and p == public
+        assert public.rows == p.rows  # homogeneous and res_cleared rows agree
+        for tau, parent in p.tree.adjacent_pairs():
+            assert expand(p, tau, parent, draw_t(data, p, tau, parent)) != p
+    for p in kernel_points[1:]:
+        assert_exact(p)
+
+
+def test_round_trip_builds_no_component():
+    """t_max, expand, tubing_of, collapse and == on w5 read only rows: no
+    point they touch builds a Fraction component until one is read."""
+    P = corpus.DESK_POSETS["w5"]
+    for T in enumerate_proper_tubings(P):
+        point = stratum_point(P, T)
+        assert tubing_of(point).tubes == T.tubes
+        for tau, parent in tubing_tree(T).adjacent_pairs():
+            tm = t_max(point, tau, parent)
+            t = F(1) if tm == float("inf") else tm / 2
+            moved = expand(point, tau, parent, t)
+            assert tubing_of(moved).tubes == T.tubes - {tau}
+            back, t_back = collapse(moved, tau, parent)
+            assert back == point and t_back == t
+            for p in (point, moved, back):
+                assert p.components._views == {}
+    # in the moved point tau restricts from its parent's new component
+    assert moved[tau] == res(P, tau.members, moved[parent])
+    assert set(moved.components._views) == {tau, parent}
 
 
 def test_host_caches_are_bounded():

@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction as F
 
 import pytest
@@ -124,6 +125,17 @@ class TestCli:
         assert main(["tubes", files["chain4"], "--proper"]) == 0
         assert capsys.readouterr().out == first
         assert json.loads(first)[0] == [1, 2]
+
+    @pytest.mark.parametrize("flag", [[], ["--proper"], ["--max-tubings"]])
+    def test_tubes_refuse_a_long_chain_fast(self, files, capsys, flag):
+        """A 40-element chain is over the element budget of tube
+        enumeration, so the command exits 1 at once instead of hanging."""
+        chain40 = files["dir"] / "chain40.json"
+        chain40.write_text(json.dumps({"covers": [[i, i + 1] for i in range(1, 40)]}))
+        start = time.perf_counter()
+        assert main(["tubes", str(chain40), *flag]) == 1
+        assert time.perf_counter() - start < 1
+        assert "40 elements" in capsys.readouterr().err
 
     def test_max_tubings(self, files, capsys):
         assert main(["tubes", files["chain4"], "--max-tubings"]) == 0

@@ -5,8 +5,15 @@ from hypothesis import given
 
 import oracles
 from posetahedra import corpus
-from posetahedra.errors import MalformedTreeError, NotAPartitionError, NotATubeError, NotATubingError
+from posetahedra.errors import (
+    ElementBudgetError,
+    MalformedTreeError,
+    NotAPartitionError,
+    NotATubeError,
+    NotATubingError,
+)
 from posetahedra.tubes import (
+    MAX_ELEMENTS,
     Tube,
     Tubing,
     d_graph,
@@ -43,6 +50,14 @@ class TestEnumerateTubes:
 
     def test_two_elements_no_proper(self):
         assert enumerate_tubes(corpus.chain(2), proper_only=True) == ()
+
+    def test_element_budget(self):
+        """A chain of MAX_ELEMENTS is enumerated, one element more is refused."""
+        n = MAX_ELEMENTS
+        assert len(enumerate_tubes(corpus.chain(n))) == n * (n + 1) // 2  # the intervals
+        for proper_only in (False, True):
+            with pytest.raises(ElementBudgetError):
+                enumerate_tubes(corpus.chain(MAX_ELEMENTS + 1), proper_only=proper_only)
 
     def test_brute_force_agreement(self):
         for name in SMALL + ["h6", "chain6", "claw4"]:
