@@ -110,6 +110,8 @@ class ConfigPoint:
 
     @cached_property
     def tree(self) -> TubingTree:
+        """The tree of the stratum tubing, which is recomputed from the
+        rows; the tree the point was filled from serves when it agrees."""
         tubes = self.tubing.tubes
         hint = self.__dict__.get("_tree_hint")
         # the hint's proper tubes are its parent keys less the singletons,
@@ -127,8 +129,10 @@ class ConfigPoint:
         if not isinstance(other, ConfigPoint) or self.host != other.host:
             return False
         if self._filled and other._filled:
-            # both sets of rows are canonical, so equal rows mean equal values
+            # kernel rows are canonical, so equal rows mean equal values
             return self.rows == other.rows
+        # a point from the public constructor is compared by the components
+        # it was given, which need not clear to rows
         return self.components == other.components
 
 
