@@ -25,6 +25,7 @@ from posetahedra.compact import (
 from posetahedra.errors import (
     IncoherentError,
     NotAdjacentError,
+    NotCollapsibleError,
     NotInCollError,
     NotStrictError,
     RangeError,
@@ -340,6 +341,17 @@ class TestExpandCollapse:
         point = stratum_point(c3, Tubing.of(c3, [T12]))
         same, t = collapse(point, T12, full_tube(c3))
         assert same is point and t == 0
+
+    @pytest.mark.parametrize("tau,parent", [((3,), (1, 2, 3, 4)), ((1,), (1, 2))])
+    def test_collapse_singleton_is_not_adjacent(self, c4, tau, parent):
+        """A singleton is no stratum tube: collapse refuses it by name,
+        and composite_collapse reports the step."""
+        point = stratum_point(c4, Tubing.of(c4, [T12]))
+        with pytest.raises(NotAdjacentError):
+            collapse(point, Tube.of(tau), Tube.of(parent))
+        T = Tubing.of(c4, [T12, Tube.of(tau)])
+        with pytest.raises(NotCollapsibleError):
+            composite_collapse(point, T, Tubing.of(c4, [T12]))
 
     def test_collapse_domain_violation(self, n4):
         tube24 = Tube.of((2, 4))
