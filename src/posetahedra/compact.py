@@ -5,7 +5,11 @@ per non-singleton tube (the whole poset included), linked by the coherence
 condition: projecting a bigger tube's point to a nested tube must give a
 nonnegative multiple of the nested tube's point.  All operations here are
 exact; convergence statements are exercised through explicit rational
-curves, never floating limits.
+curves, never approximate limits.
+
+The kernel works on tube positions (``_host_index``): a point holds one
+integer row per position, and a stratum is the mask of the positions of its
+tubes and the root, the nodes of its tubing tree.
 """
 
 from __future__ import annotations
@@ -15,8 +19,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import (
     IncoherentError,
@@ -30,7 +35,7 @@ from .errors import (
     WrongFaceError,
 )
 from .linalg import homogeneous
-from .poset import Poset, Vector, from_row, res, res_cleared
+from .poset import Poset, Vector, cover_indices, from_row, res_cleared
 from .rational import frac
 from .tubes import (
     CACHE_SIZE,
@@ -39,14 +44,35 @@ from .tubes import (
     TubingTree,
     enumerate_tubes,
     full_tube,
-    has_arrow,
-    is_tubing,
+    tube_complex,
     tubing_tree,
 )
 
 SCALE_GUARD = Fraction(1, 10)
 
 Row = tuple[int, ...]
+
+
+class _Unbounded:
+    """The type of ``UNBOUNDED``: above every rational number."""
+
+    __slots__ = ()
+
+    def __repr__(self) -> str:
+        return "UNBOUNDED"
+
+    def __gt__(self, other):
+        return True if isinstance(other, Rational) else NotImplemented
+
+    def __lt__(self, other):
+        return False if isinstance(other, Rational) else NotImplemented
+
+    __ge__ = __gt__
+    __le__ = __lt__
+
+
+# t_max of a pair that no boundary relation bounds
+UNBOUNDED = _Unbounded()
 
 
 def nonsingleton_tubes(P: Poset) -> tuple[Tube, ...]:
@@ -59,9 +85,10 @@ class ConfigPoint:
 
     The components are copied on construction, in element order, and
     frozen: the outer mapping and every component are read-only views, so
-    the cached ``rows``, ``tubing`` and ``tree`` cannot go stale.  A point
-    built by the kernel holds only its rows; its components are read-only
-    ``Fraction`` views of them, each built the first time it is read.
+    the cached rows, ``nodes``, ``tubing`` and ``tree`` cannot go stale.  A
+    point built by the kernel holds only its rows, by tube position; its
+    components are read-only ``Fraction`` views of them, each built the
+    first time it is read.
     """
 
     host: Poset
@@ -75,15 +102,12 @@ class ConfigPoint:
         object.__setattr__(self, "components", MappingProxyType(frozen))
 
     @classmethod
-    def _trusted(cls, host: Poset, rows: dict[Tube, Row],
-                 tree: TubingTree | None = None) -> "ConfigPoint":
-        """A point on the canonical rows of its components; they are not
-        copied or checked.  ``tree`` is the tubing tree the rows were filled
-        from, kept as a hint for ``tree``."""
+    def _trusted(cls, index: "_HostIndex", rows: tuple[Row, ...]) -> "ConfigPoint":
+        """A point of the index's host on the canonical rows of its
+        components, one per tube position; they are not copied or checked."""
         point = object.__new__(cls)
-        rows = MappingProxyType(rows)
-        point.__dict__.update(host=host, components=_RowComponents(rows), rows=rows,
-                              _filled=True, _tree_hint=tree)
+        point.__dict__.update(host=index.host, components=_RowComponents(index, rows),
+                              _index=index, _rows=rows, _filled=True)
         return point
 
     def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
@@ -103,34 +127,43 @@ class ConfigPoint:
                 raise ValueError(f"component {tube} has wrong index set")
 
     @cached_property
-    def rows(self) -> Mapping[Tube, Row]:
-        """Each component cleared once: its homogeneous row, numerators in
-        the order of the tube's members, then the common denominator."""
-        return MappingProxyType({tube: _row(tube, vec) for tube, vec in self.components.items()})
+    def _index(self) -> "_HostIndex":
+        return _host_index(self.host)
 
     @cached_property
-    def tree(self) -> TubingTree:
-        """The tree of the stratum tubing, which is recomputed from the
-        rows; the tree the point was filled from serves when it agrees."""
-        tubes = self.tubing.tubes
-        hint = self.__dict__.get("_tree_hint")
-        # the hint's proper tubes are its parent keys less the singletons,
-        # so they are the stratum's when these hold
-        if hint is not None and len(hint.parent) == len(self.host.elements) + len(tubes) \
-                and all(t in hint.parent for t in tubes):
-            return hint
-        return tubing_tree(self.tubing)
+    def _rows(self) -> tuple[Row, ...]:
+        """Each component cleared once, by tube position: its homogeneous
+        row, numerators in the order of the tube's members, then the common
+        denominator."""
+        return tuple(_row(tube, self.components[tube]) for tube in self._index.tubes)
+
+    @cached_property
+    def rows(self) -> Mapping[Tube, Row]:
+        """The rows keyed by tube."""
+        return MappingProxyType(dict(zip(self._index.tubes, self._rows)))
+
+    @cached_property
+    def nodes(self) -> int:
+        """The stratum as a mask of tube positions: its tubes and the root.
+        It is recomputed from the rows, after the checks of ``tubing_of``."""
+        return _stratum_nodes(self)
 
     @cached_property
     def tubing(self) -> Tubing:
-        return _tubing_of_checked(self)
+        index = self._index
+        return Tubing(self.host, frozenset(map(index.tubes.__getitem__,
+                                               _positions(self.nodes & index.proper))))
+
+    @cached_property
+    def tree(self) -> TubingTree:
+        return tubing_tree(self.tubing)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConfigPoint) or self.host != other.host:
             return False
         if self._filled and other._filled:
             # kernel rows are canonical, so equal rows mean equal values
-            return self.rows == other.rows
+            return self._rows == other._rows
         # a point from the public constructor is compared by the components
         # it was given, which need not clear to rows
         return self.components == other.components
@@ -143,23 +176,25 @@ class _RowComponents(Mapping):
     first time it is read and then kept in ``_views``.
     """
 
-    __slots__ = ("_rows", "_views")
+    __slots__ = ("_index", "_rows", "_views")
 
-    def __init__(self, rows: Mapping[Tube, Row]):
+    def __init__(self, index: "_HostIndex", rows: tuple[Row, ...]):
+        self._index = index
         self._rows = rows
         self._views: dict[Tube, Mapping[int, Fraction]] = {}
 
     def __getitem__(self, tube: Tube) -> Mapping[int, Fraction]:
         view = self._views.get(tube)
         if view is None:
-            view = self._views[tube] = MappingProxyType(from_row(tube.members, self._rows[tube]))
+            row = self._rows[self._index.position[tube]]
+            view = self._views[tube] = MappingProxyType(from_row(tube.members, row))
         return view
 
     def __contains__(self, tube) -> bool:
-        return tube in self._rows
+        return tube in self._index.position
 
     def __iter__(self):
-        return iter(self._rows)
+        return iter(self._index.tubes)
 
     def __len__(self) -> int:
         return len(self._rows)
@@ -177,49 +212,39 @@ def _row(tube: Tube, vec: Mapping[int, Fraction]) -> Row:
 
 
 def _check_polytope_point(P: Poset, tube: Tube, vec: Mapping[int, Fraction]) -> Row:
-    """Check that the component is a point of Ord(tube) and return its row.
+    """Check that the component is a point of Ord(tube) and return its row."""
+    if set(vec) != tube.as_set:
+        raise ValueError(f"component {tube} has wrong index set")
+    index = _host_index(P)
+    row = _row(tube, vec)
+    _check_row(tube, index.covers[index.position[tube]], row)
+    return row
+
+
+def _check_row(tube: Tube, pairs: Sequence[tuple[int, int]], row: Row) -> None:
+    """Check that the row is a point of Ord(tube), ``pairs`` being the
+    tube's cover pairs as member positions.
 
     The checks run on the numerators n over the row's denominator D: the
     point sums to zero when the n do, and alpha is 1 when alpha(n) = D.
     """
-    if set(vec) != tube.as_set:
-        raise ValueError(f"component {tube} has wrong index set")
-    row = _row(tube, vec)
-    num = dict(zip(tube.members, row))  # zip drops D
-    covers = P.covers_within(tube.members)
-    if sum(num.values()) != 0:
+    if sum(row[:-1]) != 0:
         raise ValueError(f"component {tube} does not sum to zero")
-    if sum(num[j] - num[i] for i, j in covers) != row[-1]:
+    if sum(row[b] - row[a] for a, b in pairs) != row[-1]:
         raise ValueError(f"component {tube} is not normalized")
-    for i, j in covers:
-        if num[i] > num[j]:
-            raise ValueError(f"component {tube} is not order-preserving")
-    return row
+    if any(row[a] > row[b] for a, b in pairs):
+        raise ValueError(f"component {tube} is not order-preserving")
 
 
-# -- restriction embedding ----------------------------------------------------
+# -- the position index -------------------------------------------------------
 
 
-def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
-    """Restrict a strict configuration to every non-singleton tube.
-
-    The input lives in the open order cone: coordinates sum to zero and
-    increase strictly along every relation.  Restriction is transitive,
-    res(X, res(P, x)) = res(X, x), so this is the point filled in from the
-    root component alone.
-    """
-    x = {i: frac(v) for i, v in x.items()}
-    if set(x) != set(P.elements):
-        raise ValueError("configuration must assign every element")
-    if sum(x.values()) != 0:
-        raise ValueError("configuration coordinates must sum to zero")
-    for i, j in P.covers:
-        if x[i] >= x[j]:
-            raise NotStrictError(f"need x[{i}] < x[{j}]")
-    root = full_tube(P)
-    num = dict(zip(root.members, homogeneous([x[i] for i in root.members])))
-    row = res_cleared(_host_index(P).covers[root], root.members, num)
-    return _fill_from_tree(P, tubing_tree(Tubing(P, frozenset())), {root: row})
+def _positions(mask: int) -> Iterator[int]:
+    """The set bits of a mask, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -241,28 +266,130 @@ def _nested_pairs(P: Poset) -> tuple[tuple[Tube, Tube], ...]:
 
 
 class _HostIndex(NamedTuple):
-    """Per-host tables of the non-singleton tubes."""
+    """Per-host tables of the non-singleton tubes, by position.
 
+    Position k is ``tubes[k]``: the proper tubes in ``tube_complex`` order
+    (by size, then members), then the root.  A smaller tube comes first, so
+    the smallest tube of a chain in a mask is its lowest set bit.  Elements
+    are bits too, in the order of ``P.elements``.
+    """
+
+    host: Poset
     tubes: tuple[Tube, ...]
-    # covering pairs (inner, outer), their indices in tubes, and the
-    # positions of inner's members among outer's
+    position: Mapping[Tube, int]
+    root: int
+    proper: int  # the mask of the proper tubes
+    mask: tuple[int, ...]  # the element mask of each tube
+    at_mask: Mapping[int, int]  # the position of each element mask
+    bit: Mapping[int, int]  # the bit of each element
+    bits: tuple[tuple[int, ...], ...]  # the bits of each tube's members
+    above: tuple[int, ...]  # the strict up-set of each element, as a mask
+    sup: tuple[int, ...]  # the tubes strictly containing each tube
+    inside: tuple[tuple[int, ...], ...]  # the positions strictly inside each tube
+    # the host's cover pairs inside each tube, as positions in its members
+    covers: tuple[tuple[tuple[int, int], ...], ...]
+    # covering pairs (inner, outer), their positions, and the positions of
+    # inner's members among outer's
     pairs: tuple[tuple[Tube, Tube, int, int, tuple[int, ...]], ...]
-    # every non-singleton tube strictly inside each non-singleton tube
-    inside: Mapping[Tube, tuple[Tube, ...]]
-    # the host's cover pairs inside each non-singleton tube
-    covers: Mapping[Tube, tuple[tuple[int, int], ...]]
+    compat: tuple[int, ...]  # tube_complex's, on the proper positions
+    arrow: tuple[int, ...]
+    # filled on demand: gathers[m][x] holds the positions of tube x's
+    # members among tube m's, and boundary[x, y] the boundary relations
+    # of tube x inside tube y (see _boundary)
+    gathers: tuple[dict[int, tuple[int, ...]], ...]
+    boundary: dict[tuple[int, int], tuple[list, list]]
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _host_index(P: Poset) -> _HostIndex:
     tubes = nonsingleton_tubes(P)
-    index = {tube: k for k, tube in enumerate(tubes)}
-    pairs = tuple((inner, outer, index[inner], index[outer],
+    position = {tube: k for k, tube in enumerate(tubes)}
+    bit = {e: 1 << k for k, e in enumerate(P.elements)}
+    above = dict.fromkeys(P.elements, 0)
+    for i, j in P._strict:
+        above[i] |= bit[j]
+    bits = tuple(tuple(bit[e] for e in t.members) for t in tubes)
+    mask = tuple(sum(b) for b in bits)
+    sup = tuple(sum(1 << o for o, outer in enumerate(mask) if outer != m and outer & m == m)
+                for m in mask)
+    inside = tuple(tuple(x for x in range(len(tubes)) if sup[x] >> k & 1)
+                   for k in range(len(tubes)))
+    pairs = tuple((inner, outer, position[inner], position[outer],
                    tuple(outer.members.index(i) for i in inner.members))
                   for inner, outer in _nested_pairs(P))
-    inside = {top: tuple(t for t in tubes if t.as_set < top.as_set) for top in tubes}
-    covers = {t: tuple(P.covers_within(t.members)) for t in tubes}
-    return _HostIndex(tubes, pairs, MappingProxyType(inside), MappingProxyType(covers))
+    cx = tube_complex(P)
+    root = len(tubes) - 1
+    return _HostIndex(
+        host=P, tubes=tubes, position=MappingProxyType(position), root=root, proper=(1 << root) - 1,
+        mask=mask, at_mask=MappingProxyType({m: k for k, m in enumerate(mask)}),
+        bit=MappingProxyType(bit), bits=bits, above=tuple(above.values()), sup=sup,
+        inside=inside, covers=tuple(tuple(cover_indices(P, t.members)) for t in tubes),
+        pairs=pairs, compat=cx.compat, arrow=cx.arrow,
+        gathers=tuple({} for _ in tubes), boundary={})
+
+
+def _gather(index: _HostIndex, x: int, m: int) -> tuple[int, ...]:
+    """The positions of tube x's members among those of tube m, x inside m."""
+    at = index.gathers[m].get(x)
+    if at is None:
+        outer = index.tubes[m].members
+        at = index.gathers[m][x] = tuple(map(outer.index, index.tubes[x].members))
+    return at
+
+
+def _parent(index: _HostIndex, nodes: int, x: int) -> int | None:
+    """The smallest node strictly containing tube x, if any."""
+    low = index.sup[x] & nodes
+    return (low & -low).bit_length() - 1 if low else None
+
+
+def _nodes_of(index: _HostIndex, T: Tubing) -> int:
+    """The node mask of a tubing: its non-singleton tubes and the root."""
+    nodes = 1 << index.root
+    for tube in T.tubes:
+        k = index.position.get(tube)
+        if k is not None:
+            nodes |= 1 << k
+    return nodes
+
+
+def _children(index: _HostIndex, nodes: int, k: int) -> list[int]:
+    """The element masks of node k's children, in ``Tube.key`` order: a
+    singleton for each element of k in no node below it, then the largest
+    nodes below it."""
+    below = [index.mask[x] for x in index.inside[k]
+             if nodes >> x & 1 and _parent(index, nodes, x) == k]
+    rest = index.mask[k]
+    for m in below:
+        rest &= ~m
+    return [1 << e for e in _positions(rest)] + below
+
+
+# -- restriction embedding ----------------------------------------------------
+
+
+def embed(P: Poset, x: Mapping[int, Fraction]) -> ConfigPoint:
+    """Restrict a strict configuration to every non-singleton tube.
+
+    The input lives in the open order cone: coordinates sum to zero and
+    increase strictly along every relation.  Restriction is transitive,
+    res(X, res(P, x)) = res(X, x), so this is the point filled in from the
+    root component alone.
+    """
+    x = {i: frac(v) for i, v in x.items()}
+    if set(x) != set(P.elements):
+        raise ValueError("configuration must assign every element")
+    if sum(x.values()) != 0:
+        raise ValueError("configuration coordinates must sum to zero")
+    for i, j in P.covers:
+        if x[i] >= x[j]:
+            raise NotStrictError(f"need x[{i}] < x[{j}]")
+    index = _host_index(P)
+    root = index.root
+    rows: list = [None] * len(index.tubes)
+    num = homogeneous([x[i] for i in P.elements])[:-1]  # less the denominator
+    rows[root] = res_cleared(index.covers[root], num)
+    return ConfigPoint._trusted(index, _fill(index, 1 << root, rows, root))
 
 
 def is_coherent(c: ConfigPoint) -> tuple[bool, tuple[Tube, Tube] | None]:
@@ -277,9 +404,8 @@ def is_coherent(c: ConfigPoint) -> tuple[bool, tuple[Tube, Tube] | None]:
     plus one sign comparison; zero vectors need no special case.  On failure
     the offending (inner, outer) pair is the witness.
     """
-    index = _host_index(c.host)
-    rows = [c.rows[tube] for tube in index.tubes]
-    for inner, outer, i, o, at in index.pairs:
+    rows = c._rows
+    for inner, outer, i, o, at in c._index.pairs:
         big, z = rows[o], rows[i]  # z ends with its denominator, which k leaves out
         k = len(at)
         y = [big[p] for p in at]
@@ -303,27 +429,26 @@ def b_partition(P: Poset, tube_members: Iterable[int],
                 x: Mapping[int, Fraction]) -> frozenset[Tube]:
     """Connected components of the level sets of x on the tube."""
     members = tuple(sorted(set(tube_members)))
-    return _level_blocks(P, members, {i: frac(x[i]) for i in members})
+    blocks = _level_masks([1 << a for a in range(len(members))], cover_indices(P, members),
+                          [frac(x[i]) for i in members])
+    return frozenset(Tube(tuple(members[a] for a in _positions(m))) for m in blocks)
 
 
-def _level_blocks(P: Poset, members: tuple[int, ...], x: Mapping[int, object]) -> frozenset[Tube]:
-    """b_partition on exact values that compare directly (Fractions or a row's integers)."""
-    unseen = set(members)
-    blocks: list[Tube] = []
-    while unseen:
-        start = min(unseen)
-        level = x[start]
-        comp = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w in P.hasse_adjacency[v]:
-                if w in unseen and w not in comp and x[w] == level:
-                    comp.add(w)
-                    stack.append(w)
-        unseen -= comp
-        blocks.append(Tube(tuple(sorted(comp))))
-    return frozenset(blocks)
+def _level_masks(bits: Sequence[int], pairs: Iterable[tuple[int, int]],
+                 values: Sequence) -> list[int]:
+    """The level-set components of ``values`` on a tube, as masks of the
+    members' ``bits``: members are joined along each cover pair (positions
+    in the members) on which the values agree."""
+    owner = list(range(len(bits)))  # each member's component, named by one member
+    masks = list(bits)
+    for a, b in pairs:
+        if values[a] == values[b]:
+            keep, drop = owner[a], owner[b]
+            if keep != drop:
+                masks[keep] |= masks[drop]
+                masks[drop] = 0
+                owner = [keep if r == drop else r for r in owner]
+    return [m for m in masks if m]
 
 
 def tubing_of(c: ConfigPoint) -> Tubing:
@@ -338,7 +463,10 @@ def tubing_of(c: ConfigPoint) -> Tubing:
     return c.tubing
 
 
-def _tubing_of_checked(c: ConfigPoint) -> Tubing:
+def _stratum_nodes(c: ConfigPoint) -> int:
+    """The node mask of the stratum, recomputed from the rows once the
+    point is checked: each node's level-set blocks with more than one
+    element are nodes, starting at the root."""
     if not c._filled:
         c._check_cover()  # is_coherent reads a row per tube
     ok, witness = is_coherent(c)
@@ -347,75 +475,58 @@ def _tubing_of_checked(c: ConfigPoint) -> Tubing:
     if not c._filled:
         for tube, vec in c.components.items():
             _check_polytope_point(c.host, tube, vec)
-    P = c.host
-    rows = c.rows
-    proper: set[Tube] = set()
-    stack = [full_tube(P)]
+    index = c._index
+    rows = c._rows
+    nodes = 1 << index.root
+    stack = [index.root]
     while stack:
-        tube = stack.pop()
-        for block in _level_blocks(P, tube.members, dict(zip(tube.members, rows[tube]))):
-            if len(block) > 1:
-                if 1 < len(block) < len(P.elements):
-                    proper.add(block)
-                stack.append(block)
-    return Tubing(P, frozenset(proper))
+        k = stack.pop()
+        for block in _level_masks(index.bits[k], index.covers[k], rows[k]):
+            if block & (block - 1):  # more than one element
+                x = index.at_mask[block]
+                nodes |= 1 << x
+                stack.append(x)
+    return nodes
 
 
 # -- stratum synthesis --------------------------------------------------------
 
 
-def _cleared(components: Mapping[Tube, Mapping[int, Fraction]]) -> dict[Tube, Row]:
-    """The rows of the components."""
-    return {tube: _row(tube, vec) for tube, vec in components.items()}
+def _fill(index: _HostIndex, nodes: int, rows: list, top: int) -> tuple[Row, ...]:
+    """Complete the rows of the nodes to a point by normalized restriction.
 
-
-def _fill_from_tree(P: Poset, tree: TubingTree, rows: dict[Tube, Row],
-                    top: Tube | None = None) -> ConfigPoint:
-    """Complete the rows of tree components to a point by normalized restriction.
-
-    ``rows`` holds the row of every tree node's component and is filled in
-    place.  Only the tubes strictly inside ``top`` (the root by default)
-    are visited.  The minimal tree node containing such a tube X is found by
-    walking down from ``top``; X gets the row of res(X, y), y that node's
-    component, computed on the node's row, when the node is ``top`` or when
-    X has no row yet.  Otherwise X keeps the row it has, and the walk stops
-    at the first node below ``top``.
+    ``rows`` holds a row, or None, per tube position, the row of every node
+    included, and is filled in place.  Only the tubes strictly inside
+    ``top`` (the root for a whole point) are visited.  A tube X that is no
+    node gets the row of res(X, y), y the component of its minimal node
+    (the lowest bit of the nodes above it), computed on the node's row,
+    when that node is ``top`` or when X has no row yet; otherwise X keeps
+    the row it has.
 
     ``expand`` and ``collapse`` pass every row of their input, with the new
     one on the parent tube ``top``, and trust the kept ones.  A tube whose
-    minimal node is another tree node keeps its row: that node's component
-    is unchanged, so the restriction would come out the same.  In
-    ``collapse`` this includes the tubes whose minimal node is the tube tau
-    put back, whose row is carried too: for X inside tau,
-    res(X, res(tau, y)) = res(X, y), so they already hold their restriction
-    of tau's component.
+    minimal node is another node keeps its row: that node's component is
+    unchanged, so the restriction would come out the same.  In ``collapse``
+    this includes the tubes whose minimal node is the tube tau put back,
+    whose row is carried too: for X inside tau, res(X, res(tau, y)) =
+    res(X, y), so they already hold their restriction of tau's component.
     """
-    def owner_of(node: Tube) -> dict[int, Tube]:
-        """Each element of the node mapped to the child holding it."""
-        return {e: child for child in tree.children[node] for e in child.members}
-
-    index = _host_index(P)
-    top = tree.root if top is None else top
-    owners = {top: owner_of(top)}
-    nums: dict[Tube, dict[int, int]] = {}
-    for tube in index.inside[top]:
-        first, members = tube.members[0], tube.as_set
-        node, owner = top, owners[top]
-        while members <= (below := owner[first]).as_set:
-            node = below
-            if tube in rows:
-                break
-            owner = owners.get(node)
-            if owner is None:
-                owner = owners[node] = owner_of(node)
-        if node is not top and tube in rows:  # a tree node, or carried
+    sup, covers, tubes, gathers = index.sup, index.covers, index.tubes, index.gathers
+    top_bit = 1 << top
+    for x in index.inside[top]:
+        if nodes >> x & 1:
             continue
-        num = nums.get(node)
-        if num is None:
-            # zip drops the common denominator that ends the row
-            num = nums[node] = dict(zip(node.members, rows[node]))
-        rows[tube] = res_cleared(index.covers[tube], tube.members, num)
-    return ConfigPoint._trusted(P, rows, tree)
+        low = sup[x] & nodes
+        low &= -low
+        if low != top_bit and rows[x] is not None:
+            continue
+        m = low.bit_length() - 1
+        at = gathers[m].get(x)
+        if at is None:
+            at = _gather(index, x, m)
+        row = rows[m]
+        rows[x] = res_cleared(covers[x], [row[a] for a in at])
+    return tuple(rows)
 
 
 def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fraction]]) -> ConfigPoint:
@@ -425,24 +536,51 @@ def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fractio
     must lie in the open face whose blocks are exactly that tube's children
     in the nesting tree; everything else is reconstructed by restriction.
     """
-    return _synthesize(P, T, tubing_tree(T), interior)
-
-
-def _synthesize(P: Poset, T: Tubing, tree: TubingTree,
-                interior: Mapping[Tube, Mapping[int, Fraction]]) -> ConfigPoint:
-    """synthesize on the tubing tree of T, built by the caller."""
-    rows: dict[Tube, Row] = {}
-    for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key):
+    index = _host_index(P)
+    nodes = _nodes_of(index, T)
+    rows: list = [None] * len(index.tubes)
+    for k in _positions(nodes):
+        tube = index.tubes[k]
         if tube not in interior:
             raise WrongFaceError(f"missing interior point for {tube}")
-        row = rows[tube] = _check_polytope_point(
-            P, tube, {i: frac(v) for i, v in interior[tube].items()})
-        expected = frozenset(tree.children[tube])
-        if _level_blocks(P, tube.members, dict(zip(tube.members, row))) != expected:
-            raise WrongFaceError(
-                f"point for {tube} is constant on the wrong blocks"
-            )
-    return _fill_from_tree(P, tree, rows)
+        rows[k] = _check_polytope_point(P, tube, {i: frac(v) for i, v in interior[tube].items()})
+        _check_blocks(index, k, rows[k], _children(index, nodes, k))
+    return ConfigPoint._trusted(index, _fill(index, nodes, rows, index.root))
+
+
+def _check_blocks(index: _HostIndex, k: int, row: Row, blocks: list[int]) -> None:
+    """Check that the row of node k is constant on exactly the given blocks."""
+    if set(_level_masks(index.bits[k], index.covers[k], row)) != set(blocks):
+        raise WrongFaceError(f"point for {index.tubes[k]} is constant on the wrong blocks")
+
+
+def _interior_row(above: Sequence[int], blocks: Sequence[int], bits: Sequence[int],
+                  pairs: Sequence[tuple[int, int]]) -> Row:
+    """The row of the canonical point of a tube's open face with the given
+    blocks (element masks in ``Tube.key`` order); ``bits`` are the tube's
+    member bits and ``pairs`` its cover pairs as member positions.
+
+    Blocks get distinct integer heights along a linear extension of the
+    quotient, the first ready block in ``blocks`` order lowest, so the
+    level-set components are exactly the blocks; the point is the
+    restriction of the heights.
+    """
+    ups = []
+    for block in blocks:
+        up = 0
+        for e in _positions(block):
+            up |= above[e]
+        ups.append(up)
+    # into[b]: the blocks other than b with a relation into b
+    into = [sum(1 << a for a, up in enumerate(ups) if a != b and up & block)
+            for b, block in enumerate(blocks)]
+    height: dict[int, int] = {}
+    waiting = (1 << len(blocks)) - 1
+    for level in range(len(blocks)):
+        b = next(b for b in _positions(waiting) if not into[b] & waiting)
+        waiting ^= 1 << b
+        height.update(dict.fromkeys((1 << e for e in _positions(blocks[b])), level))
+    return res_cleared(pairs, [height[e] for e in bits])
 
 
 def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
@@ -452,20 +590,31 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
     quotient, the smallest ready block first, so the level-set components
     are exactly the blocks; the point is the restriction of the heights.
     """
-    order = sorted(blocks, key=Tube.key)
-    before = {b: {a for a in order if a != b and has_arrow(P, a, b)} for b in order}
-    placed: set[Tube] = set()
-    height: dict[int, int] = {}
-    for level in range(len(order)):
-        b = next(b for b in order if b not in placed and before[b] <= placed)
-        placed.add(b)
-        height.update(dict.fromkeys(b.members, level))
-    return res(P, tube.members, height)
+    index = _host_index(P)
+    masks = [sum(index.bit[e] for e in b.members) for b in sorted(blocks, key=Tube.key)]
+    members = tube.members
+    row = _interior_row(index.above, masks, [index.bit[e] for e in members],
+                        cover_indices(P, members))
+    return from_row(members, row)
+
+
+def _canonical_rows(index: _HostIndex, nodes: int) -> list:
+    """The canonical interior row of every node, each checked to be a point
+    of its order polytope constant on exactly its children; None elsewhere."""
+    rows: list = [None] * len(index.tubes)
+    for k in _positions(nodes):
+        blocks = _children(index, nodes, k)
+        row = rows[k] = _interior_row(index.above, blocks, index.bits[k], index.covers[k])
+        _check_row(index.tubes[k], index.covers[k], row)
+        _check_blocks(index, k, row, blocks)
+    return rows
 
 
 def stratum_point(P: Poset, T: Tubing) -> ConfigPoint:
     """Canonical exact point of the stratum labeled by the tubing."""
-    return Stratum.canonical(P, T).point()
+    index = _host_index(P)
+    nodes = _nodes_of(index, T)
+    return ConfigPoint._trusted(index, _fill(index, nodes, _canonical_rows(index, nodes), index.root))
 
 
 @dataclass(frozen=True)
@@ -487,14 +636,10 @@ class Stratum:
 
     @staticmethod
     def canonical(P: Poset, T: Tubing) -> "Stratum":
-        tree = tubing_tree(T)
-        interior = {
-            tube: face_interior_point(P, tube, tree.children[tube])
-            for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key)
-        }
-        stratum = Stratum(T, interior)
-        stratum.__dict__["tree"] = tree  # the cached tree of T, built once
-        return stratum
+        index = _host_index(P)
+        rows = _canonical_rows(index, _nodes_of(index, T))
+        return Stratum(T, {tube: from_row(tube.members, row)
+                           for tube, row in zip(index.tubes, rows) if row is not None})
 
     @cached_property
     def tree(self) -> TubingTree:
@@ -506,7 +651,7 @@ class Stratum:
         return sum(len(tree.children[t]) - 2 for t in tree.non_singleton_nodes())
 
     def point(self) -> ConfigPoint:
-        return _synthesize(self.tubing.host, self.tubing, self.tree, self.interior)
+        return synthesize(self.tubing.host, self.tubing, self.interior)
 
 
 # -- approach curves ----------------------------------------------------------
@@ -544,73 +689,119 @@ def limit_sample(c: ConfigPoint, t: Mapping[Tube, Fraction],
 # -- expansion / collapse -----------------------------------------------------
 
 
-def _boundary_pairs(P: Poset, tau: Tube, tau_plus: Tube):
-    """Relations crossing the boundary of tau inside tau_plus, both ways."""
-    outside = tau_plus.as_set - tau.as_set
-    up = [(i, j) for i in tau for j in outside if P.lt(i, j)]
-    down = [(j, i) for j in outside for i in tau if P.lt(j, i)]
-    return up, down
+def _boundary(index: _HostIndex, x: int, y: int) -> tuple[list, list]:
+    """The relations crossing the boundary of tube x inside tube y, cached.
+
+    ``up`` holds (a, i, j) for each p < q and ``down`` for each q < p, p in
+    x and q in y outside it: a is the position of p among x's members, i
+    and j those of p and q among y's.
+    """
+    found = index.boundary.get((x, y))
+    if found is None:
+        above, inner = index.above, index.mask[x]
+        outside = [(j, q) for j, q in enumerate(index.bits[y]) if not q & inner]
+        up, down = [], []
+        for a, (i, p) in enumerate(zip(_gather(index, x, y), index.bits[x])):
+            for j, q in outside:
+                if above[p.bit_length() - 1] & q:
+                    up.append((a, i, j))
+                if above[q.bit_length() - 1] & p:
+                    down.append((a, i, j))
+        found = index.boundary[x, y] = (up, down)
+    return found
 
 
-def _require_adjacent(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> None:
-    tree = c.tree
-    if tau not in tree.children or len(tau) < 2:
+def _adjacent(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[int, int]:
+    """The positions of tau and its parent tau_plus in the point's stratum."""
+    index = c._index
+    x = index.position.get(tau)
+    if x is None or not c.nodes >> x & 1:
         raise NotAdjacentError(f"{tau} is not a non-singleton stratum tube")
-    if tree.parent.get(tau) != tau_plus:
+    y = _parent(index, c.nodes, x)
+    if y is None or index.position.get(tau_plus) != y:
         raise NotAdjacentError(f"{tau_plus} is not the parent of {tau}")
+    return x, y
 
 
-def _t_max_core(c: ConfigPoint, tau: Tube, tau_plus: Tube, up, down):
-    """1 / max(0, x[i] / gap) over the boundary relations, on the rows.
+def _t_max_core(v: Row, u: Row, up: list, down: list):
+    """1 / max(0, x[p] / gap) over the boundary relations, on the rows v of
+    tau and u of tau_plus.
 
-    With x = v/E on tau and y = u/D on tau_plus, each ratio x[i] / gap is
-    (D/E) * v[i] / g, g the gap of the numerators u, so the largest v[i] / g
+    With x = v/E on tau and y = u/D on tau_plus, each ratio x[p] / gap is
+    (D/E) * v[a] / g, g the gap of the numerators u, so the largest v[a] / g
     is found by cross products and only the result is a Fraction.
     """
-    v = dict(zip(tau.members, c.rows[tau]))
-    u = dict(zip(tau_plus.members, c.rows[tau_plus]))
-    ratios = [(v[i], u[j] - u[i]) for i, j in up] + [(-v[i], u[i] - u[j]) for j, i in down]
     top, gap = 0, 1  # the largest ratio so far, top / gap with gap > 0
-    for n, g in ratios:
+    for a, i, j in up:
+        n, g = v[a], u[j] - u[i]
+        if n * gap > top * g:
+            top, gap = n, g
+    for a, i, j in down:
+        n, g = -v[a], u[i] - u[j]
         if n * gap > top * g:
             top, gap = n, g
     if top == 0:
-        return float("inf")
-    return Fraction(c.rows[tau][-1] * gap, c.rows[tau_plus][-1] * top)
+        return UNBOUNDED
+    return Fraction(v[-1] * gap, u[-1] * top)
 
 
 def t_max(c: ConfigPoint, tau: Tube, tau_plus: Tube):
-    """Largest admissible expansion scale (a Fraction, or inf if unbounded).
+    """Largest admissible expansion scale: a Fraction, or UNBOUNDED.
 
     The bound is the reciprocal of the largest clamped ratio over boundary
     relations; inactive constraints clamp to zero and never bind, so the
     result is always strictly positive.
     """
-    _require_adjacent(c, tau, tau_plus)
-    up, down = _boundary_pairs(c.host, tau, tau_plus)
-    return _t_max_core(c, tau, tau_plus, up, down)
+    x, y = _adjacent(c, tau, tau_plus)
+    rows = c._rows
+    return _t_max_core(rows[x], rows[y], *_boundary(c._index, x, y))
 
 
 def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
     """Separate tau from its parent by scale t, landing in stratum T - {tau}."""
     t = frac(t)
-    _require_adjacent(c, tau, tau_plus)
-    P = c.host
-    if t < 0 or t >= _t_max_core(c, tau, tau_plus, *_boundary_pairs(P, tau, tau_plus)):
+    x, y = _adjacent(c, tau, tau_plus)
+    index = c._index
+    rows = list(c._rows)
+    v, u = rows[x], rows[y]
+    if t < 0 or t >= _t_max_core(v, u, *_boundary(index, x, y)):
         raise RangeError(f"need 0 <= t < t_max, got {t}")
     if t == 0:
         return c
     # The new parent point is y + t*x on tau over its alpha, which is its
     # restriction to tau_plus, as y + t*x sums to zero.  With y = u/D,
     # x = v/E and t = p/q, y + t*x is cleared by D*E*q.
-    u, v = c.rows[tau_plus], c.rows[tau]
-    num = {i: n * v[-1] * t.denominator for i, n in zip(tau_plus.members, u)}
-    for i, n in zip(tau.members, v):
+    num = [n * v[-1] * t.denominator for n in u[:-1]]
+    for i, n in zip(_gather(index, x, y), v):
         num[i] += n * u[-1] * t.numerator
-    rows = c.rows.copy()
-    rows[tau_plus] = res_cleared(_host_index(P).covers[tau_plus], tau_plus.members, num)
-    tree = tubing_tree(Tubing(P, c.tubing.tubes - {tau}))
-    return _fill_from_tree(P, tree, rows, tau_plus)
+    rows[y] = res_cleared(index.covers[y], num)
+    return ConfigPoint._trusted(index, _fill(index, c.nodes & ~(1 << x), rows, y))
+
+
+def _tubing_defect(index: _HostIndex, nodes: int, x: int) -> str | None:
+    """Why the stratum's tubes plus the proper tube x are no tubing, or None.
+
+    These are the two conditions of ``is_tubing``, on ``tube_complex``'s
+    bitsets.  The stratum's tubes form a tubing, so a crossing or a cycle
+    of the dependency digraph in the larger family involves x: x crosses a
+    stratum tube outside ``compat[x]``, or x reaches itself along arrows
+    between the family's tubes.
+    """
+    family = nodes & index.proper
+    crossing = family & ~index.compat[x]
+    if crossing:
+        return f"it crosses {index.tubes[(crossing & -crossing).bit_length() - 1]}"
+    family |= 1 << x
+    reached, todo = 0, 1 << x
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        out = index.arrow[low.bit_length() - 1] & family & ~reached
+        reached |= out
+        todo |= out
+    if reached >> x & 1:
+        return "it closes a cycle of the dependency digraph"
+    return None
 
 
 def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fraction]:
@@ -620,18 +811,20 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     Otherwise the collapse-domain inequalities (the tube's average against
     every related outside coordinate) must hold strictly.
     """
-    P = c.host
-    T = c.tubing
-    if tau in T.tubes:
-        _require_adjacent(c, tau, tau_plus)
+    index = c._index
+    x = index.position.get(tau)
+    if x is None or x == index.root:
+        raise NotAdjacentError(f"{tau} is not a proper non-singleton tube")
+    nodes = c.nodes
+    if nodes >> x & 1:
+        _adjacent(c, tau, tau_plus)
         return c, Fraction(0)
-
-    bigger = Tubing.of(P, T.tubes | {tau}, validate=False)
-    check = is_tubing(P, bigger.tubes)
-    if not check:
-        raise NotInCollError(f"adding {tau} is not a tubing: {check}")
-    tree = tubing_tree(bigger)
-    if tree.parent.get(tau) != tau_plus:
+    defect = _tubing_defect(index, nodes, x)
+    if defect is not None:
+        raise NotInCollError(f"adding {tau} is not a tubing: {defect}")
+    nodes |= 1 << x
+    y = _parent(index, nodes, x)
+    if index.position.get(tau_plus) != y:
         raise NotAdjacentError(f"{tau_plus} would not be the parent of {tau}")
 
     # The collapsed parent point is z over alpha(z), z being y with its
@@ -639,38 +832,41 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     # tau_plus.  With y = u/D, |tau|*D*z has the integer numerators |tau|*u
     # off tau and the sum of u over tau on it, which the domain inequalities
     # compare.
-    u = dict(zip(tau_plus.members, c.rows[tau_plus]))
-    k = len(tau)
-    mean = sum(u[i] for i in tau.members)
-    num = {i: mean if i in tau.as_set else k * n for i, n in u.items()}
-    up, down = _boundary_pairs(P, tau, tau_plus)
-    for i, j in up:
+    rows = list(c._rows)
+    u = rows[y]
+    at = _gather(index, x, y)
+    k = len(at)
+    mean = sum(u[i] for i in at)
+    num = [k * n for n in u[:-1]]
+    for i in at:
+        num[i] = mean
+    up, down = _boundary(index, x, y)
+    for _, _, j in up:
         if not mean < num[j]:
-            raise NotInCollError(f"need avg < x[{j}] on {tau_plus}")
-    for j, i in down:
+            raise NotInCollError(f"need avg < x[{tau_plus.members[j]}] on {tau_plus}")
+    for _, _, j in down:
         if not num[j] < mean:
-            raise NotInCollError(f"need x[{j}] < avg on {tau_plus}")
-    covers = _host_index(P).covers[tau_plus]
-    rows = c.rows.copy()
-    rows[tau_plus] = res_cleared(covers, tau_plus.members, num)
-    point = _fill_from_tree(P, tree, rows, tau_plus)
+            raise NotInCollError(f"need x[{tau_plus.members[j]}] < avg on {tau_plus}")
+    covers = index.covers[y]
+    rows[y] = res_cleared(covers, num)
+    rows = _fill(index, nodes, rows, y)
 
     # t = (y[i] / alpha(z) - w[i]) / x[i] for i in tau, w the collapsed
     # parent point and x the point on tau.  With w = m/W, x = v/E and
     # alpha(z) = S / (|tau|*D), S the alpha of the numerators of z,
     # t = E*d[i] / (S*W*v[i]) with d[i] = |tau|*u[i]*W - m[i]*S, which must
     # come out the same for every i with v[i] != 0.
-    scale = sum(num[j] - num[i] for i, j in covers)
-    W, E = point.rows[tau_plus][-1], point.rows[tau][-1]
-    m = dict(zip(tau_plus.members, point.rows[tau_plus]))
-    ratios = [(k * u[i] * W - m[i] * scale, v) for i, v in zip(tau.members, point.rows[tau]) if v]
-    if not ratios or any(d * ratios[0][1] != ratios[0][0] * v for d, v in ratios):
+    scale = sum(num[b] - num[a] for a, b in covers)
+    m, v = rows[y], rows[x]
+    W, E = m[-1], v[-1]
+    ratios = [(k * u[i] * W - m[i] * scale, n) for i, n in zip(at, v) if n]
+    if not ratios or any(d * ratios[0][1] != ratios[0][0] * n for d, n in ratios):
         raise NotInCollError("recovered expansion scale is inconsistent")
-    d, v = ratios[0]
-    t = Fraction(E * d, scale * W * v)
-    if not 0 < t < _t_max_core(point, tau, tau_plus, up, down):
+    d, n = ratios[0]
+    t = Fraction(E * d, scale * W * n)
+    if not 0 < t < _t_max_core(v, m, up, down):
         raise NotInCollError(f"recovered expansion scale {t} is outside (0, t_max)")
-    return point, t
+    return ConfigPoint._trusted(index, rows), t
 
 
 def _removal_order(tubes: Iterable[Tube]) -> list[Tube]:
@@ -798,9 +994,8 @@ def ratio_counterexample_demo(targets=(Fraction(0), Fraction(1)),
     # the {2,4} component freezes at the forced two-element shape
     root = full_tube(P)
     limit_root = {1: Fraction(-1, 8), 2: Fraction(-1, 8), 3: Fraction(3, 8), 4: Fraction(-1, 8)}
-    tree = tubing_tree(Tubing.of(P, [tube24]))
-    limit = _fill_from_tree(P, tree, _cleared(
-        {root: limit_root, tube24: {2: Fraction(-1, 2), 4: Fraction(1, 2)}}))
+    limit = synthesize(P, Tubing.of(P, [tube24]),
+                       {root: limit_root, tube24: {2: Fraction(-1, 2), 4: Fraction(1, 2)}})
 
     curves = []
     for target in parsed:

@@ -12,12 +12,13 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 from .errors import (
     CycleError,
     DegenerateError,
     DisconnectedError,
+    ElementBudgetError,
     NotAPartitionError,
     NotATubingError,
     TooSmallError,
@@ -26,6 +27,11 @@ from .linalg import homogeneous
 from .rational import frac
 
 Vector = dict[int, Fraction]
+
+# Most elements a search over all 2^|P| subsets takes (tube enumeration,
+# ideal-filter splits): about a second at 16 elements, doubling with each
+# one more.
+MAX_ELEMENTS = 16
 
 
 @dataclass(frozen=True)
@@ -191,9 +197,12 @@ def ideal_filter_splits(P: Poset) -> list[tuple[tuple[int, ...], tuple[int, ...]
     """All splits P = I ⊔ F into a connected ideal and a connected filter.
 
     These index the vertices of the order polytope.  Enumeration is by
-    subsets, which is fine at desk scale (|P| <= ~16).
+    subsets, so it raises ElementBudgetError when |P| is above MAX_ELEMENTS.
     """
     n = len(P.elements)
+    if n > MAX_ELEMENTS:
+        raise ElementBudgetError(
+            f"{n} elements: ideal-filter splits take at most {MAX_ELEMENTS}")
     splits = []
     for mask in range(1, (1 << n) - 1):
         ideal = tuple(P.elements[k] for k in range(n) if mask >> k & 1)
@@ -281,35 +290,37 @@ def res(P: Poset, subset, x: Mapping[int, Fraction]) -> Vector:
     """
     members = _members(subset)
     _require_coords(members, x)
-    # zip drops the common denominator that ends the homogeneous row
-    num = dict(zip(members, homogeneous([frac(x[i]) for i in members])))
-    return from_row(members, res_cleared(P.covers_within(members), members, num))
+    num = homogeneous([frac(x[i]) for i in members])[:-1]  # less the denominator
+    return from_row(members, res_cleared(cover_indices(P, members), num))
 
 
-def res_cleared(covers: Iterable[tuple[int, int]], members: tuple[int, ...],
-                num: Mapping[int, int]) -> tuple[int, ...]:
+def cover_indices(P: Poset, members: Sequence[int]) -> list[tuple[int, int]]:
+    """The host's cover pairs inside ``members``, as positions in ``members``."""
+    at = {e: a for a, e in enumerate(members)}
+    return [(at[i], at[j]) for i, j in P.covers_within(members)]
+
+
+def res_cleared(pairs: Iterable[tuple[int, int]], num: Sequence[int]) -> tuple[int, ...]:
     """The core of res on a point already cleared to integer numerators.
 
-    ``num`` holds the numerators n of x over one positive common
-    denominator (any positive multiple of x will do), ``members`` is the
-    sorted subset and ``covers`` the host's cover pairs inside it.  With k
-    the subset size, s the sum of the n over it and a their alpha,
-    coordinate i of the restriction is (k*n_i - s) / (k*a).  Returns the
-    restriction's homogeneous row: the numerators and the denominator k*a
-    divided by their gcd g, where g takes the sign of k*a so that the
-    denominator is positive.  That row is primitive with a positive last
-    entry, the same canonical form ``linalg.homogeneous`` gives, so equal
-    rows mean equal restrictions.
+    ``num`` lists the numerators n of x over one positive common
+    denominator (any positive multiple of x will do) in the order of the
+    sorted subset, and ``pairs`` the host's cover pairs inside the subset as
+    positions in ``num`` (``cover_indices``).  With k the subset size, s the
+    sum of the n and a their alpha, coordinate i of the restriction is
+    (k*n_i - s) / (k*a).  Returns the restriction's homogeneous row: the
+    numerators and the denominator k*a divided by their gcd g, where g takes
+    the sign of k*a so that the denominator is positive.  That row is
+    primitive with a positive last entry, the same canonical form
+    ``linalg.homogeneous`` gives, so equal rows mean equal restrictions.
     """
-    scale = sum(num[j] - num[i] for i, j in covers)
+    scale = sum(num[b] - num[a] for a, b in pairs)
     if scale == 0:
-        raise DegenerateError(
-            f"alpha vanishes on {list(members)}; coordinates are constant there"
-        )
-    k = len(members)
-    total = sum(num[i] for i in members)
+        raise DegenerateError("alpha vanishes on the subset; coordinates are constant there")
+    k = len(num)
+    total = sum(num)
     den = k * scale
-    tops = [k * num[i] - total for i in members]
+    tops = [k * n - total for n in num]
     g = math.gcd(den, *tops)
     if den < 0:
         g = -g

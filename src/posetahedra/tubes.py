@@ -24,13 +24,10 @@ from .errors import (
     NotATubeError,
     NotATubingError,
 )
-from .poset import Poset, build_poset, find_cycle, is_connected, is_convex
+from .poset import MAX_ELEMENTS, Poset, build_poset, find_cycle, is_connected, is_convex
 
 # Hosts (or host and flag) kept by each per-host cache of tubes and tubings
 CACHE_SIZE = 128
-# Most elements enumerate_tubes takes: it tests all 2^|P| subsets, which
-# takes about a second at 16 elements and doubles with each one more.
-MAX_ELEMENTS = 16
 
 
 @dataclass(frozen=True, order=True)
@@ -38,6 +35,13 @@ class Tube:
     """Canonical form of a tube: the sorted tuple of its member ids."""
 
     members: tuple[int, ...]
+
+    def __post_init__(self):
+        # the generated hash, computed once: tubes key the hot dicts and sets
+        object.__setattr__(self, "_hash", hash((self.members,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def of(members: Iterable[int]) -> "Tube":

@@ -17,6 +17,7 @@ from typing import Callable
 from . import corpus
 from .affine import cyclohedron_face_lattice, enumerate_affine_tubings
 from .compact import (
+    UNBOUNDED,
     collapse,
     expand,
     ratio_counterexample_demo,
@@ -253,7 +254,7 @@ def c9_compactification_suite() -> str:
             for tau, parent in tree.adjacent_pairs():
                 tm = t_max(point, tau, parent)
                 _require(9, tm > 0, "t_max > 0", (name, T, tau))
-                if tm == float("inf"):
+                if tm is UNBOUNDED:
                     samples = (Fraction(1, 3), Fraction(1), Fraction(3))
                 else:
                     samples = (tm / 4, tm / 2, 3 * tm / 4)

@@ -617,3 +617,246 @@ def enumerate_affine_tubes(A, proper_only, make_affine_tube, NotATubeError, Affi
     if not proper_only:
         found.append(FULL)
     return tuple(found)
+
+
+# -- the compactification kernel on Tube-keyed rows ---------------------------
+#
+# The kernel as it was before it ran on tube positions: rows keyed by Tube,
+# strata as tubing trees.  The bodies are copies of the old functions; the
+# lines that differ are marked.  The package's unchanged pieces enter as
+# arguments, and a point is the tuple (host, rows, tree).
+
+
+def tube_keyed_kernel(Tube, Tubing, tubing_tree, is_tubing, homogeneous, has_arrow,
+                      full_tube, nonsingleton_tubes, NotAdjacentError, NotInCollError,
+                      RangeError, WrongFaceError, DegenerateError):
+    """The old ``stratum_point``, ``t_max``, ``expand`` and ``collapse``;
+    ``t_max`` returns ``float("inf")`` where it is unbounded."""
+    import math
+    from types import SimpleNamespace
+
+    class Point(tuple):  # marked: stands for ConfigPoint._trusted
+        host = property(lambda self: self[0])
+        rows = property(lambda self: self[1])
+        tree = property(lambda self: self[2])
+
+        @property
+        def tubing(self):
+            n = len(self.host.elements)
+            return Tubing(self.host, frozenset(t for t in self.tree.parent if 1 < len(t) < n))
+
+    def res_cleared(covers, members, num):
+        scale = sum(num[j] - num[i] for i, j in covers)
+        if scale == 0:
+            raise DegenerateError(
+                f"alpha vanishes on {list(members)}; coordinates are constant there"
+            )
+        k = len(members)
+        total = sum(num[i] for i in members)
+        den = k * scale
+        tops = [k * num[i] - total for i in members]
+        g = math.gcd(den, *tops)
+        if den < 0:
+            g = -g
+        return (*(top // g for top in tops), den // g)
+
+    def _host_index(P):  # marked: only the tables the fill reads
+        tubes = nonsingleton_tubes(P)
+        inside = {top: tuple(t for t in tubes if t.as_set < top.as_set) for top in tubes}
+        covers = {t: tuple(P.covers_within(t.members)) for t in tubes}
+        return SimpleNamespace(inside=inside, covers=covers)
+
+    def _row(tube, vec):
+        return homogeneous([vec[i] for i in tube.members])
+
+    def _check_polytope_point(P, tube, vec):
+        if set(vec) != tube.as_set:
+            raise ValueError(f"component {tube} has wrong index set")
+        row = _row(tube, vec)
+        num = dict(zip(tube.members, row))  # zip drops D
+        covers = P.covers_within(tube.members)
+        if sum(num.values()) != 0:
+            raise ValueError(f"component {tube} does not sum to zero")
+        if sum(num[j] - num[i] for i, j in covers) != row[-1]:
+            raise ValueError(f"component {tube} is not normalized")
+        for i, j in covers:
+            if num[i] > num[j]:
+                raise ValueError(f"component {tube} is not order-preserving")
+        return row
+
+    def _level_blocks(P, members, x):
+        unseen = set(members)
+        blocks = []
+        while unseen:
+            start = min(unseen)
+            level = x[start]
+            comp = {start}
+            stack = [start]
+            while stack:
+                v = stack.pop()
+                for w in P.hasse_adjacency[v]:
+                    if w in unseen and w not in comp and x[w] == level:
+                        comp.add(w)
+                        stack.append(w)
+            unseen -= comp
+            blocks.append(Tube(tuple(sorted(comp))))
+        return frozenset(blocks)
+
+    def _fill_from_tree(P, tree, rows, top=None):
+        def owner_of(node):
+            """Each element of the node mapped to the child holding it."""
+            return {e: child for child in tree.children[node] for e in child.members}
+
+        index = _host_index(P)
+        top = tree.root if top is None else top
+        owners = {top: owner_of(top)}
+        nums = {}
+        for tube in index.inside[top]:
+            first, members = tube.members[0], tube.as_set
+            node, owner = top, owners[top]
+            while members <= (below := owner[first]).as_set:
+                node = below
+                if tube in rows:
+                    break
+                owner = owners.get(node)
+                if owner is None:
+                    owner = owners[node] = owner_of(node)
+            if node is not top and tube in rows:  # a tree node, or carried
+                continue
+            num = nums.get(node)
+            if num is None:
+                # zip drops the common denominator that ends the row
+                num = nums[node] = dict(zip(node.members, rows[node]))
+            rows[tube] = res_cleared(index.covers[tube], tube.members, num)
+        return Point((P, rows, tree))  # marked
+
+    def _synthesize(P, T, tree, interior):
+        rows = {}
+        for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key):
+            if tube not in interior:
+                raise WrongFaceError(f"missing interior point for {tube}")
+            row = rows[tube] = _check_polytope_point(
+                P, tube, {i: Fraction(v) for i, v in interior[tube].items()})  # marked: frac
+            expected = frozenset(tree.children[tube])
+            if _level_blocks(P, tube.members, dict(zip(tube.members, row))) != expected:
+                raise WrongFaceError(
+                    f"point for {tube} is constant on the wrong blocks"
+                )
+        return _fill_from_tree(P, tree, rows)
+
+    def face_interior_point(P, tube, blocks):
+        order = sorted(blocks, key=Tube.key)
+        before = {b: {a for a in order if a != b and has_arrow(P, a, b)} for b in order}
+        placed = set()
+        height = {}
+        for level in range(len(order)):
+            b = next(b for b in order if b not in placed and before[b] <= placed)
+            placed.add(b)
+            height.update(dict.fromkeys(b.members, level))
+        return res(P.covers, tube.members, height)  # marked: this module's res
+
+    def canonical(P, T):  # marked: Stratum.canonical, returning (tree, interior)
+        tree = tubing_tree(T)
+        interior = {
+            tube: face_interior_point(P, tube, tree.children[tube])
+            for tube in sorted(set(T.tubes) | {full_tube(P)}, key=Tube.key)
+        }
+        return tree, interior
+
+    def stratum_point(P, T):  # marked: Stratum.canonical(P, T).point()
+        tree, interior = canonical(P, T)
+        return _synthesize(P, T, tree, interior)
+
+    def _boundary_pairs(P, tau, tau_plus):
+        outside = tau_plus.as_set - tau.as_set
+        up = [(i, j) for i in tau for j in outside if P.lt(i, j)]
+        down = [(j, i) for j in outside for i in tau if P.lt(j, i)]
+        return up, down
+
+    def _require_adjacent(c, tau, tau_plus):
+        tree = c.tree
+        if tau not in tree.children or len(tau) < 2:
+            raise NotAdjacentError(f"{tau} is not a non-singleton stratum tube")
+        if tree.parent.get(tau) != tau_plus:
+            raise NotAdjacentError(f"{tau_plus} is not the parent of {tau}")
+
+    def _t_max_core(c, tau, tau_plus, up, down):
+        v = dict(zip(tau.members, c.rows[tau]))
+        u = dict(zip(tau_plus.members, c.rows[tau_plus]))
+        ratios = [(v[i], u[j] - u[i]) for i, j in up] + [(-v[i], u[i] - u[j]) for j, i in down]
+        top, gap = 0, 1  # the largest ratio so far, top / gap with gap > 0
+        for n, g in ratios:
+            if n * gap > top * g:
+                top, gap = n, g
+        if top == 0:
+            return float("inf")
+        return Fraction(c.rows[tau][-1] * gap, c.rows[tau_plus][-1] * top)
+
+    def t_max(c, tau, tau_plus):
+        _require_adjacent(c, tau, tau_plus)
+        up, down = _boundary_pairs(c.host, tau, tau_plus)
+        return _t_max_core(c, tau, tau_plus, up, down)
+
+    def expand(c, tau, tau_plus, t):
+        t = Fraction(t)  # marked: frac
+        _require_adjacent(c, tau, tau_plus)
+        P = c.host
+        if t < 0 or t >= _t_max_core(c, tau, tau_plus, *_boundary_pairs(P, tau, tau_plus)):
+            raise RangeError(f"need 0 <= t < t_max, got {t}")
+        if t == 0:
+            return c
+        u, v = c.rows[tau_plus], c.rows[tau]
+        num = {i: n * v[-1] * t.denominator for i, n in zip(tau_plus.members, u)}
+        for i, n in zip(tau.members, v):
+            num[i] += n * u[-1] * t.numerator
+        rows = c.rows.copy()
+        rows[tau_plus] = res_cleared(_host_index(P).covers[tau_plus], tau_plus.members, num)
+        tree = tubing_tree(Tubing(P, c.tubing.tubes - {tau}))
+        return _fill_from_tree(P, tree, rows, tau_plus)
+
+    def collapse(c, tau, tau_plus):
+        P = c.host
+        T = c.tubing
+        if tau in T.tubes:
+            _require_adjacent(c, tau, tau_plus)
+            return c, Fraction(0)
+
+        bigger = Tubing.of(P, T.tubes | {tau}, validate=False)
+        check = is_tubing(P, bigger.tubes)
+        if not check:
+            raise NotInCollError(f"adding {tau} is not a tubing: {check}")
+        tree = tubing_tree(bigger)
+        if tree.parent.get(tau) != tau_plus:
+            raise NotAdjacentError(f"{tau_plus} would not be the parent of {tau}")
+
+        u = dict(zip(tau_plus.members, c.rows[tau_plus]))
+        k = len(tau)
+        mean = sum(u[i] for i in tau.members)
+        num = {i: mean if i in tau.as_set else k * n for i, n in u.items()}
+        up, down = _boundary_pairs(P, tau, tau_plus)
+        for i, j in up:
+            if not mean < num[j]:
+                raise NotInCollError(f"need avg < x[{j}] on {tau_plus}")
+        for j, i in down:
+            if not num[j] < mean:
+                raise NotInCollError(f"need x[{j}] < avg on {tau_plus}")
+        covers = _host_index(P).covers[tau_plus]
+        rows = c.rows.copy()
+        rows[tau_plus] = res_cleared(covers, tau_plus.members, num)
+        point = _fill_from_tree(P, tree, rows, tau_plus)
+
+        scale = sum(num[j] - num[i] for i, j in covers)
+        W, E = point.rows[tau_plus][-1], point.rows[tau][-1]
+        m = dict(zip(tau_plus.members, point.rows[tau_plus]))
+        ratios = [(k * u[i] * W - m[i] * scale, v) for i, v in zip(tau.members, point.rows[tau]) if v]
+        if not ratios or any(d * ratios[0][1] != ratios[0][0] * v for d, v in ratios):
+            raise NotInCollError("recovered expansion scale is inconsistent")
+        d, v = ratios[0]
+        t = Fraction(E * d, scale * W * v)
+        if not 0 < t < _t_max_core(point, tau, tau_plus, up, down):
+            raise NotInCollError(f"recovered expansion scale {t} is outside (0, t_max)")
+        return point, t
+
+    return SimpleNamespace(stratum_point=stratum_point, canonical=canonical,
+                           face_interior_point=face_interior_point,
+                           t_max=t_max, expand=expand, collapse=collapse)

@@ -7,6 +7,7 @@ corpus and on random posets.  Kernel-built points hold only rows: equal rows
 must mean equal values, and the round trip must build no Fraction component.
 """
 
+import sys
 from fractions import Fraction as F
 
 import pytest
@@ -22,15 +23,19 @@ from posetahedra.affine import (
     enumerate_affine_tubes,
     enumerate_affine_tubings,
 )
+from posetahedra import errors, tubes
 from posetahedra.compact import (
+    UNBOUNDED,
     ConfigPoint,
-    _cleared,
-    _fill_from_tree,
+    Stratum,
+    _fill,
     _host_index,
     _nested_pairs,
+    _tubing_defect,
     collapse,
     embed,
     expand,
+    face_interior_point,
     is_coherent,
     nonsingleton_tubes,
     stratum_point,
@@ -44,7 +49,7 @@ from posetahedra.lattice import (
     tubing_partitions,
 )
 from posetahedra.linalg import homogeneous
-from posetahedra.poset import build_poset, from_row, res, res_cleared
+from posetahedra.poset import build_poset, cover_indices, from_row, res, res_cleared
 from posetahedra.tubes import (
     CACHE_SIZE,
     enumerate_proper_tubings,
@@ -138,8 +143,8 @@ def test_integer_res_matches_fraction_res(P, constant, data):
         assert all(type(v) is F for v in got.values())
         # the core on a cleared point gives the row of the same restriction,
         # also where alpha is negative
-        num = dict(zip(members, homogeneous([x[i] for i in members])))
-        row = res_cleared(P.covers_within(members), tuple(members), num)
+        num = homogeneous([x[i] for i in members])[:-1]
+        row = res_cleared(cover_indices(P, members), num)
         assert from_row(members, row) == expected
         assert row == tuple(homogeneous([expected[i] for i in members]))
 
@@ -147,9 +152,10 @@ def test_integer_res_matches_fraction_res(P, constant, data):
 def full_rebuild(point):
     """The point rebuilt by restriction alone from its tree components,
     read as Fractions and cleared again."""
-    P = point.host
-    nodes = point.tubing.tubes | {full_tube(P)}
-    return _fill_from_tree(P, point.tree, _cleared({tube: point[tube] for tube in nodes}))
+    index = _host_index(point.host)
+    rows = [homogeneous([point[t][i] for i in t.members]) if point.nodes >> k & 1 else None
+            for k, t in enumerate(index.tubes)]
+    return ConfigPoint._trusted(index, _fill(index, point.nodes, rows, index.root))
 
 
 @pytest.mark.parametrize("name", ["w5", "chain5"])
@@ -159,7 +165,7 @@ def test_expand_collapse_match_full_rebuild(name):
         point = stratum_point(P, T)
         for tau, parent in tubing_tree(T).adjacent_pairs():
             tm = t_max(point, tau, parent)
-            t = F(1) if tm == float("inf") else tm / 2
+            t = F(1) if tm is UNBOUNDED else tm / 2
             moved = expand(point, tau, parent, t)
             assert moved.tubing.tubes == T.tubes - {tau}
             assert moved == full_rebuild(moved), (T, tau)
@@ -191,7 +197,7 @@ def strata(draw):
 def draw_t(data, point, tau, parent):
     tm = t_max(point, tau, parent)
     k = data.draw(st.integers(1, 7))
-    return F(k, 4) if tm == float("inf") else tm * F(k, 8)
+    return F(k, 4) if tm is UNBOUNDED else tm * F(k, 8)
 
 
 @SETTINGS
@@ -253,7 +259,7 @@ def test_round_trip_builds_no_component():
         assert tubing_of(point).tubes == T.tubes
         for tau, parent in tubing_tree(T).adjacent_pairs():
             tm = t_max(point, tau, parent)
-            t = F(1) if tm == float("inf") else tm / 2
+            t = F(1) if tm is UNBOUNDED else tm / 2
             moved = expand(point, tau, parent, t)
             assert tubing_of(moved).tubes == T.tubes - {tau}
             back, t_back = collapse(moved, tau, parent)
@@ -285,3 +291,113 @@ def test_host_caches_are_bounded():
         _affine_root_partitions(A)
     for cache in caches:
         assert cache.cache_info().currsize == CACHE_SIZE, cache
+
+
+def old_kernel():
+    return oracles.tube_keyed_kernel(
+        tubes.Tube, tubes.Tubing, tubing_tree, tubes.is_tubing, homogeneous, tubes.has_arrow,
+        full_tube, nonsingleton_tubes, errors.NotAdjacentError, errors.NotInCollError,
+        errors.RangeError, errors.WrongFaceError, DegenerateError)
+
+
+def test_positions_are_the_tube_complex_positions():
+    """The proper tubes sit at their tube_complex positions, the root last."""
+    for P in corpus.DESK_POSETS.values():
+        index = _host_index(P)
+        assert index.tubes[:-1] == tube_complex(P).tubes
+        assert index.tubes[index.root] == full_tube(P)
+        assert all(index.position[t] == k for k, t in enumerate(index.tubes))
+
+
+@SETTINGS
+@given(strata(), st.data())
+def test_kernel_matches_the_tube_keyed_kernel(stratum, data):
+    """Stratum rows, t_max, the rows of expand and collapse and the recovered
+    t equal those of the old Tube-keyed kernel, as do the canonical
+    interior points."""
+    P, T = stratum
+    old = old_kernel()
+    point, before = stratum_point(P, T), old.stratum_point(P, T)
+    assert dict(point.rows) == before.rows
+    tree, interior = old.canonical(P, T)
+    assert dict(Stratum.canonical(P, T).interior) == interior
+    for tube, blocks in tree.children.items():
+        if len(tube) > 1:
+            assert face_interior_point(P, tube, blocks) == old.face_interior_point(P, tube, blocks)
+    for tau, parent in tree.adjacent_pairs():
+        tm, tm_old = t_max(point, tau, parent), old.t_max(before, tau, parent)
+        assert (tm is UNBOUNDED) == (tm_old == float("inf"))
+        if tm is not UNBOUNDED:
+            assert tm == tm_old
+        t = draw_t(data, point, tau, parent)
+        moved, moved_old = expand(point, tau, parent, t), old.expand(before, tau, parent, t)
+        assert dict(moved.rows) == moved_old.rows
+        (back, t_back), (back_old, t_old) = collapse(moved, tau, parent), old.collapse(
+            moved_old, tau, parent)
+        assert dict(back.rows) == back_old.rows and t_back == t_old == t
+
+
+def check_defect(P, T, tau):
+    """The bitset check of collapse against is_tubing on T plus tau; returns
+    is_tubing's verdict."""
+    index = _host_index(P)
+    nodes = 1 << index.root | sum(1 << index.position[t] for t in T.tubes)
+    check = tubes.is_tubing(P, T.tubes | {tau})
+    assert (_tubing_defect(index, nodes, index.position[tau]) is None) == bool(check), (T, tau)
+    return check
+
+
+@SETTINGS
+@given(strata(), st.data())
+def test_bitset_tubing_check_matches_is_tubing(stratum, data):
+    P, T = stratum
+    tau = data.draw(st.sampled_from([t for t in tube_complex(P).tubes if t not in T.tubes]))
+    check_defect(P, T, tau)
+
+
+@pytest.mark.parametrize("name", ["w5", "n4", "claw4", "h6"])
+def test_bitset_tubing_check_on_every_pair(name):
+    """Every (tubing, tube) pair of the host, crossings and cycles included."""
+    P = corpus.DESK_POSETS[name]
+    seen = {"ok": 0, "crossing": 0, "cycle": 0}
+    for T in enumerate_proper_tubings(P):
+        for tau in tube_complex(P).tubes:
+            if tau not in T.tubes:
+                check = check_defect(P, T, tau)
+                seen["ok" if check else "crossing" if check.crossing else "cycle"] += 1
+    assert seen["ok"] and seen["crossing"]
+    if name == "h6":  # the flagness counterexample: three pairwise compatible tubes in a cycle
+        assert seen["cycle"]
+
+
+def test_hot_path_builds_no_tree_and_no_component(monkeypatch):
+    """stratum_point, t_max, expand, tubing_of, collapse and == on w5 build no
+    tubing tree, run no is_tubing and build no Fraction component."""
+    P = corpus.DESK_POSETS["w5"]
+    cases = [(T, tubing_tree(T).adjacent_pairs()) for T in enumerate_proper_tubings(P)]
+    calls = dict.fromkeys(("tubing_tree", "is_tubing"), 0)
+    for name in calls:
+        original = getattr(tubes, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        for module in list(sys.modules.values()):
+            if module.__name__.startswith("posetahedra") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    for T, pairs in cases:
+        point = stratum_point(P, T)
+        assert tubing_of(point).tubes == T.tubes
+        for tau, parent in pairs:
+            tm = t_max(point, tau, parent)
+            t = F(1) if tm is UNBOUNDED else tm / 2
+            moved = expand(point, tau, parent, t)
+            assert tubing_of(moved).tubes == T.tubes - {tau}
+            back, t_back = collapse(moved, tau, parent)
+            assert back == point and t_back == t
+            for p in (point, moved, back):
+                assert p.components._views == {}
+    assert calls == {"tubing_tree": 0, "is_tubing": 0}
+    assert point.tree.root == full_tube(P)  # the counters are live
+    assert calls["tubing_tree"] == 1

@@ -5,6 +5,7 @@ import pytest
 
 from posetahedra import corpus
 from posetahedra.compact import (
+    UNBOUNDED,
     ConfigPoint,
     b_partition,
     collapse,
@@ -290,9 +291,20 @@ class TestTMax:
         assert t_max(c, T12, full_tube(c4)) == F(6, 5)
 
     def test_infinite_when_unconstrained(self, claw3):
+        """t_max is the sentinel where no relation bounds it, and expand
+        takes any t there; the sentinel is above every rational and is no
+        float."""
         tube = Tube.of((0, 1))
         point = stratum_point(claw3, Tubing.of(claw3, [tube]))
-        assert t_max(point, tube, full_tube(claw3)) == float("inf")
+        assert t_max(point, tube, full_tube(claw3)) is UNBOUNDED
+        moved = expand(point, tube, full_tube(claw3), 3)
+        assert tubing_of(moved).tubes == frozenset()
+        assert collapse(moved, tube, full_tube(claw3)) == (point, 3)
+        assert not isinstance(UNBOUNDED, float)
+        for x in (0, F(-5), F(10 ** 30, 7)):
+            assert UNBOUNDED > x and UNBOUNDED >= x and x < UNBOUNDED and not UNBOUNDED <= x
+        with pytest.raises(TypeError):
+            UNBOUNDED < 1.0
 
     def test_not_adjacent(self, c4):
         point = stratum_point(c4, Tubing.of(c4, [T12, T123]))
@@ -370,7 +382,7 @@ class TestExpandCollapse:
             tree = tubing_tree(T)
             for tau, parent in tree.adjacent_pairs():
                 tm = t_max(point, tau, parent)
-                t = F(1, 3) if tm == float("inf") else tm / 3
+                t = F(1, 3) if tm is UNBOUNDED else tm / 3
                 moved = expand(point, tau, parent, t)
                 back, t_back = collapse(moved, tau, parent)
                 assert back == point and t_back == t

@@ -2,6 +2,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,11 +17,13 @@ from posetahedra.errors import (
     CycleError,
     DegenerateError,
     DisconnectedError,
+    ElementBudgetError,
     NotAPartitionError,
     NotATubingError,
     TooSmallError,
 )
 from posetahedra.poset import (
+    MAX_ELEMENTS,
     alpha,
     build_poset,
     ideal_filter_splits,
@@ -169,6 +172,17 @@ class TestIdealFilterSplits:
                 if is_ideal and oracles.connected(hp, I) and oracles.connected(hp, Fc):
                     expected += 1
             assert len(ideal_filter_splits(P)) == expected
+
+
+    def test_element_budget(self):
+        """Splits are found on MAX_ELEMENTS elements; a chain of 17 is
+        refused before any subset is tried."""
+        assert len(ideal_filter_splits(corpus.chain(MAX_ELEMENTS))) == MAX_ELEMENTS - 1
+        P = corpus.chain(17)
+        start = time.perf_counter()
+        with pytest.raises(ElementBudgetError):
+            ideal_filter_splits(P)
+        assert time.perf_counter() - start < 0.1
 
 
 class TestQuotient:
