@@ -46,6 +46,7 @@ from .geometry import (
     stellar_subdivide,
 )
 from .compact import (
+    UNBOUNDED,
     ConfigPoint,
     Stratum,
     b_partition,

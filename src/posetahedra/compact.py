@@ -26,6 +26,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .errors import (
     IncoherentError,
     NotAdjacentError,
+    NotAPartitionError,
+    NotATubingError,
     NotCollapsibleError,
     NotExpandableError,
     NotInCollError,
@@ -511,7 +513,7 @@ def _fill(index: _HostIndex, nodes: int, rows: list, top: int) -> tuple[Row, ...
     whose row is carried too: for X inside tau, res(X, res(tau, y)) =
     res(X, y), so they already hold their restriction of tau's component.
     """
-    sup, covers, tubes, gathers = index.sup, index.covers, index.tubes, index.gathers
+    sup, covers, gathers = index.sup, index.covers, index.gathers
     top_bit = 1 << top
     for x in index.inside[top]:
         if nodes >> x & 1:
@@ -577,7 +579,9 @@ def _interior_row(above: Sequence[int], blocks: Sequence[int], bits: Sequence[in
     height: dict[int, int] = {}
     waiting = (1 << len(blocks)) - 1
     for level in range(len(blocks)):
-        b = next(b for b in _positions(waiting) if not into[b] & waiting)
+        b = next((b for b in _positions(waiting) if not into[b] & waiting), None)
+        if b is None:
+            raise NotATubingError("the blocks' dependency digraph has a cycle")
         waiting ^= 1 << b
         height.update(dict.fromkeys((1 << e for e in _positions(blocks[b])), level))
     return res_cleared(pairs, [height[e] for e in bits])
@@ -589,10 +593,19 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
     Blocks get distinct integer heights along a linear extension of the
     quotient, the smallest ready block first, so the level-set components
     are exactly the blocks; the point is the restriction of the heights.
+    Blocks that do not partition the tube raise NotAPartitionError, and
+    blocks whose dependency digraph has a cycle NotATubingError.
     """
     index = _host_index(P)
     masks = [sum(index.bit[e] for e in b.members) for b in sorted(blocks, key=Tube.key)]
     members = tube.members
+    union = 0
+    for m in masks:
+        if union & m:
+            raise NotAPartitionError("blocks overlap")
+        union |= m
+    if union != sum(index.bit[e] for e in members):
+        raise NotAPartitionError(f"blocks do not cover exactly {tube}")
     row = _interior_row(index.above, masks, [index.bit[e] for e in members],
                         cover_indices(P, members))
     return from_row(members, row)

@@ -291,7 +291,11 @@ def res(P: Poset, subset, x: Mapping[int, Fraction]) -> Vector:
     members = _members(subset)
     _require_coords(members, x)
     num = homogeneous([frac(x[i]) for i in members])[:-1]  # less the denominator
-    return from_row(members, res_cleared(cover_indices(P, members), num))
+    try:
+        return from_row(members, res_cleared(cover_indices(P, members), num))
+    except DegenerateError:
+        raise DegenerateError(
+            f"alpha vanishes on {list(members)}; coordinates are constant there") from None
 
 
 def cover_indices(P: Poset, members: Sequence[int]) -> list[tuple[int, int]]:

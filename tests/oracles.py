@@ -7,7 +7,9 @@ package, so disagreements point at real bugs rather than shared mistakes.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
+from types import SimpleNamespace
 
 
 def closure(pairs):
@@ -632,8 +634,6 @@ def tube_keyed_kernel(Tube, Tubing, tubing_tree, is_tubing, homogeneous, has_arr
                       RangeError, WrongFaceError, DegenerateError):
     """The old ``stratum_point``, ``t_max``, ``expand`` and ``collapse``;
     ``t_max`` returns ``float("inf")`` where it is unbounded."""
-    import math
-    from types import SimpleNamespace
 
     class Point(tuple):  # marked: stands for ConfigPoint._trusted
         host = property(lambda self: self[0])

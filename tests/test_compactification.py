@@ -26,6 +26,8 @@ from posetahedra.compact import (
 from posetahedra.errors import (
     IncoherentError,
     NotAdjacentError,
+    NotAPartitionError,
+    NotATubingError,
     NotCollapsibleError,
     NotInCollError,
     NotStrictError,
@@ -448,6 +450,17 @@ class TestDimensionAccounting:
                     len(tree.children[t]) - 2 for t in tree.non_singleton_nodes()
                 )
                 assert total == n - len(T.tubes) - 2, (name, T)
+
+
+class TestFaceInteriorPoint:
+    @pytest.mark.parametrize("blocks,error", [
+        ([(1, 2), (3, 4), (5, 6)], NotATubingError),  # the 3-cycle of C07
+        ([(1, 2)], NotAPartitionError),
+        ([(1, 2), (2, 3), (4,), (5,), (6,)], NotAPartitionError),
+    ])
+    def test_rejects_blocks_that_are_no_face(self, h6, blocks, error):
+        with pytest.raises(error):
+            face_interior_point(h6, full_tube(h6), [Tube.of(b) for b in blocks])
 
 
 class TestStratum:
