@@ -439,15 +439,18 @@ class AffineTubing:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset[AffineTube], ...]:
-    """All proper periodic tubings as sets of class representatives."""
-    classes = enumerate_affine_tubes(A, proper_only=True)
+    """All proper periodic tubings as sets of class representatives; with
+    max_only, the maximal ones (n - 1 classes), filtered from the cached
+    full list."""
     target = A.n - 1
+    if max_only:
+        return tuple(T for T in enumerate_affine_tubings(A) if len(T) == target)
+    classes = enumerate_affine_tubes(A, proper_only=True)
     chosen: list[AffineTube] = []
     out: list[frozenset[AffineTube]] = []
 
     def extend(start: int) -> None:
-        if not max_only or len(chosen) == target:
-            out.append(frozenset(chosen))
+        out.append(frozenset(chosen))
         if len(chosen) == target:
             return
         for k in range(start, len(classes)):
@@ -620,6 +623,9 @@ class PeriodicTubes:
     def outside(self, cls: AffineTube) -> set[AffineTube]:
         covered = residues_of(self.host, cls)
         return {AffineTube((r,)) for r in range(1, self.host.n + 1) if r not in covered}
+
+    def tubes(self) -> tuple[AffineTube, ...]:
+        return enumerate_affine_tubes(self.host, proper_only=False)
 
     def proper_tubes(self) -> tuple[AffineTube, ...]:
         return enumerate_affine_tubes(self.host, proper_only=True)

@@ -10,16 +10,24 @@ certified, never reconstructed by convex hull.
 Admissible tubings contain the root tube; frozen tubes are leaves of the
 nesting tree while each melted tube's children partition it.  The face
 dimension bookkeeping is size + |melted in T| - |frozen in T| - 2.  What
-differs between hosts is behind a tube system (``tube_system``).
+differs between hosts is behind a tube system (``tube_system``); every tube
+it knows has one position per host (``tube_index``), and tubings are
+handled as bitsets of those positions.
+
+Each stage carries forward what its subdivision leaves unchanged: the
+vertices' rows, the rank memo, the hyperplanes of the facets that do not
+contain the subdivided face, and the admissible-tubing options of the
+tubes whose melted interior did not change.  Every stage is certified in
+full all the same.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, singledispatch
-from operator import mul
+from functools import cached_property, lru_cache, reduce, singledispatch
+from operator import mul, or_
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
@@ -28,14 +36,16 @@ from .polytope import (
     Chart,
     Facet,
     RationalPolytope,
+    bit_positions,
     facet_through,
     halfspace_row,
     polar_dual,
     polytope_from_data,
+    union_of,
 )
 from .poset import Poset, ideal_filter_splits
 from .rational import check_bit_budget
-from .tubes import Tube, enumerate_tubes, full_tube
+from .tubes import CACHE_SIZE, Tube, enumerate_tubes, full_tube
 
 AdmTubing = frozenset[Tube]
 
@@ -107,9 +117,9 @@ class PosetTubes:
     Every tube system names the root tube (always melted), the size giving
     dim(T) = size + |melted in T| - |frozen in T| - 2, the polytope
     dimension, the stage word of error messages, frozen containment, the
-    strict partitions of a melted tube, the singletons outside a tube, the
-    proper tubes, the tube of an order-polytope cover label, the order
-    polytope and the face lattice the result is checked against.
+    strict partitions of a melted tube, the singletons outside a tube, all
+    its tubes, the proper tubes, the tube of an order-polytope cover label,
+    the order polytope and the face lattice the result is checked against.
     """
 
     stage = "melting"
@@ -129,6 +139,9 @@ class PosetTubes:
     def outside(self, tube: Tube) -> set[Tube]:
         return {Tube((e,)) for e in self.host.elements if e not in tube}
 
+    def tubes(self) -> tuple[Tube, ...]:
+        return enumerate_tubes(self.host)
+
     def proper_tubes(self) -> tuple[Tube, ...]:
         return enumerate_tubes(self.host, proper_only=True)
 
@@ -143,6 +156,48 @@ class PosetTubes:
 
 
 tube_system.register(Poset, PosetTubes)
+
+
+class TubeIndex:
+    """Every tube of a host's tube system at one fixed position.
+
+    Positions follow the members order of the tubes, so the positions of a
+    tubing in ascending order list its tubes in the order admissible
+    tubings are sorted by.  ``sub[i]`` is the bitset of the tubes that tube
+    i contains as a frozen tube (the system's ``contains``), itself
+    included.  ``partitions(i)`` gives the strict partitions of tube i as
+    tuples of block positions, taken from the tube system on first use.
+    """
+
+    def __init__(self, system):
+        self.system = system
+        self.tubes = tuple(sorted(system.tubes(), key=lambda t: t.members))
+        self.position = {t: k for k, t in enumerate(self.tubes)}
+        self.sub = tuple(sum(1 << j for j, inner in enumerate(self.tubes)
+                             if system.contains(outer, inner))
+                         for outer in self.tubes)
+        self._partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
+
+    def mask(self, tubes) -> int:
+        """The OR of the position bits of the given tubes."""
+        out = 0
+        for t in tubes:
+            out |= 1 << self.position[t]
+        return out
+
+    def partitions(self, k: int) -> tuple[tuple[int, ...], ...]:
+        parts = self._partitions.get(k)
+        if parts is None:
+            parts = self._partitions[k] = tuple(
+                tuple(map(self.position.__getitem__, blocks))
+                for blocks in self.system.partitions(self.tubes[k]))
+        return parts
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def tube_index(host) -> TubeIndex:
+    """The tube index of a host, built once per host."""
+    return TubeIndex(tube_system(host))
 
 
 @dataclass(frozen=True)
@@ -193,7 +248,11 @@ class AdmissiblePoset:
 
     @cached_property
     def order(self) -> FaceOrder:
-        return FaceOrder(self.elements, self.melted.__contains__, self.system.contains)
+        """The face index, from the host's tube positions; ``admissible_tubings``
+        hands over the masks it built instead."""
+        index = tube_index(self.host)
+        return FaceOrder(self.elements, [index.mask(T) for T in self.elements],
+                         index.mask(self.melted.tubes), index.sub)
 
     def le(self, a: AdmTubing, b: AdmTubing) -> bool:
         """Face order: melted tubes persist, frozen tubes may coarsen."""
@@ -219,101 +278,104 @@ class AdmissiblePoset:
 class FaceOrder:
     """The face order of admissible tubings on integer bitsets, indexed once.
 
-    Every tube occurring in an admissible tubing gets one bit; ``masks[i]``
-    is the OR of the bits of the tubes of ``elements[i]``.  ``bads[i]``
+    ``masks[i]`` is the OR of the tube position bits (``TubeIndex``) of
+    ``elements[i]`` and ``melted`` the bits of the melted tubes.  ``bads[i]``
     holds the melted tubes missing from it and the frozen tubes lying under
-    no frozen tube of it, so a <= b exactly when mask(a) & bad(b) == 0:
-    melted tubes persist and frozen tubes may coarsen.  ``index`` maps each
-    element to its position.  ``contains(s, t)`` says frozen s contains t.
+    no frozen tube of it, read off the containment bitsets ``sub``, so
+    a <= b exactly when mask(a) & bad(b) == 0: melted tubes persist and
+    frozen tubes may coarsen.  ``index`` maps each element to its position.
     Shared by the finite and the affine admissible posets.
     """
 
-    def __init__(self, elements, is_melted, contains):
-        bit: dict = {}
-        tube_bits = [[bit.setdefault(t, 1 << len(bit)) for t in T] for T in elements]
-        self.width = len(bit)
-        frozen_tubes = [t for t in bit if not is_melted(t)]
-        frozen = sum(bit[t] for t in frozen_tubes)
-        self.melted = (1 << self.width) - 1 - frozen
-        under = {bit[s]: sum(bit[t] for t in frozen_tubes if contains(s, t))
-                 for s in frozen_tubes}
-        self.masks: list[int] = []
-        self.bads: list[int] = []
-        for bits in tube_bits:
-            mask, covered = sum(bits), 0  # distinct bits: their sum is their OR
-            for b in bits:
-                covered |= under.get(b, 0)
-            self.masks.append(mask)
-            self.bads.append((self.melted & ~mask) | (frozen & ~covered))
+    def __init__(self, elements, masks, melted, sub):
+        self.width = len(sub)
+        self.melted = melted
+        self.masks = masks
+        frozen = ((1 << self.width) - 1) & ~melted
+        self.bads = [(melted & ~mask) | (frozen & ~union_of(sub, mask & frozen))
+                     for mask in masks]
         self.index = {T: i for i, T in enumerate(elements)}
 
     def le(self, a, b) -> bool:
         return not self.masks[self.index[a]] & self.bads[self.index[b]]
 
     def below(self, labels):
-        """The map i -> positions k, ascending, with labels[k] <= elements[i].
+        """The map i -> the bitset of the positions k with labels[k] <= elements[i].
 
+        A label is below elements[i] unless it holds a tube of its bad set,
+        so the map clears, from every label, those holding such a tube.
         Raises MismatchError when a label is not an element.
         """
-        masks = []
-        for label in labels:
+        holders = [0] * self.width  # per tube bit, the labels holding it
+        held = 0
+        for k, label in enumerate(labels):
             i = self.index.get(label)
             if i is None:
                 raise MismatchError(f"vertex label {_face_name(label)} is not admissible")
-            masks.append(self.masks[i])
-
-        def positions(i):
-            bad = self.bads[i]
-            return [k for k, mask in enumerate(masks) if not mask & bad]
-        return positions
-
-
-def _bits(x: int) -> list[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
+            held |= self.masks[i]
+            for j in bit_positions(self.masks[i]):
+                holders[j] |= 1 << k
+        every, bads = (1 << len(labels)) - 1, self.bads
+        return lambda i: every & ~union_of(holders, bads[i] & held)
 
 
-def _union(sets: list[int], x: int) -> int:
-    """OR of sets[j] over the set bits j of x."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= sets[low.bit_length() - 1]
-        x ^= low
-    return out
+@dataclass
+class TubingMemo:
+    """The admissible-tubing work a realization carries from stage to stage.
+
+    A melted tube's options depend only on its partitions and on which
+    tubes inside it are melted, so ``options`` maps a tube position to those
+    melted positions and the option masks they gave.  ``tubings`` maps each
+    tubing mask of the last stage to its positions and its set of tubes.
+    Both hold the work of one host's tube index.
+    """
+
+    options: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
+    tubings: dict[int, tuple[list[int], AdmTubing]] = field(default_factory=dict)
 
 
-def admissible_tubings(P: Poset, M: MeltedSet) -> AdmissiblePoset:
+def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -> AdmissiblePoset:
     """Enumerate admissible tubings recursively along the nesting tree.
 
     Every melted tube in a tubing must be partitioned by its children and
     every frozen tube is a leaf, so the candidates factor over tubing
     partitions; acyclicity then only needs checking partition by partition.
+    A tubing is built as the OR of its tubes' position bits (``tube_index``).
+    A stage reuses from ``memo`` the options of every tube whose melted
+    interior did not change and the tube sets of the tubings the last stage
+    had too; a realization hands one memo from stage to stage.
     """
-    system = tube_system(P)
-    memo: dict[Tube, tuple[frozenset[Tube], ...]] = {}
+    index = tube_index(P)
+    sub, melted = index.sub, index.mask(M.tubes)
+    memo = TubingMemo() if memo is None else memo
+    known = memo.options
 
-    def subtrees(tube: Tube) -> tuple[frozenset[Tube], ...]:
-        if tube in memo:
-            return memo[tube]
-        options: list[frozenset[Tube]] = []
-        for blocks in system.partitions(tube):
-            child_choices = [
-                subtrees(block) if block in M else (frozenset({block}),) for block in blocks
-            ]
-            for combo in itertools.product(*child_choices):
-                options.append(frozenset({tube}).union(*combo))
-        memo[tube] = tuple(options)
-        return memo[tube]
+    def subtrees(k: int) -> list[int]:
+        inside = melted & sub[k]
+        entry = known.get(k)
+        if entry is not None and entry[0] == inside:
+            return entry[1]
+        options: list[int] = []
+        for blocks in index.partitions(k):
+            choices = [subtrees(b) if melted >> b & 1 else (1 << b,) for b in blocks]
+            options.extend(reduce(or_, combo, 1 << k) for combo in itertools.product(*choices))
+        known[k] = (inside, options)
+        return options
 
-    elements = tuple(sorted(subtrees(system.root),
-                            key=lambda T: tuple(sorted(t.members for t in T))))
-    return AdmissiblePoset(host=P, melted=M, elements=elements)
+    last, tubings, tubes = memo.tubings, {}, index.tubes
+    for mask in subtrees(index.position[index.system.root]):
+        entry = last.get(mask)
+        if entry is None:
+            bits = bit_positions(mask)
+            entry = (bits, frozenset(map(tubes.__getitem__, bits)))
+        tubings[mask] = entry
+    memo.tubings = tubings
+    # ascending positions list the tubes in members order: the sort key
+    masks = sorted(tubings, key=lambda mask: tubings[mask][0])
+    elements = tuple(tubings[mask][1] for mask in masks)
+    adm = AdmissiblePoset(host=P, melted=M, elements=elements)
+    adm.__dict__["order"] = FaceOrder(elements, masks, melted, sub)
+    return adm
 
 
 # -- stellar subdivision ------------------------------------------------------
@@ -352,16 +414,32 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
     return tuple(scale * c for c in x)
 
 
-def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks) -> RationalPolytope:
-    """Solve every facet hyperplane from the lattice and certify the result.
+def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
+                         carried=None) -> RationalPolytope:
+    """Find every facet hyperplane of the lattice and certify the result.
 
     ``rows`` are the vertices' homogeneous rows and ``ranks`` the rank memo
     of the realization (see ``RationalPolytope``); both go on to the polytope.
+    ``carried`` maps the tight vertex bitset of each facet the previous
+    stage kept to that facet: its hyperplane is taken as it is, and every
+    other facet is solved from its tight set.  ``polytope_from_data`` then
+    signs every facet against every vertex, the solved ones through the
+    sign rows their solve returned, and ``lattice_match`` checks every face.
     """
     vertices_below, index = adm.order.below(labels), adm.order.index
-    facets = [facet_through(rows, vertices_below(index[Tf]), label=Tf) for Tf in adm.facets()]
+    carried = carried or {}
+    facets, signs = [], []
+    for Tf in adm.facets():
+        tight = vertices_below(index[Tf])
+        kept = carried.get(tight)
+        if kept is None:
+            facet, row = facet_through(rows, bit_positions(tight), label=Tf)
+        else:
+            facet, row = Facet(kept.normal, kept.offset, label=Tf), None
+        facets.append(facet)
+        signs.append(row)
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
-                              rows=rows, ranks=ranks)
+                              rows=rows, ranks=ranks, signs=signs)
     lattice_match(poly, adm)
     return poly
 
@@ -374,8 +452,8 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     span dim(T) dimensions.  Facet sets are integer bitsets taken per tube:
     the facets above T are those whose bad set misses every tube of T, one
     OR per tube of T, and their intersection is the AND of their incidence
-    columns.  Ranks are taken on Q's homogeneous rows, through Q's rank
-    memo.
+    columns, a vertex bitset compared with the bitset of the vertices below
+    T.  Ranks are taken on Q's homogeneous rows, through Q's rank memo.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -393,23 +471,23 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         if i is None:
             raise MismatchError(f"facet label {_face_name(facet.label)} is not admissible")
         spoiling |= order.bads[i]
-        for j in _bits(order.bads[i]):
+        for j in bit_positions(order.bads[i]):
             spoilers[j] |= 1 << k
         columns.append(sum(1 << v for v in inc))
     every_facet = (1 << len(columns)) - 1
     every_vertex = (1 << len(labels)) - 1
     for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
-        above = every_facet & ~_union(spoilers, mask & spoiling)
+        above = every_facet & ~union_of(spoilers, mask & spoiling)
         if adm.dim(T) < Q.dim and not above:
             raise MismatchError(f"face {_face_name(T)} lies on no facet")
         cut = every_vertex
-        for k in _bits(above):
+        for k in bit_positions(above):
             cut &= columns[k]
         below = vertices_below(i)
-        if _bits(cut) != below:
+        if cut != below:
             raise MismatchError(
                 f"face {_face_name(T)} vertex set disagrees with facet intersection")
-        if Q.rank(below) - 1 != adm.dim(T):
+        if Q.rank_of(below) - 1 != adm.dim(T):
             raise MismatchError(f"face {_face_name(T)} has wrong dimension")
 
 
@@ -422,8 +500,12 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     """Stellar subdivision at the face spanned by the given vertices.
 
     Geometry: add (1+eps) times the face centroid, certified strictly
-    beyond exactly the facets containing the face.  Combinatorics: facet
-    hyperplanes are re-solved from the supplied (already updated) lattice.
+    beyond exactly the facets containing the face.  Combinatorics: the
+    supplied (already updated) lattice gives every facet's tight set.  A
+    facet not containing the face keeps its hyperplane (the new point is
+    strictly beneath it) and every vertex on it (a vertex is removed only
+    when the face is that vertex), so it is carried over; only the other
+    facets are solved.
     """
     face_ids = frozenset(face_vertex_ids)
     if Q.face_from_vertices(face_ids) != face_ids:
@@ -442,7 +524,11 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
     labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
     rows = tuple(Q.rows[k] for k in kept) + (homogeneous(new_point),)
-    return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks)
+    position = dict(zip(kept, range(len(kept))))  # old vertex -> new vertex
+    carried = {sum(1 << position[v] for v in inc): facet
+               for facet, inc in zip(Q.facets, Q.incidence)
+               if not face_ids <= inc and all(v in position for v in inc)}
+    return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks, carried)
 
 
 # -- full pipeline ------------------------------------------------------------
@@ -491,12 +577,13 @@ def realize(P) -> RealizationResult:
     dual, adm = initial_dual(P)
     counts = [dual.n_vertices]
     melted: set[Tube] = set()
+    memo = TubingMemo()
     sequence = melt_order(system.proper_tubes())
     for tau in sequence:
         top = adm.s_tau(tau)
         face_ids = frozenset(i for i, lab in enumerate(dual.vertex_labels) if adm.le(lab, top))
         melted.add(tau)
-        adm = admissible_tubings(P, MeltedSet.of(P, melted))
+        adm = admissible_tubings(P, MeltedSet.of(P, melted), memo)
         try:
             dual = stellar_subdivide(dual, face_ids, adm)
         except MismatchError as exc:

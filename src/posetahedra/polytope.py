@@ -10,7 +10,7 @@ read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
 pair, evaluated in integers on the vertices' homogeneous rows, which each
 polytope clears of denominators once (``RationalPolytope.rows``).  Facet
 hyperplanes and ranks are solved on the same rows, and each rank is kept
-in a memo keyed by the rows themselves (``RationalPolytope.rank``).
+in a memo keyed by the set of rows (``RankMemo``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import compress, count
+from operator import mul, not_
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -65,6 +66,30 @@ class Facet:
         return sum((n * x for n, x in zip(self.normal, u)), Fraction(0))
 
 
+class RankMemo(dict):
+    """Ranks of sets of vertex rows, keyed by an OR of interned row ids.
+
+    ``bit(row)`` gives each distinct row one bit, the first time the memo
+    sees it, so a key is a function of the rows alone, never of a vertex
+    index or label, and the melting induction can hand one memo from stage
+    to stage, where kept vertices keep their rows.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self.bits: dict[tuple[int, ...], int] = {}
+
+    def bit(self, row: tuple[int, ...]) -> int:
+        bit = self.bits.get(row)
+        if bit is None:
+            bit = self.bits[row] = 1 << len(self.bits)
+        return bit
+
+    def clear(self) -> None:
+        super().clear()
+        self.bits.clear()
+
+
 @dataclass(frozen=True)
 class RationalPolytope:
     dim: int
@@ -84,22 +109,29 @@ class RationalPolytope:
         return tuple(map(linalg.homogeneous, self.vertices))
 
     @cached_property
-    def ranks(self) -> dict[tuple, int]:
-        """Memo of ``rank``: each tuple of vertex rows to its integer rank.
+    def ranks(self) -> RankMemo:
+        """Memo of ``rank``; a ``dataclasses.replace`` copy starts an empty one."""
+        return RankMemo()
 
-        Keyed by the rows themselves, never by vertex index or label, so
-        the melting induction can hand one memo from stage to stage, where
-        kept vertices keep their rows.  A ``dataclasses.replace`` copy
-        starts an empty one.
-        """
-        return {}
+    @cached_property
+    def row_bits(self) -> tuple[int, ...]:
+        """Each vertex's row id in the rank memo (``RankMemo.bit``)."""
+        return tuple(map(self.ranks.bit, self.rows))
 
     def rank(self, ids) -> int:
-        """Rank of the rows of the given vertices, taken in the given order."""
-        key = tuple(map(self.rows.__getitem__, ids))
+        """Rank of the rows of the given vertices."""
+        vertices = 0
+        for k in ids:
+            vertices |= 1 << k
+        return self.rank_of(vertices)
+
+    def rank_of(self, vertices: int) -> int:
+        """Rank of the rows of the vertices in the bitset ``vertices``."""
+        key = union_of(self.row_bits, vertices)
         rank = self.ranks.get(key)
         if rank is None:
-            rank = self.ranks[key] = linalg.integer_rank(key)
+            rank = self.ranks[key] = linalg.integer_rank(
+                [self.rows[k] for k in bit_positions(vertices)])
         return rank
 
     @property
@@ -151,13 +183,37 @@ class RationalPolytope:
         if signs is None:
             signs = [side_signs(f.normal, f.offset, rows) for f in self.facets]
         for facet, claimed, row in zip(self.facets, self.incidence, signs):
-            for i, s in enumerate(row):
-                if s > 0:
-                    raise MismatchError(f"vertex {i} beyond facet {facet.label}")
-                if (s == 0) != (i in claimed):
-                    raise MismatchError(f"incidence mismatch on facet {facet.label}")
-            if self.dim >= 1 and self.rank(sorted(claimed)) - 1 != self.dim - 1:
+            if 1 in row:
+                raise MismatchError(f"vertex {row.index(1)} beyond facet {facet.label}")
+            if _zeros(row) != claimed:
+                raise MismatchError(f"incidence mismatch on facet {facet.label}")
+            if self.dim >= 1 and self.rank(claimed) - 1 != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
+
+
+def _zeros(signs) -> frozenset[int]:
+    """The positions of the zeros of a sign row."""
+    return frozenset(compress(count(), map(not_, signs)))
+
+
+def bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
+def union_of(sets: Sequence[int], x: int) -> int:
+    """OR of sets[j] over the set bits j of x >= 0."""
+    out = 0
+    while x:
+        low = x & -x
+        out |= sets[low.bit_length() - 1]
+        x ^= low
+    return out
 
 
 def halfspace_row(normal, offset) -> list[int]:
@@ -186,18 +242,22 @@ def side_signs(normal, offset, rows) -> list[int]:
 
 
 def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
-                       rows=None, ranks=None) -> RationalPolytope:
+                       rows=None, ranks=None, signs=None) -> RationalPolytope:
     """Assemble a polytope, computing incidence by exact evaluation.
 
     ``rows``, when the caller has them, are the vertices' homogeneous rows
     (``RationalPolytope.rows``) and are not cleared again; ``ranks`` is a
-    rank memo to carry on (``RationalPolytope.ranks``).
+    rank memo to carry on (``RationalPolytope.ranks``).  ``signs``, when
+    given, holds per facet its :func:`side_signs` row on these rows, as
+    ``facet_through`` returns it, or None; only the missing rows are
+    evaluated here.
     """
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
     rows = tuple(map(linalg.homogeneous, vertices)) if rows is None else tuple(rows)
-    signs = [side_signs(f.normal, f.offset, rows) for f in facets]
-    incidence = tuple(frozenset(i for i, s in enumerate(row) if s == 0) for row in signs)
+    signs = [side_signs(f.normal, f.offset, rows) if row is None else row
+             for f, row in zip(facets, signs or [None] * len(facets))]
+    incidence = tuple(map(_zeros, signs))
     poly = RationalPolytope(
         dim=dim, vertices=vertices, facets=facets, incidence=incidence,
         chart=chart, vertex_labels=vertex_labels,
@@ -240,13 +300,14 @@ def polar_dual(Q: RationalPolytope) -> RationalPolytope:
 
 
 def facet_through(rows: Sequence[list[int]], tight_ids: Iterable[int],
-                  label=None) -> Facet:
-    """The supporting hyperplane spanned by the tight vertices.
+                  label=None) -> tuple[Facet, list[int]]:
+    """The supporting hyperplane spanned by the tight vertices, and its sign row.
 
     ``rows`` holds every vertex as its homogeneous row (``RationalPolytope.rows``).
     The hyperplane is solved in integers and scaled to coprime integer
     entries, with the normal oriented so all remaining vertices are
-    strictly beneath; raises MismatchError when the tight set is not a
+    strictly beneath; the sign row is :func:`side_signs` of the oriented
+    facet on ``rows``.  Raises MismatchError when the tight set is not a
     facet's vertex set.
     """
     tight = set(tight_ids)
@@ -262,4 +323,5 @@ def facet_through(rows: Sequence[list[int]], tight_ids: Iterable[int],
     if 1 in signs:
         normal = [-n for n in normal]
         offset = -offset
-    return Facet(tuple(map(Fraction, normal)), Fraction(offset), label=label)
+        row = [-s for s in row]
+    return Facet(tuple(map(Fraction, normal)), Fraction(offset), label=label), row

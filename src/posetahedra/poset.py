@@ -188,28 +188,33 @@ def is_connected(P: Poset, subset) -> bool:
     return seen == inside
 
 
-def is_ideal(P: Poset, subset) -> bool:
-    inside = set(_members(subset))
-    return all(i in inside for j in inside for i in P.elements if P.lt(i, j))
-
-
 def ideal_filter_splits(P: Poset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All splits P = I ⊔ F into a connected ideal and a connected filter.
 
-    These index the vertices of the order polytope.  Enumeration is by
-    subsets, so it raises ElementBudgetError when |P| is above MAX_ELEMENTS.
+    These index the vertices of the order polytope.  The ideals are built
+    on element masks, taking the elements in a linear extension: an ideal
+    of the elements taken so far either leaves out the next element or
+    takes it, when its down-set mask lies inside the ideal (one AND).  The
+    ideals can number 2^(|P| - 1), so it raises ElementBudgetError when |P|
+    is above MAX_ELEMENTS.
     """
     n = len(P.elements)
     if n > MAX_ELEMENTS:
         raise ElementBudgetError(
             f"{n} elements: ideal-filter splits take at most {MAX_ELEMENTS}")
+    at = {e: k for k, e in enumerate(P.elements)}
+    down = [0] * n  # the strict down-set of each element, as a mask of positions
+    for i, j in P._strict:
+        down[at[j]] |= 1 << at[i]
+    ideals = [0]
+    # a smaller element has a smaller down-set: this is a linear extension
+    for k in sorted(range(n), key=lambda k: down[k].bit_count()):
+        ideals += [ideal | 1 << k for ideal in ideals if not down[k] & ~ideal]
     splits = []
-    for mask in range(1, (1 << n) - 1):
+    for mask in ideals:
         ideal = tuple(P.elements[k] for k in range(n) if mask >> k & 1)
-        if not is_ideal(P, ideal):
-            continue
-        filt = tuple(e for e in P.elements if e not in set(ideal))
-        if is_connected(P, ideal) and is_connected(P, filt):
+        filt = tuple(P.elements[k] for k in range(n) if not mask >> k & 1)
+        if ideal and filt and is_connected(P, ideal) and is_connected(P, filt):
             splits.append((ideal, filt))
     splits.sort(key=lambda s: (len(s[0]), s[0]))
     return splits

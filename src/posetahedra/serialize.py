@@ -10,6 +10,8 @@ from __future__ import annotations
 import json
 from decimal import Decimal, getcontext
 from fractions import Fraction
+from functools import lru_cache
+
 import jsonschema
 
 from .affine import AffinePoset, build_affine_poset
@@ -89,12 +91,37 @@ CONFIG_POINT_SCHEMA = {
 }
 
 
+SCHEMAS = {
+    "poset": POSET_SCHEMA,
+    "affine poset": AFFINE_POSET_SCHEMA,
+    "polytope": POLYTOPE_SCHEMA,
+    "configuration point": CONFIG_POINT_SCHEMA,
+}
+
+
+@lru_cache(maxsize=len(SCHEMAS))
+def _validator(name: str):
+    """The validator of a schema, checked against its metaschema once, on first use."""
+    schema = SCHEMAS[name]
+    cls = jsonschema.validators.validator_for(schema)
+    cls.check_schema(schema)
+    return cls(schema)
+
+
+def _validate(data, name: str) -> None:
+    """``jsonschema.validate`` against the named schema, without re-checking
+    the schema itself: raises the same best-matching ValidationError."""
+    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
+    if error is not None:
+        raise error
+
+
 def poset_to_json(P: Poset) -> dict:
     return {"covers": [list(c) for c in P.covers]}
 
 
 def poset_from_json(data) -> Poset:
-    jsonschema.validate(data, POSET_SCHEMA)
+    _validate(data, "poset")
     return build_poset([tuple(c) for c in data["covers"]])
 
 
@@ -103,7 +130,7 @@ def affine_poset_to_json(A: AffinePoset) -> dict:
 
 
 def affine_poset_from_json(data) -> AffinePoset:
-    jsonschema.validate(data, AFFINE_POSET_SCHEMA)
+    _validate(data, "affine poset")
     return build_affine_poset(data["n"], [tuple(c) for c in data["covers"]])
 
 
@@ -137,7 +164,7 @@ def polytope_to_json(Q: RationalPolytope) -> dict:
     }
     if Q.vertex_labels is not None:
         out["vertex_labels"] = [_label_json(lab) for lab in Q.vertex_labels]
-    jsonschema.validate(out, POLYTOPE_SCHEMA)
+    _validate(out, "polytope")
     return out
 
 
@@ -167,7 +194,7 @@ def polytope_from_json(data) -> RationalPolytope:
     """Rebuild vertices/facets exactly; incidence is recomputed and certified."""
     from .polytope import Facet, polytope_from_data
 
-    jsonschema.validate(data, POLYTOPE_SCHEMA)
+    _validate(data, "polytope")
     vertices = [tuple(parse_rational(x) for x in v) for v in data["vertices"]]
     facets = [
         Facet(
@@ -187,12 +214,12 @@ def config_point_to_json(c: ConfigPoint) -> dict:
         key = ",".join(str(i) for i in tube.members)
         tubes[key] = [format_rational(vec[i]) for i in tube.members]
     out = {"tubes": tubes}
-    jsonschema.validate(out, CONFIG_POINT_SCHEMA)
+    _validate(out, "configuration point")
     return out
 
 
 def config_point_from_json(P: Poset, data) -> ConfigPoint:
-    jsonschema.validate(data, CONFIG_POINT_SCHEMA)
+    _validate(data, "configuration point")
     comps = {}
     for key, values in data["tubes"].items():
         members = tuple(int(x) for x in key.split(","))

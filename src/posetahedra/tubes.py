@@ -293,16 +293,14 @@ def walk_tubings(cx: TubeComplex, visit, reject=None):
 def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, ...]:
     """All proper tubings, sorted by ``Tubing.key``, from one walk of the
     tube complex.  With max_only, only tubings of size |P|-2 (the
-    polytope's vertices) are returned.
+    polytope's vertices) are returned, filtered from the cached full list:
+    the walk visits every tubing either way.
     """
     cx = tube_complex(P)
+    if max_only:
+        return tuple(T for T in enumerate_proper_tubings(P) if len(T) == cx.max_tubes)
     found: list[tuple[int, ...]] = []
-
-    def visit(chosen: list[int]) -> None:
-        if not max_only or len(chosen) == cx.max_tubes:
-            found.append(tuple(chosen))
-
-    walk_tubings(cx, visit)
+    walk_tubings(cx, lambda chosen: found.append(tuple(chosen)))
     tubes = cx.tubes
     # chosen indices increase, so they list the tubes in Tubing.sorted_tubes order
     found.sort(key=lambda idxs: (len(idxs), tuple(tubes[k].members for k in idxs)))

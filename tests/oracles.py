@@ -860,3 +860,96 @@ def tube_keyed_kernel(Tube, Tubing, tubing_tree, is_tubing, homogeneous, has_arr
     return SimpleNamespace(stratum_point=stratum_point, canonical=canonical,
                            face_interior_point=face_interior_point,
                            t_max=t_max, expand=expand, collapse=collapse)
+
+
+# -- enumerations before they ran on bitsets or the cached walk ---------------
+#
+# Copies of the old functions; the package's unchanged pieces enter as
+# arguments.
+
+
+def admissible_tubings(P, M, tube_system, AdmissiblePoset):
+    """The old ``geometry.admissible_tubings``: tubings as unions of Tube sets."""
+    system = tube_system(P)
+    memo = {}
+
+    def subtrees(tube):
+        if tube in memo:
+            return memo[tube]
+        options = []
+        for blocks in system.partitions(tube):
+            child_choices = [
+                subtrees(block) if block in M else (frozenset({block}),) for block in blocks
+            ]
+            for combo in itertools.product(*child_choices):
+                options.append(frozenset({tube}).union(*combo))
+        memo[tube] = tuple(options)
+        return memo[tube]
+
+    elements = tuple(sorted(subtrees(system.root),
+                            key=lambda T: tuple(sorted(t.members for t in T))))
+    return AdmissiblePoset(host=P, melted=M, elements=elements)
+
+
+def walk_proper_tubings(P, max_only, tube_complex, walk_tubings, Tubing):
+    """The old ``tubes.enumerate_proper_tubings``: max_only walks again."""
+    cx = tube_complex(P)
+    found = []
+
+    def visit(chosen):
+        if not max_only or len(chosen) == cx.max_tubes:
+            found.append(tuple(chosen))
+
+    walk_tubings(cx, visit)
+    tubes = cx.tubes
+    # chosen indices increase, so they list the tubes in Tubing.sorted_tubes order
+    found.sort(key=lambda idxs: (len(idxs), tuple(tubes[k].members for k in idxs)))
+    return tuple(Tubing(P, frozenset(tubes[k] for k in idxs)) for idxs in found)
+
+
+def enumerate_affine_tubings(A, max_only, enumerate_affine_tubes, class_nested_or_disjoint,
+                             is_affine_tubing):
+    """The old ``affine.enumerate_affine_tubings``: max_only walks again."""
+    classes = enumerate_affine_tubes(A, proper_only=True)
+    target = A.n - 1
+    chosen = []
+    out = []
+
+    def extend(start):
+        if not max_only or len(chosen) == target:
+            out.append(frozenset(chosen))
+        if len(chosen) == target:
+            return
+        for k in range(start, len(classes)):
+            cand = classes[k]
+            if all(class_nested_or_disjoint(A, cand, c) for c in chosen) \
+                    and is_affine_tubing(A, chosen + [cand]):
+                chosen.append(cand)
+                extend(k + 1)
+                chosen.pop()
+
+    extend(0)
+    out.sort(key=lambda T: (len(T), tuple(sorted(c.members for c in T))))
+    return tuple(out)
+
+
+def ideal_filter_splits(P, is_ideal, is_connected):
+    """The old ``poset.ideal_filter_splits`` (its element budget left out),
+    with ``is_ideal`` above."""
+    n = len(P.elements)
+    splits = []
+    for mask in range(1, (1 << n) - 1):
+        ideal = tuple(P.elements[k] for k in range(n) if mask >> k & 1)
+        if not is_ideal(P, ideal):
+            continue
+        filt = tuple(e for e in P.elements if e not in set(ideal))
+        if is_connected(P, ideal) and is_connected(P, filt):
+            splits.append((ideal, filt))
+    splits.sort(key=lambda s: (len(s[0]), s[0]))
+    return splits
+
+
+def is_ideal(P, subset):
+    """The old ``poset.is_ideal``, which the old splits called."""
+    inside = set(subset)
+    return all(i in inside for j in inside for i in P.elements if P.lt(i, j))

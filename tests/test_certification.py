@@ -93,6 +93,25 @@ def test_claimed_facet_does_not_support(w5_dual):
             facet_through(dual.rows, ids)
 
 
+@pytest.mark.parametrize("nudge,error", [
+    (F(1, 10**6), "tight set has wrong rank"),  # off every vertex
+    (-F(1, 10**6), "vertex [0-9]+ beyond facet"),
+], ids=["out", "in"])
+def test_carried_facet_with_nudged_offset(w5, nudge, error):
+    """A facet the subdivision keeps is carried, not solved; a carried
+    hyperplane that is off by a hair must still fail certification."""
+    dual, adm = initial_dual(w5)
+    tau = melt_order(enumerate_tubes(w5, proper_only=True))[0]
+    face_ids = frozenset(i for i, lab in enumerate(dual.vertex_labels)
+                         if adm.le(lab, adm.s_tau(tau)))
+    new_adm = admissible_tubings(w5, MeltedSet.of(w5, {tau}))
+    k = next(k for k, inc in enumerate(dual.incidence) if not face_ids <= inc)
+    f = dual.facets[k]
+    facets = dual.facets[:k] + (replace(f, offset=f.offset + nudge),) + dual.facets[k + 1:]
+    with pytest.raises(MismatchError, match=error):
+        stellar_subdivide(replace(dual, facets=facets), face_ids, new_adm)
+
+
 @dataclass(frozen=True)
 class _OneFaceOff(AdmissiblePoset):
     """Claims one more dimension for the face ``off`` than it has."""

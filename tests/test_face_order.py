@@ -197,7 +197,9 @@ def test_facets_match_fraction_solve_at_every_stage(monkeypatch, host):
         for facet, inc in zip(Q.facets, Q.incidence):
             assert (facet.normal, facet.offset) == oracles.oriented_facet(Q.vertices, inc)
             assert all(type(x) is F for x in (*facet.normal, facet.offset))
-            assert facet_through(Q.rows, inc, facet.label) == facet
+            solved, row = facet_through(Q.rows, inc, facet.label)
+            assert solved == facet
+            assert row == side_signs(facet.normal, facet.offset, Q.rows)
 
 
 @st.composite

@@ -33,7 +33,7 @@ from posetahedra.poset import (
     quotient_poset,
     res,
 )
-from strategies import SETTINGS
+from strategies import SETTINGS, connected_posets
 
 W5_COVERS = [(1, 2), (1, 3), (2, 4), (3, 4), (4, 5)]
 
@@ -172,6 +172,18 @@ class TestIdealFilterSplits:
                 if is_ideal and oracles.connected(hp, I) and oracles.connected(hp, Fc):
                     expected += 1
             assert len(ideal_filter_splits(P)) == expected
+
+    @pytest.mark.parametrize("name", sorted(corpus.DESK_POSETS))
+    def test_matches_old_subset_loop_on_the_corpus(self, name):
+        P = corpus.DESK_POSETS[name]
+        assert ideal_filter_splits(P) == oracles.ideal_filter_splits(P, oracles.is_ideal,
+                                                                     is_connected)
+
+    @SETTINGS
+    @given(connected_posets(max_size=8))
+    def test_matches_old_subset_loop(self, P):
+        assert ideal_filter_splits(P) == oracles.ideal_filter_splits(P, oracles.is_ideal,
+                                                                     is_connected)
 
 
     def test_element_budget(self):

@@ -2,9 +2,10 @@ import json
 import time
 from fractions import Fraction as F
 
+import jsonschema
 import pytest
 
-from posetahedra import corpus
+from posetahedra import corpus, serialize
 from posetahedra.cli import main
 from posetahedra.compact import stratum_point
 from posetahedra.geometry import realize_poset_associahedron
@@ -64,6 +65,33 @@ class TestJsonRoundTrips:
         assert data["tubes"]["1,2"] == ["-1/2", "1/2"]
         back = config_point_from_json(c4, data)
         assert back == point
+
+    def test_malformed_rational_is_refused(self, c4, monkeypatch):
+        Q = realize_poset_associahedron(c4).primal
+        data = polytope_to_json(Q)
+        data["vertices"][0][0] = "1/0"
+        with pytest.raises(jsonschema.ValidationError, match="'1/0' does not match"):
+            polytope_from_json(data)
+        monkeypatch.setattr(serialize, "format_rational", lambda x: "0.5")
+        with pytest.raises(jsonschema.ValidationError, match="'0.5' does not match"):
+            polytope_to_json(Q)
+
+    def test_each_schema_is_checked_once(self, c4, w5, monkeypatch):
+        checked = []
+        cls = jsonschema.validators.validator_for(serialize.POLYTOPE_SCHEMA)
+        check = cls.check_schema
+        monkeypatch.setattr(cls, "check_schema", classmethod(
+            lambda _, schema: checked.append(id(schema)) or check(schema)))
+        serialize._validator.cache_clear()
+        Q = realize_poset_associahedron(c4).primal
+        point = stratum_point(c4, Tubing.of(c4, [(1, 2)]))
+        for _ in range(2):
+            polytope_from_json(polytope_to_json(Q))
+            poset_from_json(poset_to_json(w5))
+            config_point_from_json(c4, config_point_to_json(point))
+        assert sorted(checked) == sorted(map(id, (serialize.POLYTOPE_SCHEMA,
+                                                  serialize.POSET_SCHEMA,
+                                                  serialize.CONFIG_POINT_SCHEMA)))
 
     def test_ratio_report_serializes(self):
         from posetahedra.compact import ratio_counterexample_demo

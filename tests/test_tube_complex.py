@@ -7,7 +7,13 @@ from hypothesis import given
 
 import oracles
 from posetahedra import corpus, lattice
-from posetahedra.affine import cyclohedron_face_lattice, enumerate_affine_tubings
+from posetahedra.affine import (
+    class_nested_or_disjoint,
+    cyclohedron_face_lattice,
+    enumerate_affine_tubes,
+    enumerate_affine_tubings,
+    is_affine_tubing,
+)
 from posetahedra.lattice import (
     EMPTY,
     associahedron_face_lattice,
@@ -20,11 +26,13 @@ from posetahedra.lattice import (
 from posetahedra.poset import build_poset
 from posetahedra.tubes import (
     Tube,
+    Tubing,
     enumerate_proper_tubings,
     has_arrow,
     is_tubing,
     nested_or_disjoint,
     tube_complex,
+    walk_tubings,
 )
 from strategies import SETTINGS, connected_posets
 
@@ -49,8 +57,11 @@ def check_complex_bits(P):
 
 def check_tubings(P):
     for max_only in (False, True):
-        got = [T.tubes for T in enumerate_proper_tubings(P, max_only)]
-        assert got == oracles.enumerate_proper_tubings(P, Tube, max_only), max_only
+        got = enumerate_proper_tubings(P, max_only)
+        assert [T.tubes for T in got] == oracles.enumerate_proper_tubings(P, Tube, max_only)
+        # the maximal tubings come from the cached walk, in the order a walk of their own gave
+        assert got == oracles.walk_proper_tubings(P, max_only, tube_complex, walk_tubings,
+                                                  Tubing), max_only
 
 
 def check_flag(P):
@@ -120,6 +131,14 @@ def test_cyclohedron_lattice_matches_old_builder(name):
     L = cyclohedron_face_lattice(A)
     assert (L.kind, L.dim) == ("cyclohedron", A.n - 1)
     assert_same_lattice(L, oracles.cyclohedron_face_lattice(A.n, enumerate_affine_tubings(A)))
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE))
+def test_affine_tubings_match_old_walk(name):
+    A = corpus.DESK_AFFINE[name]
+    for max_only in (False, True):
+        assert enumerate_affine_tubings(A, max_only) == oracles.enumerate_affine_tubings(
+            A, max_only, enumerate_affine_tubes, class_nested_or_disjoint, is_affine_tubing)
 
 
 def test_h6_is_the_non_flag_host():
