@@ -382,8 +382,10 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
 
 
 def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fraction, ...]:
-    """(1 + eps) times the face centroid x, eps = half the room to the first
-    facet not containing the face.  The polytope must contain the origin.
+    """(1 + eps) times the face centroid x, eps the largest 1/2^k strictly
+    below the room to the first facet not containing the face, so that
+    the new point's denominators grow by a power of two at most.  The
+    polytope must contain the origin.
 
     Facets are evaluated in integers on the centroid's cleared row: for
     each facet, nx = E D <n, x> and nb = E D b with the same E, D > 0.  As
@@ -405,8 +407,10 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
             bound = t if bound is None else min(bound, t)
     if bound is not None and bound <= 0:
         raise EpsilonInfeasibleError("no positive pull-out factor exists")
-    # with no binding facet any positive factor keeps the point beneath them
-    scale = 1 + (Fraction(1) if bound is None else bound / 2)
+    # with no binding facet any positive factor keeps the point beneath them;
+    # else 2^k > 1/bound for the least k, which is the bit length of floor(1/bound)
+    k = 0 if bound is None else (bound.denominator // bound.numerator).bit_length()
+    scale = 1 + Fraction(1, 1 << k)
     for (nx, nb), inc in zip(values, Q.incidence):
         beyond = scale.numerator * nx > scale.denominator * nb
         if beyond != (face_ids <= inc):
