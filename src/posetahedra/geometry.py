@@ -10,24 +10,20 @@ certified, never reconstructed by convex hull.
 Admissible tubings contain the root tube; frozen tubes are leaves of the
 nesting tree while each melted tube's children partition it.  The face
 dimension bookkeeping is size + |melted in T| - |frozen in T| - 2.  What
-differs between hosts is behind a tube system (``tube_system``); every tube
-it knows has one position per host (``tube_index``), and tubings are
-handled as bitsets of those positions.
-
-Each stage carries forward what its subdivision leaves unchanged: the
-vertices' rows, the rank memo, the hyperplanes of the facets that do not
-contain the subdivided face, and the admissible-tubing options of the
-tubes whose melted interior did not change.  Every stage is certified in
-full all the same.
+differs between hosts is behind a tube system (``tube_system``), whose
+tubes have one position per host (``tube_index``); tubings are bitsets of
+positions.  Each stage carries forward what its subdivision leaves
+unchanged, and is certified in full all the same.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce, singledispatch
 from operator import mul, or_
+from typing import NamedTuple
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
@@ -41,7 +37,7 @@ from .polytope import (
     halfspace_row,
     polar_dual,
     polytope_from_data,
-    union_of,
+    union_table,
 )
 from .poset import Poset, ideal_filter_splits
 from .rational import check_bit_budget
@@ -158,46 +154,33 @@ class PosetTubes:
 tube_system.register(Poset, PosetTubes)
 
 
-class TubeIndex:
-    """Every tube of a host's tube system at one fixed position.
+class TubeIndex(NamedTuple):
+    """Every tube of a host's tube system at one position, in members order,
+    so a tubing's ascending positions list its tubes in the order admissible
+    tubings are sorted by.  ``sub[i]`` holds the tubes that tube i contains
+    as a frozen tube, itself included; ``parts[i]`` the strict partitions of
+    a non-singleton tube i, as tuples of block positions."""
 
-    Positions follow the members order of the tubes, so the positions of a
-    tubing in ascending order list its tubes in the order admissible
-    tubings are sorted by.  ``sub[i]`` is the bitset of the tubes that tube
-    i contains as a frozen tube (the system's ``contains``), itself
-    included.  ``partitions(i)`` gives the strict partitions of tube i as
-    tuples of block positions, taken from the tube system on first use.
-    """
+    system: object
+    tubes: tuple
+    position: dict
+    sub: tuple[int, ...]
+    parts: tuple[tuple[tuple[int, ...], ...], ...]
 
-    def __init__(self, system):
-        self.system = system
-        self.tubes = tuple(sorted(system.tubes(), key=lambda t: t.members))
-        self.position = {t: k for k, t in enumerate(self.tubes)}
-        self.sub = tuple(sum(1 << j for j, inner in enumerate(self.tubes)
-                             if system.contains(outer, inner))
-                         for outer in self.tubes)
-        self._partitions: dict[int, tuple[tuple[int, ...], ...]] = {}
-
-    def mask(self, tubes) -> int:
-        """The OR of the position bits of the given tubes."""
-        out = 0
-        for t in tubes:
-            out |= 1 << self.position[t]
-        return out
-
-    def partitions(self, k: int) -> tuple[tuple[int, ...], ...]:
-        parts = self._partitions.get(k)
-        if parts is None:
-            parts = self._partitions[k] = tuple(
-                tuple(map(self.position.__getitem__, blocks))
-                for blocks in self.system.partitions(self.tubes[k]))
-        return parts
+    def mask(self, tubes: frozenset) -> int:
+        return sum(1 << self.position[t] for t in tubes)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tube_index(host) -> TubeIndex:
-    """The tube index of a host, built once per host."""
-    return TubeIndex(tube_system(host))
+    system = tube_system(host)
+    tubes = tuple(sorted(system.tubes(), key=lambda t: t.members))
+    position = {t: k for k, t in enumerate(tubes)}
+    sub = tuple(sum(1 << j for j, s in enumerate(tubes) if system.contains(t, s)) for t in tubes)
+    parts = tuple(() if len(t) == 1 else tuple(tuple(map(position.__getitem__, blocks))
+                                               for blocks in system.partitions(t))
+                  for t in tubes)
+    return TubeIndex(system, tubes, position, sub, parts)
 
 
 @dataclass(frozen=True)
@@ -247,9 +230,7 @@ class AdmissiblePoset:
                 for T, mask in zip(self.elements, order.masks)}
 
     @cached_property
-    def order(self) -> FaceOrder:
-        """The face index, from the host's tube positions; ``admissible_tubings``
-        hands over the masks it built instead."""
+    def order(self) -> FaceOrder:  # admissible_tubings sets it from its own masks
         index = tube_index(self.host)
         return FaceOrder(self.elements, [index.mask(T) for T in self.elements],
                          index.mask(self.melted.tubes), index.sub)
@@ -291,20 +272,17 @@ class FaceOrder:
         self.width = len(sub)
         self.melted = melted
         self.masks = masks
-        frozen = ((1 << self.width) - 1) & ~melted
-        self.bads = [(melted & ~mask) | (frozen & ~union_of(sub, mask & frozen))
-                     for mask in masks]
+        frozen, covered = ((1 << self.width) - 1) & ~melted, union_table(sub)
+        self.bads = [(melted & ~mask) | (frozen & ~covered(mask & frozen)) for mask in masks]
         self.index = {T: i for i, T in enumerate(elements)}
 
     def le(self, a, b) -> bool:
         return not self.masks[self.index[a]] & self.bads[self.index[b]]
 
     def below(self, labels):
-        """The map i -> the bitset of the positions k with labels[k] <= elements[i].
-
-        A label is below elements[i] unless it holds a tube of its bad set,
-        so the map clears, from every label, those holding such a tube.
-        Raises MismatchError when a label is not an element.
+        """The map i -> the bitset of the positions k with labels[k] <= elements[i]:
+        every label less those holding a tube of bad(i).  Raises
+        MismatchError when a label is not an element.
         """
         holders = [0] * self.width  # per tube bit, the labels holding it
         held = 0
@@ -315,23 +293,19 @@ class FaceOrder:
             held |= self.masks[i]
             for j in bit_positions(self.masks[i]):
                 holders[j] |= 1 << k
-        every, bads = (1 << len(labels)) - 1, self.bads
-        return lambda i: every & ~union_of(holders, bads[i] & held)
+        every, bads, union = (1 << len(labels)) - 1, self.bads, union_table(holders)
+        return lambda i: every & ~union(bads[i] & held)
 
 
-@dataclass
 class TubingMemo:
-    """The admissible-tubing work a realization carries from stage to stage.
+    """Admissible-tubing work a realization carries from stage to stage: per
+    tube position, the melted positions inside the tube and the option masks
+    they gave (a tube's options depend on nothing else), and per tubing mask
+    of the last stage, its positions and its set of tubes."""
 
-    A melted tube's options depend only on its partitions and on which
-    tubes inside it are melted, so ``options`` maps a tube position to those
-    melted positions and the option masks they gave.  ``tubings`` maps each
-    tubing mask of the last stage to its positions and its set of tubes.
-    Both hold the work of one host's tube index.
-    """
-
-    options: dict[int, tuple[int, list[int]]] = field(default_factory=dict)
-    tubings: dict[int, tuple[list[int], AdmTubing]] = field(default_factory=dict)
+    def __init__(self):
+        self.options: dict[int, tuple[int, list[int]]] = {}
+        self.tubings: dict[int, tuple[list[int], AdmTubing]] = {}
 
 
 def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -> AdmissiblePoset:
@@ -340,10 +314,8 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
     Every melted tube in a tubing must be partitioned by its children and
     every frozen tube is a leaf, so the candidates factor over tubing
     partitions; acyclicity then only needs checking partition by partition.
-    A tubing is built as the OR of its tubes' position bits (``tube_index``).
-    A stage reuses from ``memo`` the options of every tube whose melted
-    interior did not change and the tube sets of the tubings the last stage
-    had too; a realization hands one memo from stage to stage.
+    A tubing is the OR of its tubes' position bits (``tube_index``); what
+    ``memo`` holds from the last stage is reused.
     """
     index = tube_index(P)
     sub, melted = index.sub, index.mask(M.tubes)
@@ -356,7 +328,7 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
         if entry is not None and entry[0] == inside:
             return entry[1]
         options: list[int] = []
-        for blocks in index.partitions(k):
+        for blocks in index.parts[k]:
             choices = [subtrees(b) if melted >> b & 1 else (1 << b,) for b in blocks]
             options.extend(reduce(or_, combo, 1 << k) for combo in itertools.product(*choices))
         known[k] = (inside, options)
@@ -424,11 +396,10 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
 
     ``rows`` are the vertices' homogeneous rows and ``ranks`` the rank memo
     of the realization (see ``RationalPolytope``); both go on to the polytope.
-    ``carried`` maps the tight vertex bitset of each facet the previous
-    stage kept to that facet: its hyperplane is taken as it is, and every
-    other facet is solved from its tight set.  ``polytope_from_data`` then
-    signs every facet against every vertex, the solved ones through the
-    sign rows their solve returned, and ``lattice_match`` checks every face.
+    ``carried`` maps a tight vertex bitset to the facet a previous stage
+    kept there, whose hyperplane is taken as it is; the other facets are
+    solved.  Every facet is then signed against every vertex and every face
+    checked, as always.
     """
     vertices_below, index = adm.order.below(labels), adm.order.index
     carried = carried or {}
@@ -436,10 +407,8 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
     for Tf in adm.facets():
         tight = vertices_below(index[Tf])
         kept = carried.get(tight)
-        if kept is None:
-            facet, row = facet_through(rows, bit_positions(tight), label=Tf)
-        else:
-            facet, row = Facet(kept.normal, kept.offset, label=Tf), None
+        facet, row = (facet_through(rows, bit_positions(tight), label=Tf) if kept is None
+                      else (Facet(kept.normal, kept.offset, label=Tf), None))
         facets.append(facet)
         signs.append(row)
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
@@ -455,9 +424,10 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     intersection of the tight sets of the facets above it, and (b) affinely
     span dim(T) dimensions.  Facet sets are integer bitsets taken per tube:
     the facets above T are those whose bad set misses every tube of T, one
-    OR per tube of T, and their intersection is the AND of their incidence
-    columns, a vertex bitset compared with the bitset of the vertices below
-    T.  Ranks are taken on Q's homogeneous rows, through Q's rank memo.
+    table OR over the tubes of T, and their intersection is the AND of their
+    incidence columns, a vertex bitset compared with the bitset of the
+    vertices below T.  Ranks are taken on Q's homogeneous rows, through Q's
+    rank memo.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -478,10 +448,10 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         for j in bit_positions(order.bads[i]):
             spoilers[j] |= 1 << k
         columns.append(sum(1 << v for v in inc))
-    every_facet = (1 << len(columns)) - 1
-    every_vertex = (1 << len(labels)) - 1
+    every_facet, every_vertex = (1 << len(columns)) - 1, (1 << len(labels)) - 1
+    spoiled = union_table(spoilers)
     for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
-        above = every_facet & ~union_of(spoilers, mask & spoiling)
+        above = every_facet & ~spoiled(mask & spoiling)
         if adm.dim(T) < Q.dim and not above:
             raise MismatchError(f"face {_face_name(T)} lies on no facet")
         cut = every_vertex
@@ -506,10 +476,8 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     Geometry: add (1+eps) times the face centroid, certified strictly
     beyond exactly the facets containing the face.  Combinatorics: the
     supplied (already updated) lattice gives every facet's tight set.  A
-    facet not containing the face keeps its hyperplane (the new point is
-    strictly beneath it) and every vertex on it (a vertex is removed only
-    when the face is that vertex), so it is carried over; only the other
-    facets are solved.
+    facet not containing the face keeps its hyperplane and its vertices (a
+    vertex is removed only when the face is that vertex), so it is carried.
     """
     face_ids = frozenset(face_vertex_ids)
     if Q.face_from_vertices(face_ids) != face_ids:

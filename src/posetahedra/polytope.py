@@ -67,13 +67,9 @@ class Facet:
 
 
 class RankMemo(dict):
-    """Ranks of sets of vertex rows, keyed by an OR of interned row ids.
-
-    ``bit(row)`` gives each distinct row one bit, the first time the memo
-    sees it, so a key is a function of the rows alone, never of a vertex
-    index or label, and the melting induction can hand one memo from stage
-    to stage, where kept vertices keep their rows.
-    """
+    """Ranks of sets of vertex rows, keyed by the OR of the rows' bits: each
+    distinct row gets one bit (``bit``) when the memo first sees it.  Keys
+    depend on rows alone, so the melting induction hands one memo on."""
 
     def __init__(self):
         super().__init__()
@@ -126,7 +122,7 @@ class RationalPolytope:
         return self.rank_of(vertices)
 
     def rank_of(self, vertices: int) -> int:
-        """Rank of the rows of the vertices in the bitset ``vertices``."""
+        """Rank of the rows of the vertices in a bitset."""
         key = union_of(self.row_bits, vertices)
         rank = self.ranks.get(key)
         if rank is None:
@@ -175,9 +171,9 @@ class RationalPolytope:
         order, when the caller has already evaluated it; without it the
         matrix is evaluated here.
         """
-        if len(set(self.vertices)) != len(self.vertices):
+        rows = self.rows  # canonical: equal rows are equal vertices
+        if len(set(rows)) != len(rows):
             raise MismatchError("duplicate vertices")
-        rows = self.rows
         if rows and self.rank(range(len(rows))) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
         if signs is None:
@@ -216,6 +212,25 @@ def union_of(sets: Sequence[int], x: int) -> int:
     return out
 
 
+def union_table(sets: Sequence[int]):
+    """The map x -> OR of sets[j] over the set bits j of x, for dense x: one
+    table lookup per eight bits of x, from tables of 2^8 ORs per eight sets."""
+    tables = []
+    for base in range(0, len(sets), 8):
+        table = [0]
+        for s in sets[base:base + 8]:
+            table += [t | s for t in table]
+        tables.append(table)
+
+    def union(x: int) -> int:
+        out = 0
+        for table in tables:
+            out |= table[x & 255]
+            x >>= 8
+        return out
+    return union
+
+
 def halfspace_row(normal, offset) -> list[int]:
     """The halfspace <n, v> <= b cleared of its denominators to (E n, -E b), E > 0.
 
@@ -247,10 +262,8 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
 
     ``rows``, when the caller has them, are the vertices' homogeneous rows
     (``RationalPolytope.rows``) and are not cleared again; ``ranks`` is a
-    rank memo to carry on (``RationalPolytope.ranks``).  ``signs``, when
-    given, holds per facet its :func:`side_signs` row on these rows, as
-    ``facet_through`` returns it, or None; only the missing rows are
-    evaluated here.
+    rank memo to carry on (``RationalPolytope.ranks``).  ``signs`` may give
+    facets' :func:`side_signs` rows; the rows given as None are evaluated.
     """
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
@@ -306,9 +319,8 @@ def facet_through(rows: Sequence[list[int]], tight_ids: Iterable[int],
     ``rows`` holds every vertex as its homogeneous row (``RationalPolytope.rows``).
     The hyperplane is solved in integers and scaled to coprime integer
     entries, with the normal oriented so all remaining vertices are
-    strictly beneath; the sign row is :func:`side_signs` of the oriented
-    facet on ``rows``.  Raises MismatchError when the tight set is not a
-    facet's vertex set.
+    strictly beneath, whose :func:`side_signs` row is returned too.  Raises
+    MismatchError when the tight set is not a facet's vertex set.
     """
     tight = set(tight_ids)
     plane = linalg.hyperplane_through([rows[i] for i in sorted(tight)])

@@ -191,12 +191,10 @@ def is_connected(P: Poset, subset) -> bool:
 def ideal_filter_splits(P: Poset) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All splits P = I ⊔ F into a connected ideal and a connected filter.
 
-    These index the vertices of the order polytope.  The ideals are built
-    on element masks, taking the elements in a linear extension: an ideal
-    of the elements taken so far either leaves out the next element or
-    takes it, when its down-set mask lies inside the ideal (one AND).  The
-    ideals can number 2^(|P| - 1), so it raises ElementBudgetError when |P|
-    is above MAX_ELEMENTS.
+    These index the vertices of the order polytope.  Ideals are element
+    masks, grown along a linear extension: each next element joins the
+    ideals holding its down-set mask.  They can number 2^(|P| - 1), so it
+    raises ElementBudgetError when |P| is above MAX_ELEMENTS.
     """
     n = len(P.elements)
     if n > MAX_ELEMENTS:
@@ -207,8 +205,7 @@ def ideal_filter_splits(P: Poset) -> list[tuple[tuple[int, ...], tuple[int, ...]
     for i, j in P._strict:
         down[at[j]] |= 1 << at[i]
     ideals = [0]
-    # a smaller element has a smaller down-set: this is a linear extension
-    for k in sorted(range(n), key=lambda k: down[k].bit_count()):
+    for k in sorted(range(n), key=lambda k: down[k].bit_count()):  # a linear extension
         ideals += [ideal | 1 << k for ideal in ideals if not down[k] & ~ideal]
     splits = []
     for mask in ideals:

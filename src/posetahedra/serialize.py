@@ -91,17 +91,13 @@ CONFIG_POINT_SCHEMA = {
 }
 
 
-SCHEMAS = {
-    "poset": POSET_SCHEMA,
-    "affine poset": AFFINE_POSET_SCHEMA,
-    "polytope": POLYTOPE_SCHEMA,
-    "configuration point": CONFIG_POINT_SCHEMA,
-}
+SCHEMAS = {"poset": POSET_SCHEMA, "affine poset": AFFINE_POSET_SCHEMA,
+           "polytope": POLYTOPE_SCHEMA, "configuration point": CONFIG_POINT_SCHEMA}
 
 
 @lru_cache(maxsize=len(SCHEMAS))
 def _validator(name: str):
-    """The validator of a schema, checked against its metaschema once, on first use."""
+    """The named schema's validator; the schema is checked once, on first use."""
     schema = SCHEMAS[name]
     cls = jsonschema.validators.validator_for(schema)
     cls.check_schema(schema)
@@ -109,8 +105,7 @@ def _validator(name: str):
 
 
 def _validate(data, name: str) -> None:
-    """``jsonschema.validate`` against the named schema, without re-checking
-    the schema itself: raises the same best-matching ValidationError."""
+    """``jsonschema.validate`` without checking the schema again."""
     error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
     if error is not None:
         raise error

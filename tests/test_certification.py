@@ -81,6 +81,13 @@ def test_vertex_moved_off_its_facet(w5_dual):
         replace(dual, vertices=vertices).certify()
 
 
+def test_duplicate_vertex(w5_dual):
+    dual, _ = w5_dual
+    vertices = (dual.vertices[1],) + dual.vertices[1:]
+    with pytest.raises(MismatchError, match="duplicate vertices"):
+        replace(dual, vertices=vertices).certify()
+
+
 def test_claimed_facet_does_not_support(w5_dual):
     dual, _ = w5_dual
     on_no_facet = [

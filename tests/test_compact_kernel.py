@@ -43,6 +43,7 @@ from posetahedra.compact import (
     tubing_of,
 )
 from posetahedra.errors import DegenerateError
+from posetahedra.geometry import tube_index
 from posetahedra.lattice import (
     associahedron_face_lattice,
     order_polytope_face_lattice,
@@ -277,7 +278,7 @@ def test_host_caches_are_bounded():
     caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
               tube_complex, associahedron_face_lattice, order_polytope_face_lattice,
               tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
-              cyclohedron_face_lattice, _affine_root_partitions)
+              cyclohedron_face_lattice, _affine_root_partitions, tube_index)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
@@ -289,6 +290,8 @@ def test_host_caches_are_bounded():
         A = build_affine_poset(1, [(1, shift + 2)])
         cyclohedron_face_lattice(A)
         _affine_root_partitions(A)
+        tube_index(P)
+        tube_index(A)
     for cache in caches:
         assert cache.cache_info().currsize == CACHE_SIZE, cache
 

@@ -35,7 +35,7 @@ from posetahedra.linalg import (
     nullspace,
     solve_unique,
 )
-from posetahedra.polytope import Facet, facet_through, side_signs
+from posetahedra.polytope import Facet, facet_through, side_signs, union_of, union_table
 from posetahedra.tubes import enumerate_tubes
 from strategies import SETTINGS, connected_posets
 
@@ -73,6 +73,14 @@ def test_affine_face_order_matches_pair_loop(name, step):
         adm = affine_admissible_tubings(A, frozenset(sequence[:k]))
         for a, b in itertools.product(adm.elements, repeat=2):
             assert adm.le(a, b) == oracles.affine_admissible_le(adm, a, b, contains)
+
+
+@SETTINGS
+@given(st.lists(st.integers(0, 2**70), max_size=30), st.data())
+def test_union_table_matches_bit_loop(sets, data):
+    union = union_table(sets)
+    for x in data.draw(st.lists(st.integers(0, 2**len(sets) - 1), max_size=10)):
+        assert union(x) == union_of(sets, x)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
