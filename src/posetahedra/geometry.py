@@ -34,7 +34,6 @@ from .polytope import (
     RationalPolytope,
     bit_positions,
     facet_through,
-    halfspace_row,
     polar_dual,
     polytope_from_data,
     union_table,
@@ -370,7 +369,7 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
     values = []
     bound = None
     for facet, inc in zip(Q.facets, Q.incidence):
-        coeffs = halfspace_row(facet.normal, facet.offset)
+        coeffs = facet.halfspace
         nb = -coeffs[-1] * row[-1]
         nx = sum(map(mul, coeffs, row)) + nb
         values.append((nx, nb))
@@ -407,8 +406,10 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
     for Tf in adm.facets():
         tight = vertices_below(index[Tf])
         kept = carried.get(tight)
-        facet, row = (facet_through(rows, bit_positions(tight), label=Tf) if kept is None
-                      else (Facet(kept.normal, kept.offset, label=Tf), None))
+        if kept is None:
+            facet, row = facet_through(rows, bit_positions(tight), label=Tf)
+        else:  # a kept facet keeps its label too, as a rule
+            facet, row = kept if kept.label == Tf else Facet(kept.normal, kept.offset, Tf), None
         facets.append(facet)
         signs.append(row)
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
@@ -437,26 +438,27 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         raise MismatchError("vertex labels disagree with the lattice")
     order = adm.order
     vertices_below = order.below(labels)
-    spoilers = [0] * order.width  # per tube bit, the facets whose bad set holds it
-    spoiling = 0  # the tube bits that spoil some facet
+    tubes = (1 << order.width) - 1
+    fine = [0] * order.width  # per tube bit, the facets whose bad set misses it
     columns = []  # per facet, the bitset of its vertices
     for k, (facet, inc) in enumerate(zip(Q.facets, Q.incidence)):
         i = order.index.get(facet.label)
         if i is None:
             raise MismatchError(f"facet label {_face_name(facet.label)} is not admissible")
-        spoiling |= order.bads[i]
-        for j in bit_positions(order.bads[i]):
-            spoilers[j] |= 1 << k
+        for j in bit_positions(tubes & ~order.bads[i]):
+            fine[j] |= 1 << k
         columns.append(sum(1 << v for v in inc))
     every_facet, every_vertex = (1 << len(columns)) - 1, (1 << len(labels)) - 1
-    spoiled = union_table(spoilers)
+    spoiled = union_table([every_facet & ~f for f in fine])
     for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
-        above = every_facet & ~spoiled(mask & spoiling)
+        above = every_facet & ~spoiled(mask)
         if adm.dim(T) < Q.dim and not above:
             raise MismatchError(f"face {_face_name(T)} lies on no facet")
         cut = every_vertex
-        for k in bit_positions(above):
-            cut &= columns[k]
+        while above:
+            low = above & -above
+            cut &= columns[low.bit_length() - 1]
+            above ^= low
         below = vertices_below(i)
         if cut != below:
             raise MismatchError(

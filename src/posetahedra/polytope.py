@@ -65,6 +65,11 @@ class Facet:
     def value(self, u: Point) -> Fraction:
         return sum((n * x for n, x in zip(self.normal, u)), Fraction(0))
 
+    @cached_property
+    def halfspace(self) -> tuple[int, ...]:
+        """The facet cleared of its denominators (``halfspace_row``), once."""
+        return halfspace_row(self.normal, self.offset)
+
 
 class RankMemo(dict):
     """Ranks of sets of vertex rows, keyed by the OR of the rows' bits: each
@@ -110,9 +115,9 @@ class RationalPolytope:
         return RankMemo()
 
     @cached_property
-    def row_bits(self) -> tuple[int, ...]:
-        """Each vertex's row id in the rank memo (``RankMemo.bit``)."""
-        return tuple(map(self.ranks.bit, self.rows))
+    def _rank_key(self):
+        """The map from a vertex bitset to its rank memo key."""
+        return union_table(tuple(map(self.ranks.bit, self.rows)))
 
     def rank(self, ids) -> int:
         """Rank of the rows of the given vertices."""
@@ -123,7 +128,7 @@ class RationalPolytope:
 
     def rank_of(self, vertices: int) -> int:
         """Rank of the rows of the vertices in a bitset."""
-        key = union_of(self.row_bits, vertices)
+        key = self._rank_key(vertices)
         rank = self.ranks.get(key)
         if rank is None:
             rank = self.ranks[key] = linalg.integer_rank(
@@ -177,7 +182,7 @@ class RationalPolytope:
         if rows and self.rank(range(len(rows))) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
         if signs is None:
-            signs = [side_signs(f.normal, f.offset, rows) for f in self.facets]
+            signs = [_signs(f.halfspace, rows) for f in self.facets]
         for facet, claimed, row in zip(self.facets, self.incidence, signs):
             if 1 in row:
                 raise MismatchError(f"vertex {row.index(1)} beyond facet {facet.label}")
@@ -202,19 +207,9 @@ def bit_positions(x: int) -> list[int]:
     return out
 
 
-def union_of(sets: Sequence[int], x: int) -> int:
-    """OR of sets[j] over the set bits j of x >= 0."""
-    out = 0
-    while x:
-        low = x & -x
-        out |= sets[low.bit_length() - 1]
-        x ^= low
-    return out
-
-
 def union_table(sets: Sequence[int]):
-    """The map x -> OR of sets[j] over the set bits j of x, for dense x: one
-    table lookup per eight bits of x, from tables of 2^8 ORs per eight sets."""
+    """The map x -> OR of sets[j] over the set bits j of x >= 0: one table
+    lookup per eight bits of x, from tables of 2^8 ORs per eight sets."""
     tables = []
     for base in range(0, len(sets), 8):
         table = [0]
@@ -231,14 +226,13 @@ def union_table(sets: Sequence[int]):
     return union
 
 
-def halfspace_row(normal, offset) -> list[int]:
+def halfspace_row(normal, offset) -> tuple[int, ...]:
     """The halfspace <n, v> <= b cleared of its denominators to (E n, -E b), E > 0.
 
     Its dot product with a homogeneous row D * (v, 1) is E D (<n, v> - b).
     """
     *coeffs, offset, _ = linalg.homogeneous((*normal, offset))
-    coeffs.append(-offset)
-    return coeffs
+    return (*coeffs, -offset)
 
 
 def side_signs(normal, offset, rows) -> list[int]:
@@ -248,12 +242,12 @@ def side_signs(normal, offset, rows) -> list[int]:
     product with the cleared halfspace (``halfspace_row``) is
     E D (<n, v> - b), and E, D > 0 keep the sign.
     """
-    coeffs = halfspace_row(normal, offset)
-    out = []
-    for row in rows:
-        val = sum(map(mul, coeffs, row))
-        out.append((val > 0) - (val < 0))
-    return out
+    return _signs(halfspace_row(normal, offset), rows)
+
+
+def _signs(coeffs, rows) -> list[int]:
+    """The signs of the dot products of a cleared halfspace with the rows."""
+    return [(val > 0) - (val < 0) for val in [sum(map(mul, coeffs, row)) for row in rows]]
 
 
 def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
@@ -268,7 +262,7 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
     rows = tuple(map(linalg.homogeneous, vertices)) if rows is None else tuple(rows)
-    signs = [side_signs(f.normal, f.offset, rows) if row is None else row
+    signs = [_signs(f.halfspace, rows) if row is None else row
              for f, row in zip(facets, signs or [None] * len(facets))]
     incidence = tuple(map(_zeros, signs))
     poly = RationalPolytope(

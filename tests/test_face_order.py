@@ -11,6 +11,7 @@ of the corpus.
 
 import functools
 import itertools
+import operator
 from fractions import Fraction as F
 
 import pytest
@@ -35,7 +36,7 @@ from posetahedra.linalg import (
     nullspace,
     solve_unique,
 )
-from posetahedra.polytope import Facet, facet_through, side_signs, union_of, union_table
+from posetahedra.polytope import Facet, bit_positions, facet_through, side_signs, union_table
 from posetahedra.tubes import enumerate_tubes
 from strategies import SETTINGS, connected_posets
 
@@ -80,7 +81,8 @@ def test_affine_face_order_matches_pair_loop(name, step):
 def test_union_table_matches_bit_loop(sets, data):
     union = union_table(sets)
     for x in data.draw(st.lists(st.integers(0, 2**len(sets) - 1), max_size=10)):
-        assert union(x) == union_of(sets, x)
+        assert bit_positions(x) == [j for j in range(len(sets)) if x >> j & 1]
+        assert union(x) == functools.reduce(operator.or_, (sets[j] for j in bit_positions(x)), 0)
 
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=5)
