@@ -469,8 +469,11 @@ def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[fr
 @lru_cache(maxsize=CACHE_SIZE)
 def cyclohedron_face_lattice(A: AffinePoset) -> FaceLattice:
     """The face lattice of the affine poset cyclohedron, of dimension n - 1."""
-    return tubing_face_lattice("cyclohedron", enumerate_affine_tubes(A, proper_only=True),
-                               enumerate_affine_tubings(A), A.n - 1)
+    classes = sorted(enumerate_affine_tubes(A, proper_only=True), key=lambda c: c.members)
+    bit = {c: 1 << k for k, c in enumerate(reversed(classes))}  # descending members order
+    tubings = enumerate_affine_tubings(A)
+    return tubing_face_lattice("cyclohedron", tubings,
+                               [sum(map(bit.__getitem__, T)) for T in tubings], A.n - 1)
 
 
 def tube_from_signed_pair(A: AffinePoset, kplus, kminus) -> AffineTube:

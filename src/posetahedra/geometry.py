@@ -191,12 +191,14 @@ class MeltedSet:
 
     @staticmethod
     def of(host, tubes) -> "MeltedSet":
-        system = tube_system(host)
-        tset = frozenset(tubes) | {system.root}
-        for t in tset:
-            for s in system.proper_tubes():
-                if s not in tset and len(s) > len(t) and system.contains(s, t):
-                    raise ValueError(f"melted set not upward closed: {t} < {s}")
+        # upward closed: no tube outside the set contains one in it (``sub``)
+        index = tube_index(host)
+        tset = frozenset(tubes) | {index.system.root}
+        melted = index.mask(tset)
+        for k, below in enumerate(index.sub):
+            if below & melted and not melted >> k & 1:
+                t = index.tubes[(below & melted).bit_length() - 1]
+                raise ValueError(f"melted set not upward closed: {t} < {index.tubes[k]}")
         return MeltedSet(host, tset)
 
     def __contains__(self, tube: Tube) -> bool:

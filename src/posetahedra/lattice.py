@@ -10,23 +10,21 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from functools import cached_property, lru_cache, reduce
+from operator import or_
+from typing import NamedTuple, Sequence
 
 from .errors import NotGradedError
-from .poset import Poset, find_cycle, quotient_poset
+from .poset import Poset, quotient_poset
 from .tubes import (
     CACHE_SIZE,
     Tube,
     Tubing,
-    d_graph,
-    enumerate_proper_tubings,
     enumerate_tubes,
     full_tube,
-    is_tubing,
-    tube_complex,
+    tube_masks,
     tubing_tree,
-    walk_tubings,
+    tubing_walk,
 )
 
 
@@ -40,14 +38,8 @@ EMPTY = _EmptyFace()
 FaceKey = object  # frozenset[Tube] | _EmptyFace
 
 
-def _face_sort_key(item):
-    key, dim = item
-    return (dim, tuple(sorted(t.members for t in key)))
-
-
 class _CoverIndex(NamedTuple):
     upper: tuple[tuple[int, ...], ...]  # upper[i]: faces covering face i
-    lower: tuple[tuple[int, ...], ...]  # lower[i]: faces covered by face i
     index: dict  # face key -> position in ``faces``
 
 
@@ -68,18 +60,15 @@ class FaceLattice:
 
     @cached_property
     def _cover_index(self) -> _CoverIndex:
-        """Per-face upper and lower cover tuples and the key -> index dict.
+        """Per-face upper cover tuples and the key -> index dict.
 
         Built on first use, so lattices whose covers are never read (the
         realization builds many) do not pay for it.
         """
         upper: list[list[int]] = [[] for _ in self.faces]
-        lower: list[list[int]] = [[] for _ in self.faces]
         for a, b in self.covers:
             upper[a].append(b)
-            lower[b].append(a)
-        index = {key: i for i, key in enumerate(self.faces)}
-        return _CoverIndex(tuple(map(tuple, upper)), tuple(map(tuple, lower)), index)
+        return _CoverIndex(tuple(map(tuple, upper)), {key: i for i, key in enumerate(self.faces)})
 
     def index(self, key: FaceKey) -> int:
         try:
@@ -102,17 +91,20 @@ class FaceLattice:
 
     @cached_property
     def _graded(self) -> bool:
-        """check_graded's work; a failure raises, so it caches nothing."""
-        if self.dim not in self.dims:
+        """check_graded's work, on one flag per face for an upper and a lower
+        cover; a failure raises, so it caches nothing."""
+        dims = self.dims
+        if self.dim not in dims:
             raise NotGradedError("missing top face")
+        has_upper, has_lower = bytearray(len(dims)), bytearray(len(dims))
         for a, b in self.covers:
-            if self.dims[b] - self.dims[a] != 1:
+            if dims[b] - dims[a] != 1:
                 raise NotGradedError("cover with dimension gap != 1")
-        cover_index = self._cover_index
-        for i, d in enumerate(self.dims):
-            if d < self.dim and not cover_index.upper[i]:
+            has_upper[a] = has_lower[b] = 1
+        for i, d in enumerate(dims):
+            if d < self.dim and not has_upper[i]:
                 raise NotGradedError(f"face {self.faces[i]} has no upper cover")
-            if d > -1 and not cover_index.lower[i]:
+            if d > -1 and not has_lower[i]:
                 raise NotGradedError(f"face {self.faces[i]} has no lower cover")
         return True
 
@@ -121,38 +113,44 @@ class FaceLattice:
         return sum(-1 if d % 2 else 1 for d in self.dims)
 
 
-def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Iterable[frozenset],
+def tubing_face_lattice(kind: str, faces: Sequence[frozenset], masks: Sequence[int],
                         dim: int) -> FaceLattice:
     """Faces are proper tubings under reverse inclusion.
 
-    ``tubes`` lists every proper tube and ``tubings`` every proper tubing,
-    as a frozenset of those tubes; a tubing of k tubes is a face of
-    dimension dim - k.  Removing one tube is a covering step, and the empty
-    face sits below the vertices (the tubings of dim tubes).  Each tubing
-    is a bitmask over ``tubes``; the faces covering it are its mask with
-    one bit cleared.
+    ``faces`` lists every proper tubing as a frozenset of tubes and
+    ``masks`` the same tubings as bitmasks over tube positions, which run in
+    descending members order.  A tubing of k tubes is a face of dimension
+    dim - k; within one dimension the descending order of the masks is the
+    ascending members order of the faces.  The faces covering a tubing are
+    its mask with one bit cleared, lowest bit first, so in face order; the
+    empty face sits below the vertices (the tubings of dim tubes).
     """
-    items = sorted(((T, dim - len(T)) for T in tubings), key=_face_sort_key)
-    bit = {t: 1 << k for k, t in enumerate(tubes)}
-    masks = [sum(bit[t] for t in key) for key, _ in items]
+    width = max(masks, default=0).bit_length()
+    keys = [mask.bit_count() << width | mask for mask in masks]
+    order = sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
+    masks = [masks[i] for i in order]
+    dims = [dim - mask.bit_count() for mask in masks]
     position = {mask: p for p, mask in enumerate(masks, 1)}  # EMPTY is face 0
-    covers = [(0, p) for p, (_, d) in enumerate(items, 1) if d == 0]
+    covers = [(0, p) for p, d in enumerate(dims, 1) if d == 0]
     for p, mask in enumerate(masks, 1):
         rest = mask
         while rest:
             low = rest & -rest
             rest ^= low
             covers.append((p, position[mask ^ low]))
-    covers.sort()
-    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *(key for key, _ in items)),
-                       dims=(-1, *(d for _, d in items)), covers=tuple(covers))
+    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *(faces[i] for i in order)),
+                       dims=(-1, *dims), covers=tuple(covers))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def associahedron_face_lattice(P: Poset) -> FaceLattice:
-    """The face lattice of the poset associahedron, of dimension |P| - 2."""
-    return tubing_face_lattice("associahedron", tube_complex(P).tubes,
-                               (T.tubes for T in enumerate_proper_tubings(P)),
+    """The face lattice of the poset associahedron, of dimension |P| - 2,
+    from the host's one tubing walk."""
+    tubes, tubings, _ = tubing_walk(P)
+    bits = [1 << k for k in reversed(range(len(tubes)))]  # descending members order
+    return tubing_face_lattice("associahedron",
+                               [frozenset(map(tubes.__getitem__, ranks)) for ranks in tubings],
+                               [sum(map(bits.__getitem__, ranks)) for ranks in tubings],
                                len(P.elements) - 2)
 
 
@@ -161,34 +159,47 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
                       strict_blocks: bool = False) -> tuple[frozenset[Tube], ...]:
     """All partitions of ``members`` into tubes with acyclic dependencies.
 
-    strict_blocks drops the one-block partition {members}.  Blocks are found
-    by always covering the smallest remaining element, so each partition is
-    produced exactly once.
+    strict_blocks drops the one-block partition {members}.  On element masks
+    (``tube_masks``), blocks are found by always covering the smallest
+    remaining element, so each partition is produced exactly once.  It is
+    acyclic when rounds of peeling off the blocks no other remaining block
+    has an arrow into take them all.
     """
-    ground = tuple(P.elements) if members is None else members
-    inside = [t for t in enumerate_tubes(P) if t.as_set <= set(ground)]
-    results: list[frozenset[Tube]] = []
-    chosen: list[Tube] = []
+    tubes = enumerate_tubes(P)
+    masks, ups = tube_masks(P)
+    ground = sum(1 << P.elements.index(e) for e in (P.elements if members is None else members))
+    starting: dict[int, list[int]] = {}  # lowest element bit -> tubes inside the ground
+    for k, mask in enumerate(masks):
+        if mask & ground == mask:
+            starting.setdefault(mask & -mask, []).append(k)
+    out = [up & ~mask for mask, up in zip(masks, ups)]  # arrow heads outside each tube
 
-    def extend(remaining: frozenset[int]) -> None:
+    def acyclic(blocks: list[int]) -> bool:
+        while len(blocks) > 1:
+            into = reduce(or_, map(out.__getitem__, blocks))
+            rest = [k for k in blocks if masks[k] & into]
+            if len(rest) == len(blocks):
+                return False
+            blocks = rest
+        return True
+
+    results: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(remaining: int) -> None:
         if not remaining:
-            blocks = frozenset(chosen)
-            if strict_blocks and len(blocks) == 1:
-                return
-            if len(blocks) > 1 and find_cycle(d_graph(P, blocks)) is not None:
-                return
-            results.append(blocks)
+            if not (strict_blocks and len(chosen) == 1) and acyclic(chosen):
+                results.append(tuple(chosen))
             return
-        smallest = min(remaining)
-        for t in inside:
-            if smallest in t and t.as_set <= remaining:
-                chosen.append(t)
-                extend(remaining - t.as_set)
+        for k in starting.get(remaining & -remaining, ()):
+            if masks[k] & remaining == masks[k]:
+                chosen.append(k)
+                extend(remaining ^ masks[k])
                 chosen.pop()
 
-    extend(frozenset(ground))
-    results.sort(key=lambda bs: (len(bs), tuple(sorted(t.members for t in bs))))
-    return tuple(results)
+    extend(ground)
+    results.sort(key=lambda blocks: (len(blocks), tuple(tubes[k].members for k in blocks)))
+    return tuple(frozenset(map(tubes.__getitem__, blocks)) for blocks in results)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -196,32 +207,32 @@ def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     """Faces are tubing partitions ordered by refinement.
 
     The one-block partition is the empty face; a face of partition T has
-    dimension |T| - 2.  A face covers another when its partition is the
-    other's with two blocks merged, so the covers below a partition are
-    read off its block pairs.
+    dimension |T| - 2, and ``tubing_partitions`` lists them in face order.
+    A face covers another when its partition is the other's with two blocks
+    merged, so the covers below a partition are read off its block pairs:
+    two blocks merge to the tube whose element mask is their union.
     """
-    items = sorted(((T, len(T) - 2) for T in tubing_partitions(P)), key=_face_sort_key)
-    position = {T: p for p, (T, _) in enumerate(items)}
+    parts = tubing_partitions(P)
+    mask_of = dict(zip(enumerate_tubes(P), tube_masks(P)[0]))
+    tube_at = {mask: t for t, mask in mask_of.items()}
+    position = {T: p for p, T in enumerate(parts)}
     covers = []
-    for p, (T, _) in enumerate(items):
+    for p, T in enumerate(parts):
         for a, b in itertools.combinations(T, 2):
-            merged = T - {a, b} | {Tube.of(a.members + b.members)}
-            if merged in position:
-                covers.append((position[merged], p))
+            # a union that is no tube merges to a key with None: no partition
+            q = position.get(T - {a, b} | {tube_at.get(mask_of[a] | mask_of[b])})
+            if q is not None:
+                covers.append((q, p))
     covers.sort()
     return FaceLattice(kind="order_polytope", dim=len(P.elements) - 2,
-                       faces=tuple(EMPTY if len(T) == 1 else T for T, _ in items),
-                       dims=tuple(d for _, d in items), covers=tuple(covers))
+                       faces=tuple(EMPTY if len(T) == 1 else T for T in parts),
+                       dims=tuple(len(T) - 2 for T in parts), covers=tuple(covers))
 
 
 def f_vector(L: FaceLattice) -> tuple[int, ...]:
     """(f_0, ..., f_dim): face counts by dimension, top face included."""
     L.check_graded()
-    counts = [0] * (L.dim + 1)
-    for d in L.dims:
-        if d >= 0:
-            counts[d] += 1
-    return tuple(counts)
+    return tuple(map(L.dims.count, range(L.dim + 1)))
 
 
 def h_vector(L: FaceLattice) -> tuple[int, ...]:
@@ -234,13 +245,8 @@ def h_vector(L: FaceLattice) -> tuple[int, ...]:
     f = f_vector(L)
     d = L.dim
     fstar = [f[d - i] for i in range(d + 1)]  # fstar[i] == f*_{i-1}
-    h = []
-    for k in range(d + 1):
-        total = 0
-        for i in range(k + 1):
-            total += (-1) ** (k - i) * math.comb(d - i, k - i) * fstar[i]
-        h.append(total)
-    return tuple(h)
+    return tuple(sum((-1) ** (k - i) * math.comb(d - i, k - i) * fstar[i] for i in range(k + 1))
+                 for k in range(d + 1))
 
 
 class FlagCheck(NamedTuple):
@@ -255,26 +261,11 @@ def is_flag_dual(P: Poset) -> FlagCheck:
     """Whether every pairwise-compatible set of proper tubes is a tubing.
 
     On failure returns a minimal non-tubing whose proper subsets are all
-    tubings (found by extending tubings one tube at a time, so the first
-    hit in canonical order is minimal).  The walk is the tubing walk of
-    ``tube_complex(P)``: the candidates it rejects for closing a cycle are
-    the only families to test, and ``is_tubing`` checks each witness.
+    tubings: the first the host's one tubing walk (``tubing_walk``) meets
+    among the candidates it rejects, each checked with ``is_tubing``.
     """
-    cx = tube_complex(P)
-
-    def witness(chosen: list[int], i: int) -> FlagCheck | None:
-        two_cycles = cx.arrow[i] & cx.arrow_in[i]
-        if any(two_cycles >> j & 1 for j in chosen):
-            return None  # a pair of the candidate is no tubing
-        family = [cx.tubes[k] for k in chosen] + [cx.tubes[i]]
-        if len(family) >= 3 and all(
-            is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))
-        ):
-            return FlagCheck(False, tuple(family))
-        return None
-
-    found = walk_tubings(cx, lambda chosen: None, witness)
-    return FlagCheck(True) if found is None else found
+    witness = tubing_walk(P)[2]
+    return FlagCheck(True) if witness is None else FlagCheck(False, witness)
 
 
 def face_product_decomposition(P: Poset, T: Tubing) -> list[Poset]:

@@ -5,15 +5,16 @@ that is pairwise nested-or-disjoint whose dependency digraph (edges between
 disjoint tubes carrying an order relation) is acyclic.  The proper tubes of
 a host are indexed once as integer bitsets (``tube_complex``), and one
 backtracker walks the complex of proper tubings on that index with a
-reach-set cycle test; the complex is not flag, so clique-style shortcuts
-would be unsound.
+reach-set cycle test, once per host (``tubing_walk``); the complex is not
+flag, so clique-style shortcuts would be unsound.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, reduce
+from operator import or_
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -93,23 +94,33 @@ def full_tube(P: Poset) -> Tube:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
-    """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|.
+    """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|,
+    filtered from the cached full list.
 
     Raises ElementBudgetError when |P| is above MAX_ELEMENTS.
     """
     n = len(P.elements)
+    if proper_only:
+        return tuple(t for t in enumerate_tubes(P) if 1 < len(t) < n)
     if n > MAX_ELEMENTS:
         raise ElementBudgetError(
             f"{n} elements: tube enumeration takes at most {MAX_ELEMENTS}")
-    found = []
-    for mask in range(1, 1 << n):
-        members = tuple(P.elements[k] for k in range(n) if mask >> k & 1)
-        if proper_only and not 1 < len(members) < n:
-            continue
-        if is_convex(P, members) and is_connected(P, members):
-            found.append(Tube(members))
-    found.sort(key=Tube.key)
-    return tuple(found)
+    subsets = (tuple(P.elements[k] for k in range(n) if mask >> k & 1) for mask in range(1, 1 << n))
+    return tuple(sorted((Tube(members) for members in subsets
+                         if is_convex(P, members) and is_connected(P, members)), key=Tube.key))
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def tube_masks(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Per tube of ``enumerate_tubes(P)``, its element mask and the strict
+    up-set of its members as a mask; bit k stands for ``P.elements[k]``."""
+    bit = {e: 1 << k for k, e in enumerate(P.elements)}
+    above = dict.fromkeys(P.elements, 0)  # strict up-set of each element
+    for i, j in P._strict:
+        above[i] |= bit[j]
+    tubes = enumerate_tubes(P)
+    return (tuple(sum(map(bit.__getitem__, t.members)) for t in tubes),
+            tuple(reduce(or_, map(above.__getitem__, t.members)) for t in tubes))
 
 
 def nested_or_disjoint(a: Tube, b: Tube) -> bool:
@@ -210,38 +221,19 @@ class TubeComplex(NamedTuple):
 @lru_cache(maxsize=CACHE_SIZE)
 def tube_complex(P: Poset) -> TubeComplex:
     """Index the proper tubes of P once, on element bitmasks and up-sets."""
-    tubes = enumerate_tubes(P, proper_only=True)
-    bit = {e: 1 << k for k, e in enumerate(P.elements)}
-    above = dict.fromkeys(P.elements, 0)  # strict up-set of each element
-    for i, j in P._strict:
-        above[i] |= bit[j]
-    masks, ups = [], []
-    for t in tubes:
-        mask = up = 0
-        for e in t.members:
-            mask |= bit[e]
-            up |= above[e]
-        masks.append(mask)
-        ups.append(up)
-    compat, arrow = [], []
-    for a, up in zip(masks, ups):
-        nested = out = 0
-        for k, b in enumerate(masks):
-            meet = a & b
-            if not meet:
-                nested |= 1 << k
-                if up & b:
-                    out |= 1 << k
-            elif meet == a or meet == b:
-                nested |= 1 << k
-        compat.append(nested)
-        arrow.append(out)
-    n = len(tubes)
-    arrow_in = tuple(sum(1 << k for k in range(n) if arrow[k] >> i & 1) for i in range(n))
-    return TubeComplex(tubes, tuple(compat), tuple(arrow), arrow_in, len(P.elements) - 2)
+    n = len(P.elements)
+    masks, ups = tube_masks(P)
+    masks, ups = masks[n:-1], ups[n:-1]  # the singletons come first and P last
+    count = len(masks)
+    compat = tuple(sum(1 << k for k, b in enumerate(masks) if a & b in (0, a, b)) for a in masks)
+    arrow = tuple(sum(1 << k for k, b in enumerate(masks) if not a & b and up & b)
+                  for a, up in zip(masks, ups))
+    arrow_in = tuple(sum(1 << k for k in range(count) if arrow[k] >> i & 1)
+                     for i in range(count))
+    return TubeComplex(enumerate_tubes(P, proper_only=True), compat, arrow, arrow_in, n - 2)
 
 
-def walk_tubings(cx: TubeComplex, visit, reject=None):
+def walk_tubings(cx: TubeComplex, visit, reject=None) -> None:
     """Depth-first over the proper tubings of ``cx``, each before its extensions.
 
     ``visit(chosen)`` sees every tubing as its increasing list of tube
@@ -251,17 +243,13 @@ def walk_tubings(cx: TubeComplex, visit, reject=None):
     the set of chosen tubes reachable from ``chosen[d]`` (itself included),
     and the candidate closes a cycle iff a tube it reaches has an arrow into
     it.  ``reject(chosen, i)`` sees each compatible candidate i that closes
-    a cycle; a result other than None stops the walk and is returned.
-    Without ``reject`` a maximal tubing is not extended: nothing can be.
+    a cycle.
     """
     compat, arrow, arrow_in = cx.compat, cx.arrow, cx.arrow_in
-    stop_at = cx.max_tubes if reject is None else None
     chosen: list[int] = []
 
-    def extend(start: int, allowed: int, reach: list[int]):
+    def extend(start: int, allowed: int, reach: list[int]) -> None:
         visit(chosen)
-        if len(chosen) == stop_at:
-            return None
         candidates = allowed >> start << start
         while candidates:
             low = candidates & -candidates
@@ -274,37 +262,59 @@ def walk_tubings(cx: TubeComplex, visit, reject=None):
                     reached |= r
             if reached & into:
                 if reject is not None:
-                    found = reject(chosen, i)
-                    if found is not None:
-                        return found
+                    reject(chosen, i)
                 continue
             chosen.append(i)
-            found = extend(i + 1, allowed & compat[i],
-                           [r | reached if r & into else r for r in reach] + [reached])
+            extend(i + 1, allowed & compat[i],
+                   [r | reached if r & into else r for r in reach] + [reached])
             chosen.pop()
-            if found is not None:
-                return found
-        return None
 
-    return extend(0, (1 << len(cx.tubes)) - 1, [])
+    extend(0, (1 << len(cx.tubes)) - 1, [])
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[tuple[int, ...], ...],
+                                   tuple[Tube, ...] | None]:
+    """One walk of the proper tubings of P for every face structure built
+    from them: (tubes, tubings, witness).  ``tubes`` are the proper tubes in
+    members order; a tubing is the tuple of its tubes' ranks there, in
+    ``Tubing.sorted_tubes`` order, and tubings come in walk order.  Only a
+    candidate the walk rejects for closing a cycle can be a flag witness:
+    ``witness`` is the first that passes ``is_tubing`` on every subfamily,
+    so it is minimal (None when the complex is flag).
+    """
+    cx = tube_complex(P)
+    tubes = cx.tubes
+    order = sorted(range(len(tubes)), key=lambda k: tubes[k].members)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    found: list[tuple[int, ...]] = []
+    witness: list[tuple[Tube, ...]] = []
+
+    def reject(chosen: list[int], i: int) -> None:
+        two_cycles = cx.arrow[i] & cx.arrow_in[i]
+        if witness or len(chosen) < 2 or any(two_cycles >> j & 1 for j in chosen):
+            return  # a witness is known, or a pair of the candidate is no tubing
+        family = [tubes[k] for k in chosen] + [tubes[i]]
+        if all(is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))):
+            witness.append(tuple(family))
+
+    walk_tubings(cx, lambda chosen: found.append(tuple(map(rank.__getitem__, chosen))),
+                 reject)
+    return tuple(tubes[k] for k in order), tuple(found), witness[0] if witness else None
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, ...]:
-    """All proper tubings, sorted by ``Tubing.key``, from one walk of the
-    tube complex.  With max_only, only tubings of size |P|-2 (the
-    polytope's vertices) are returned, filtered from the cached full list:
-    the walk visits every tubing either way.
+    """All proper tubings, sorted by ``Tubing.key``, from the host's one walk
+    (``tubing_walk``).  With max_only, only tubings of size |P|-2 (the
+    polytope's vertices) are returned.
     """
-    cx = tube_complex(P)
+    tubes, found, _ = tubing_walk(P)
     if max_only:
-        return tuple(T for T in enumerate_proper_tubings(P) if len(T) == cx.max_tubes)
-    found: list[tuple[int, ...]] = []
-    walk_tubings(cx, lambda chosen: found.append(tuple(chosen)))
-    tubes = cx.tubes
-    # chosen indices increase, so they list the tubes in Tubing.sorted_tubes order
-    found.sort(key=lambda idxs: (len(idxs), tuple(tubes[k].members for k in idxs)))
-    return tuple(Tubing(P, frozenset(tubes[k] for k in idxs)) for idxs in found)
+        found = [ranks for ranks in found if len(ranks) == len(P.elements) - 2]
+    # ranks are in members order, so (size, ranks) sorts as Tubing.key does
+    return tuple(Tubing(P, frozenset(map(tubes.__getitem__, ranks)))
+                 for ranks in sorted(sorted(found), key=len))
 
 
 @dataclass(frozen=True)

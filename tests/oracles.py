@@ -572,6 +572,35 @@ def _partition_le(coarse, fine) -> bool:
     return all(any(f.issubset(c) for c in coarse) for f in fine)
 
 
+def tubing_partitions(P, members, strict_blocks, enumerate_tubes, find_cycle, d_graph):
+    """The old ``lattice.tubing_partitions`` (its cache left out), which ran
+    ``d_graph`` and ``find_cycle`` on every partition."""
+    ground = tuple(P.elements) if members is None else members
+    inside = [t for t in enumerate_tubes(P) if t.as_set <= set(ground)]
+    results = []
+    chosen = []
+
+    def extend(remaining: frozenset[int]) -> None:
+        if not remaining:
+            blocks = frozenset(chosen)
+            if strict_blocks and len(blocks) == 1:
+                return
+            if len(blocks) > 1 and find_cycle(d_graph(P, blocks)) is not None:
+                return
+            results.append(blocks)
+            return
+        smallest = min(remaining)
+        for t in inside:
+            if smallest in t and t.as_set <= remaining:
+                chosen.append(t)
+                extend(remaining - t.as_set)
+                chosen.pop()
+
+    extend(frozenset(ground))
+    results.sort(key=lambda bs: (len(bs), tuple(sorted(t.members for t in bs))))
+    return tuple(results)
+
+
 def order_polytope_face_lattice(n, parts):
     """(faces, dims, covers) of the order polytope of an n-element poset,
     built from its tubing partitions by the old library code: every pair of

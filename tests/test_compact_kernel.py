@@ -57,7 +57,9 @@ from posetahedra.tubes import (
     enumerate_tubes,
     full_tube,
     tube_complex,
+    tube_masks,
     tubing_tree,
+    tubing_walk,
 )
 from strategies import SETTINGS, connected_posets
 
@@ -276,7 +278,8 @@ def test_host_caches_are_bounded():
     """Each per-host cache keeps at most CACHE_SIZE entries: one host more
     than that evicts the oldest."""
     caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
-              tube_complex, associahedron_face_lattice, order_polytope_face_lattice,
+              tube_complex, tube_masks, tubing_walk, associahedron_face_lattice,
+              order_polytope_face_lattice,
               tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
               cyclohedron_face_lattice, _affine_root_partitions, tube_index)
     for cache in caches:
@@ -284,6 +287,7 @@ def test_host_caches_are_bounded():
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
         P = build_poset([(shift, shift + 1), (shift + 1, shift + 2)])
         associahedron_face_lattice(P)
+        enumerate_proper_tubings(P)
         order_polytope_face_lattice(P)
         _host_index(P)
         # period-1 hosts with distinct generators: each a cache entry, no tubes

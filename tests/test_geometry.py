@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -12,6 +13,7 @@ from posetahedra.geometry import (
     order_polytope,
     realize_poset_associahedron,
     stellar_subdivide,
+    tube_system,
 )
 from posetahedra.lattice import f_vector, tubing_partitions
 from posetahedra.polytope import polar_dual
@@ -94,6 +96,22 @@ class TestAdmissible:
     def test_upward_closure_enforced(self, w5):
         with pytest.raises(ValueError):
             MeltedSet.of(w5, (Tube.of((1, 2)),))  # {1,2,3} etc. not melted
+
+    @pytest.mark.parametrize("host", [corpus.DESK_POSETS["h6"], corpus.DESK_AFFINE["cclaw4"]],
+                             ids=["h6", "cclaw4"])
+    def test_upward_closure_matches_the_definition(self, host):
+        """MeltedSet.of refuses a set exactly when a proper tube outside it
+        strictly contains a tube in it, by the system's ``contains``."""
+        system, rng = tube_system(host), random.Random(7)
+        proper = system.proper_tubes()
+        for _ in range(40):
+            chosen = {t for t in proper if rng.random() < 0.2}
+            closure = chosen | {s for s in proper for t in chosen
+                                if len(s) > len(t) and system.contains(s, t)}
+            assert MeltedSet.of(host, closure).tubes == closure | {system.root}
+            if closure != chosen:
+                with pytest.raises(ValueError, match="not upward closed"):
+                    MeltedSet.of(host, chosen)
 
     def test_eq_dim_bookkeeping(self, w5):
         M = MeltedSet.of(w5, (Tube.of((1, 2, 3, 4)), Tube.of((2, 3, 4, 5))))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 
 import oracles
-from posetahedra import corpus, lattice
+from posetahedra import corpus, tubes
 from posetahedra.affine import (
     class_nested_or_disjoint,
     cyclohedron_face_lattice,
@@ -23,15 +23,18 @@ from posetahedra.lattice import (
     order_polytope_face_lattice,
     tubing_partitions,
 )
-from posetahedra.poset import build_poset
+from posetahedra.poset import build_poset, find_cycle
 from posetahedra.tubes import (
     Tube,
     Tubing,
+    d_graph,
     enumerate_proper_tubings,
+    enumerate_tubes,
     has_arrow,
     is_tubing,
     nested_or_disjoint,
     tube_complex,
+    tubing_walk,
     walk_tubings,
 )
 from strategies import SETTINGS, connected_posets
@@ -80,23 +83,47 @@ def check_face_lattice(P):
     assert_same_lattice(associahedron_face_lattice(P), oracles.associahedron_face_lattice(P, Tube))
 
 
+def old_partitions(P, members=None, strict_blocks=False):
+    return oracles.tubing_partitions(P, members, strict_blocks, enumerate_tubes, find_cycle,
+                                     d_graph)
+
+
+def check_partitions(P):
+    """The bitmask partitions against the old search, order included: of the
+    host, and of every tube's members with strict blocks, as the melting
+    induction asks for them."""
+    assert tubing_partitions(P) == old_partitions(P)
+    for t in enumerate_tubes(P):
+        assert tubing_partitions(P, t.members, strict_blocks=True) == old_partitions(
+            P, t.members, strict_blocks=True), t
+
+
 def check_order_lattice(P):
-    old = oracles.order_polytope_face_lattice(len(P.elements), tubing_partitions(P))
+    old = oracles.order_polytope_face_lattice(len(P.elements), old_partitions(P))
     assert_same_lattice(order_polytope_face_lattice(P), old)
 
 
 def check_flag_tests_compatible_families(P):
     """Every family the flag check hands to is_tubing is one tube short of a
-    pairwise compatible candidate, so each of its pairs is a tubing."""
+    pairwise compatible candidate, so each of its pairs is a tubing.  The
+    check runs inside the host's one walk, so the spy sits in ``tubes`` and
+    the walk is made afresh.  On a host that is not flag (h6) the spy sees
+    every subfamily of the witness; on vee5 the one candidate of three tubes
+    has a 2-cycle, so the spy sees nothing there."""
     seen = []
 
-    def spy(host, tubes):
-        seen.append(tuple(tubes))
-        return is_tubing(host, tubes)
+    def spy(host, tubes_):
+        seen.append(tuple(tubes_))
+        return is_tubing(host, tubes_)
 
+    tubing_walk.cache_clear()
     with pytest.MonkeyPatch.context() as monkeypatch:
-        monkeypatch.setattr(lattice, "is_tubing", spy)
-        is_flag_dual(P)
+        monkeypatch.setattr(tubes, "is_tubing", spy)
+        check = is_flag_dual(P)
+    if not check:
+        witness = check.witness
+        for d in range(len(witness)):
+            assert witness[:d] + witness[d + 1:] in seen, (witness, d)
     for family in seen:
         for k, a in enumerate(family):
             for b in family[k + 1:]:
@@ -104,7 +131,7 @@ def check_flag_tests_compatible_families(P):
 
 
 CHECKS = (check_complex_bits, check_tubings, check_flag, check_face_lattice,
-          check_order_lattice, check_flag_tests_compatible_families)
+          check_partitions, check_order_lattice, check_flag_tests_compatible_families)
 
 
 @pytest.mark.parametrize("check", CHECKS, ids=lambda c: c.__name__)
@@ -122,6 +149,7 @@ def test_random_posets(check):
 @given(connected_posets(max_size=7))
 def test_lattices_match_old_builders_up_to_seven_elements(P):
     check_face_lattice(P)
+    check_partitions(P)
     check_order_lattice(P)
 
 
@@ -139,6 +167,34 @@ def test_affine_tubings_match_old_walk(name):
     for max_only in (False, True):
         assert enumerate_affine_tubings(A, max_only) == oracles.enumerate_affine_tubings(
             A, max_only, enumerate_affine_tubes, class_nested_or_disjoint, is_affine_tubing)
+
+
+@pytest.mark.parametrize("first", ["flag", "lattice", "maximal"])
+def test_each_complex_is_walked_once(monkeypatch, first):
+    """The flag check, the face lattice and the maximal tubings of a host
+    share one walk of its complex, whichever is asked for first."""
+    walks = []
+
+    def counted(cx, visit, reject=None):
+        walks.append(cx)
+        return walk_tubings(cx, visit, reject)
+
+    monkeypatch.setattr(tubes, "walk_tubings", counted)
+    readers = {"flag": lambda P: is_flag_dual(P).witness,
+               "lattice": associahedron_face_lattice,
+               "maximal": lambda P: enumerate_proper_tubings(P, max_only=True)}
+    order = [first, *(name for name in readers if name != first)]
+    for cache in (tubing_walk, associahedron_face_lattice, enumerate_proper_tubings):
+        cache.cache_clear()
+    for name in sorted(HOSTS):
+        P = HOSTS[name]
+        witnesses = []
+        for reader in order:
+            readers[reader](P)
+            witnesses.append(is_flag_dual(P).witness)
+        assert len(walks) == 1, (name, walks)
+        assert set(witnesses) == {oracles.is_flag_dual(P, Tube)[1]}, name
+        walks.clear()
 
 
 def test_h6_is_the_non_flag_host():
