@@ -14,6 +14,10 @@ class ValidationError(PosetahedraError):
     """Input violates a documented precondition."""
 
 
+class SchemaError(ValidationError):
+    """JSON data does not fit its shipped schema (``serialize``)."""
+
+
 # -- poset construction ------------------------------------------------------
 
 class CycleError(ValidationError):

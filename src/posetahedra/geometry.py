@@ -194,6 +194,8 @@ class MeltedSet:
         # upward closed: no tube outside the set contains one in it (``sub``)
         index = tube_index(host)
         tset = frozenset(tubes) | {index.system.root}
+        if stray := tset - index.position.keys():
+            raise ValueError(f"not tubes of the host: {', '.join(map(str, stray))}")
         melted = index.mask(tset)
         for k, below in enumerate(index.sub):
             if below & melted and not melted >> k & 1:

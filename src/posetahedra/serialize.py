@@ -8,14 +8,13 @@ are enforced on both import and export.
 from __future__ import annotations
 
 import json
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
-from functools import lru_cache
-
-import jsonschema
 
 from .affine import AffinePoset, build_affine_poset
 from .compact import ConfigPoint
+from .errors import SchemaError
 from .polytope import RationalPolytope
 from .poset import Poset, build_poset
 from .rational import format_rational, parse_rational
@@ -95,20 +94,66 @@ SCHEMAS = {"poset": POSET_SCHEMA, "affine poset": AFFINE_POSET_SCHEMA,
            "polytope": POLYTOPE_SCHEMA, "configuration point": CONFIG_POINT_SCHEMA}
 
 
-@lru_cache(maxsize=len(SCHEMAS))
-def _validator(name: str):
-    """The named schema's validator; the schema is checked once, on first use."""
-    schema = SCHEMAS[name]
-    cls = jsonschema.validators.validator_for(schema)
-    cls.check_schema(schema)
-    return cls(schema)
+KEYWORDS = frozenset({"type", "properties", "required", "additionalProperties",
+                      "patternProperties", "items", "minItems", "maxItems", "minimum", "pattern"})
+TYPES = {"object": dict, "array": list, "string": str, "integer": (int, float)}
+
+
+def _compile(schema: dict):
+    """A check ``(instance, path)`` that raises SchemaError where ``schema``, read
+    with the Draft 2020-12 meaning of ``KEYWORDS``, fails.  Any other keyword, type
+    or ``additionalProperties`` value is refused here, once, so none is ignored."""
+    kind = schema.get("type")
+    if set(schema) - KEYWORDS or schema.get("additionalProperties") not in (None, False) \
+            or kind not in (None, *TYPES):
+        raise ValueError(f"schema keywords or values not handled: {schema}")
+    required, closed = schema.get("required", ()), "additionalProperties" in schema
+    props = {key: _compile(sub) for key, sub in schema.get("properties", {}).items()}
+    patterns = [(re.compile(p), _compile(sub))
+                for p, sub in schema.get("patternProperties", {}).items()]
+    items = _compile(schema["items"]) if "items" in schema else None
+    least, most = schema.get("minItems", 0), schema.get("maxItems", float("inf"))
+    minimum = schema.get("minimum", float("-inf"))
+    pattern = re.compile(schema.get("pattern", ""))
+
+    def check(x, path: str) -> None:
+        # a tuple is no array; 1.0 is an integer, True is not (bool and float pass
+        # the isinstance test only for "integer")
+        if kind and (not isinstance(x, TYPES[kind]) or isinstance(x, bool)
+                     or isinstance(x, float) and not x.is_integer()):
+            raise SchemaError(f"{path}: {x!r} is not of type {kind!r}")
+        if isinstance(x, dict):
+            for key in required:
+                if key not in x:
+                    raise SchemaError(f"{path}: {key!r} is a required property")
+            for key, value in x.items():
+                subs = [sub for rx, sub in patterns if rx.search(key)]
+                if key in props:
+                    subs.append(props[key])
+                elif closed and not subs:
+                    raise SchemaError(f"{path}: Additional properties are not allowed "
+                                      f"({key!r} was unexpected)")
+                for sub in subs:
+                    sub(value, f"{path}.{key}")
+        elif isinstance(x, list):
+            if not least <= len(x) <= most:
+                raise SchemaError(f"{path}: {x!r} is too {'short' if len(x) < least else 'long'}")
+            for i, value in enumerate(x if items else ()):
+                items(value, f"{path}[{i}]")
+        elif isinstance(x, str) and not pattern.search(x):
+            raise SchemaError(f"{path}: {x!r} does not match {pattern.pattern!r}")
+        elif isinstance(x, (int, float)) and not isinstance(x, bool) and x < minimum:
+            raise SchemaError(f"{path}: {x!r} is less than the minimum of {minimum!r}")
+
+    return check
+
+
+_CHECKS = {name: _compile(schema) for name, schema in SCHEMAS.items()}
 
 
 def _validate(data, name: str) -> None:
-    """``jsonschema.validate`` without checking the schema again."""
-    error = jsonschema.exceptions.best_match(_validator(name).iter_errors(data))
-    if error is not None:
-        raise error
+    """Raise SchemaError, naming the JSON path, unless ``data`` fits the named schema."""
+    _CHECKS[name](data, "$")
 
 
 def poset_to_json(P: Poset) -> dict:

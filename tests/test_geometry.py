@@ -97,6 +97,10 @@ class TestAdmissible:
         with pytest.raises(ValueError):
             MeltedSet.of(w5, (Tube.of((1, 2)),))  # {1,2,3} etc. not melted
 
+    def test_a_set_not_of_tubes_is_refused(self, w5):
+        with pytest.raises(ValueError, match=r"not tubes of the host: \{1,5\}"):
+            MeltedSet.of(w5, [Tube.of((1, 5))])
+
     @pytest.mark.parametrize("host", [corpus.DESK_POSETS["h6"], corpus.DESK_AFFINE["cclaw4"]],
                              ids=["h6", "cclaw4"])
     def test_upward_closure_matches_the_definition(self, host):

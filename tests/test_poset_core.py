@@ -110,10 +110,11 @@ def test_build_poset_matches_oracle(pairs):
 
 def test_import_leaves_networkx_out():
     src = str(Path(posetahedra.__file__).resolve().parents[1])
-    code = "import sys, posetahedra; print('networkx' in sys.modules)"
+    code = ("import sys, posetahedra, posetahedra.serialize, posetahedra.cli; "
+            "print(sorted({'networkx', 'jsonschema'} & set(sys.modules)))")
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env={**os.environ, "PYTHONPATH": src})
-    assert out.stdout.strip() == "False"
+    assert out.stdout.strip() == "[]"
 
 
 class TestConvexConnected:

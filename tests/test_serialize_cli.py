@@ -1,13 +1,18 @@
+import copy
 import json
 import time
 from fractions import Fraction as F
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from posetahedra import corpus, serialize
+from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.cli import main
 from posetahedra.compact import stratum_point
+from posetahedra.errors import SchemaError
 from posetahedra.geometry import realize_poset_associahedron
 from posetahedra.rational import format_rational, parse_rational
 from posetahedra.serialize import (
@@ -23,6 +28,8 @@ from posetahedra.serialize import (
     ratio_report_to_json,
 )
 from posetahedra.tubes import Tubing
+
+from strategies import SETTINGS
 
 
 class TestRationals:
@@ -70,28 +77,11 @@ class TestJsonRoundTrips:
         Q = realize_poset_associahedron(c4).primal
         data = polytope_to_json(Q)
         data["vertices"][0][0] = "1/0"
-        with pytest.raises(jsonschema.ValidationError, match="'1/0' does not match"):
+        with pytest.raises(SchemaError, match="'1/0' does not match"):
             polytope_from_json(data)
         monkeypatch.setattr(serialize, "format_rational", lambda x: "0.5")
-        with pytest.raises(jsonschema.ValidationError, match="'0.5' does not match"):
+        with pytest.raises(SchemaError, match="'0.5' does not match"):
             polytope_to_json(Q)
-
-    def test_each_schema_is_checked_once(self, c4, w5, monkeypatch):
-        checked = []
-        cls = jsonschema.validators.validator_for(serialize.POLYTOPE_SCHEMA)
-        check = cls.check_schema
-        monkeypatch.setattr(cls, "check_schema", classmethod(
-            lambda _, schema: checked.append(id(schema)) or check(schema)))
-        serialize._validator.cache_clear()
-        Q = realize_poset_associahedron(c4).primal
-        point = stratum_point(c4, Tubing.of(c4, [(1, 2)]))
-        for _ in range(2):
-            polytope_from_json(polytope_to_json(Q))
-            poset_from_json(poset_to_json(w5))
-            config_point_from_json(c4, config_point_to_json(point))
-        assert sorted(checked) == sorted(map(id, (serialize.POLYTOPE_SCHEMA,
-                                                  serialize.POSET_SCHEMA,
-                                                  serialize.CONFIG_POINT_SCHEMA)))
 
     def test_ratio_report_serializes(self):
         from posetahedra.compact import ratio_counterexample_demo
@@ -100,6 +90,125 @@ class TestJsonRoundTrips:
         text = json.dumps(payload)
         assert "ratio_gap" in payload and len(payload["curves"]) == 2
         json.loads(text)
+
+
+def _exports():
+    """One real export per schema, as ``(schema name, data)``."""
+    c4 = corpus.chain(4)
+    point = stratum_point(c4, Tubing.of(c4, [(1, 2)]))
+    return [("poset", poset_to_json(corpus.DESK_POSETS["w5"])),
+            ("affine poset", affine_poset_to_json(corpus.circular_claw(3))),
+            ("polytope", polytope_to_json(realize_poset_associahedron(c4).primal)),
+            ("polytope", polytope_to_json(realize_affine_cyclohedron(corpus.circular_claw(3)).primal)),
+            ("configuration point", config_point_to_json(point))]
+
+
+EXPORTS = _exports()
+
+# JSON-like values, biased towards the schemas' own keys, rationals and tube keys
+# so that random values get past the top level.
+KEYS = st.sampled_from(["covers", "n", "chart_dim", "vertices", "facets", "normal", "offset",
+                        "tube", "vertex_labels", "tubes", "1,2", "-3,4", "1,", "1,2\n"])
+SCALARS = (st.none() | st.booleans() | st.integers(-3, 3) | st.integers() | st.floats()
+           | st.fractions().map(format_rational)
+           | st.sampled_from([1.0, -1.0, 0.0, "1/2", "-3/1", "1/0", "0.5", "1/2\n", "x1/2"])
+           | st.text(max_size=4))
+VALUES = st.recursive(SCALARS, lambda inner: st.lists(inner, max_size=3)
+                      | st.dictionaries(KEYS | st.text(max_size=3), inner, max_size=4),
+                      max_leaves=12)
+CORNERS = [
+    {"covers": [[1.0, 2]]}, {"covers": [[True, 2]]}, {"covers": [(1, 2)]}, ({"covers": []},),
+    {"covers": [[1, 2, 3]]}, {"covers": [[1]]}, {"covers": []}, {"covers": [], "x": 1}, {},
+    {"n": 1.0, "covers": []}, {"n": 0, "covers": []}, {"n": -1.0, "covers": []},
+    {"n": True, "covers": []}, {"n": 1.5, "covers": []}, {"n": float("nan"), "covers": []},
+    {"chart_dim": 0, "vertices": [["1/2\n"]], "facets": []},
+    {"chart_dim": 0, "vertices": [("1/2",)], "facets": []},
+    {"chart_dim": 0, "vertices": [], "facets": [{"normal": [], "offset": "1/0"}]},
+    {"chart_dim": 0, "vertices": [], "facets": [{"normal": [], "offset": "0/1", "x": 1}]},
+    {"chart_dim": 0, "vertices": [], "facets": [], "vertex_labels": (1,), "x": 1},
+    {"tubes": {"1,2": ["1/2\n"]}}, {"tubes": {"1,2\n": []}}, {"tubes": {"1,": []}},
+    {"tubes": {"1,2": ("1/2",)}}, {"tubes": {}, "covers": []}, None, True, [], "covers",
+]
+
+
+def _verdict(name, data) -> bool:
+    try:
+        serialize._validate(data, name)
+    except SchemaError:
+        return False
+    return True
+
+
+def _oracle(name, data) -> bool:
+    schema = serialize.SCHEMAS[name]
+    return jsonschema.validators.validator_for(schema)(schema).is_valid(data)
+
+
+def _sites(data, path=()):
+    """Each leaf of ``data`` as ``(path, False)``, each object key as ``(path, True)``."""
+    items = list(data.items() if isinstance(data, dict) else
+                 enumerate(data) if isinstance(data, list) else ())
+    if not items:
+        yield path, False
+    for key, value in items:
+        if isinstance(data, dict):
+            yield path + (key,), True
+        yield from _sites(value, path + (key,))
+
+
+class TestSchemaCheck:
+    """The in-house schema check gives jsonschema's verdict on every instance."""
+
+    @pytest.mark.parametrize("name", list(serialize.SCHEMAS))
+    @SETTINGS
+    @given(values=st.lists(VALUES, min_size=1, max_size=8))
+    def test_random_values(self, name, values):
+        for data in values:
+            assert _verdict(name, data) == _oracle(name, data), data
+
+    @pytest.mark.parametrize("k", range(len(EXPORTS)))
+    @SETTINGS
+    @given(data=st.data())
+    def test_single_mutations_of_real_exports(self, k, data):
+        """Replace one leaf, or rename one object key, of a valid export."""
+        name, export = EXPORTS[k]
+        assert _verdict(name, export) and _oracle(name, export)
+        sites = list(_sites(export))
+        for _ in range(8):
+            path, is_key = data.draw(st.sampled_from(sites))
+            mutant = copy.deepcopy(export)
+            node = mutant
+            for step in path[:-1]:
+                node = node[step]
+            if is_key:
+                node[data.draw(KEYS | st.text(max_size=3))] = node.pop(path[-1])
+            else:
+                node[path[-1]] = data.draw(SCALARS | VALUES)
+            assert _verdict(name, mutant) == _oracle(name, mutant), (path, mutant)
+
+    @pytest.mark.parametrize("name", list(serialize.SCHEMAS))
+    def test_corner_cases(self, name):
+        for data in CORNERS:
+            assert _verdict(name, data) == _oracle(name, data), data
+        assert _verdict("poset", {"covers": [[1.0, 2]]})
+        assert not _verdict("poset", {"covers": [[True, 2]]})
+        assert not _verdict("poset", {"covers": [(1, 2)]})
+        assert _verdict("configuration point", {"tubes": {"1,2": ["1/2\n"]}})
+
+    def test_error_names_the_path(self):
+        with pytest.raises(SchemaError) as info:
+            serialize._validate({"tubes": {"1,2": ["1/2", 3]}}, "configuration point")
+        assert str(info.value) == "$.tubes.1,2[1]: 3 is not of type 'string'"
+
+    @pytest.mark.parametrize("schema", [
+        {"type": "integer", "enum": [1]},
+        {"type": "object", "properties": {"n": {"type": "integer", "multipleOf": 2}}},
+        {"type": "array", "items": {"type": "number"}},
+        {"type": "object", "additionalProperties": {"type": "string"}},
+    ])
+    def test_unhandled_keyword_is_refused(self, schema):
+        with pytest.raises(ValueError, match="not handled"):
+            serialize._compile(schema)
 
 
 class TestOff:
@@ -215,6 +324,17 @@ class TestCli:
         bad = tmp_path / "bad.json"
         bad.write_text('{"covers": [[1,2],[2,1]]}')
         assert main(["poset", "validate", str(bad)]) == 1
+
+    @pytest.mark.parametrize("argv, bad", [
+        (["poset", "validate", "{bad}"], {"covers": [[1, 2, 3]]}),
+        (["compact", "verify", "{bad}", "--poset", "{chain4}"], {"tubes": {"1,2": ["1/0", "1/2"]}}),
+    ], ids=["poset", "configuration point"])
+    def test_schema_error_exit_code(self, files, argv, bad, capsys):
+        path = files["dir"] / "bad.json"
+        path.write_text(json.dumps(bad))
+        assert main([a.format(bad=path, chain4=files["chain4"]) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $") and "Traceback" not in err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["poset", "validate", "/nonexistent.json"]) == 1
