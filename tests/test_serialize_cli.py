@@ -99,7 +99,8 @@ def _exports():
     return [("poset", poset_to_json(corpus.DESK_POSETS["w5"])),
             ("affine poset", affine_poset_to_json(corpus.circular_claw(3))),
             ("polytope", polytope_to_json(realize_poset_associahedron(c4).primal)),
-            ("polytope", polytope_to_json(realize_affine_cyclohedron(corpus.circular_claw(3)).primal)),
+            ("polytope", polytope_to_json(
+                realize_affine_cyclohedron(corpus.circular_claw(3)).primal)),
             ("configuration point", config_point_to_json(point))]
 
 
@@ -190,6 +191,8 @@ class TestSchemaCheck:
     def test_corner_cases(self, name):
         for data in CORNERS:
             assert _verdict(name, data) == _oracle(name, data), data
+
+    def test_draft_2020_12_types_and_search(self):
         assert _verdict("poset", {"covers": [[1.0, 2]]})
         assert not _verdict("poset", {"covers": [[True, 2]]})
         assert not _verdict("poset", {"covers": [(1, 2)]})
@@ -205,7 +208,7 @@ class TestSchemaCheck:
         {"type": "object", "properties": {"n": {"type": "integer", "multipleOf": 2}}},
         {"type": "array", "items": {"type": "number"}},
         {"type": "object", "additionalProperties": {"type": "string"}},
-    ])
+    ], ids=["enum", "nested multipleOf", "type number", "additionalProperties schema"])
     def test_unhandled_keyword_is_refused(self, schema):
         with pytest.raises(ValueError, match="not handled"):
             serialize._compile(schema)
