@@ -8,11 +8,14 @@ Antisymmetry is a no-nonpositive-cycle condition on that digraph and
 strong connectivity is finiteness of all entries.
 
 Tubes are taken up to shift; the proper tube classes are the facets of the
-cyclohedron and proper periodic tubings its faces.  Acyclicity of the
-dependency digraph of a periodic family is decided exactly: the nesting
-tree localizes cycles either inside one finite node (finite check) or
-among the root blocks, where a cycle exists iff the class-level digraph
-weighted by minimal shifts has a cycle of total weight <= 0.
+cyclohedron and proper periodic tubings its faces.  Every acyclicity
+question here is answered by one rule on one min-plus closure
+(``_min_plus_closure``).  For the residue digraph the arcs are the
+generating shifts.  For a pairwise laminar family of classes the weight
+from a to b is the least shift d at which the canonical instance of a has
+a dependency arrow to b + dn (``_shift_weight``); the arrows run from that
+shift upward, so the instance digraph has a cycle exactly when the closure
+has a closed walk of total weight <= 0.
 """
 
 from __future__ import annotations
@@ -34,10 +37,8 @@ from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .linalg import nullspace
 from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
-from .poset import Poset, build_poset, find_cycle, quotient_poset
+from .poset import Poset, build_poset, quotient_poset
 from .tubes import CACHE_SIZE
-
-INF = float("inf")
 
 
 @dataclass(frozen=True)
@@ -129,6 +130,23 @@ class AffinePoset:
         return f"AffinePoset(n={self.n}, gen_covers={list(self.gen_covers)})"
 
 
+def _min_plus_closure(dist: list[list[int | None]]) -> list[list[int | None]]:
+    """Least walk weights, in place: one Floyd–Warshall pass over a square
+    matrix of arc weights, with None for "no arc".  A diagonal entry that
+    starts as an arc weight ends as the least weight of a closed walk through
+    its vertex."""
+    k = len(dist)
+    for m in range(k):
+        for a in range(k):
+            if dist[a][m] is None:
+                continue
+            for b in range(k):
+                if dist[m][b] is not None and (
+                        dist[a][b] is None or dist[a][m] + dist[m][b] < dist[a][b]):
+                    dist[a][b] = dist[a][m] + dist[m][b]
+    return dist
+
+
 def build_affine_poset(n: int, gen_covers) -> AffinePoset:
     """Validate the axioms and precompute the residue shift matrix."""
     if n < 1:
@@ -143,35 +161,25 @@ def build_affine_poset(n: int, gen_covers) -> AffinePoset:
     def residue(v):
         return (v - 1) % n + 1
 
-    dist = [[INF] * n for _ in range(n)]
-    for r in range(n):
-        dist[r][r] = 0
-    arcs = [(r, r, 1) for r in range(1, n + 1)]
+    dist = [[0 if a == b else None for b in range(n)] for a in range(n)]
     for i, j in pairs:
-        arcs.append((i, residue(j), (j - residue(j)) // n))
-    for a, b, w in arcs:
-        dist[a - 1][b - 1] = min(dist[a - 1][b - 1], w)
-    for k in range(n):
-        for a in range(n):
-            if dist[a][k] == INF:
-                continue
-            for b in range(n):
-                if dist[k][b] != INF and dist[a][k] + dist[k][b] < dist[a][b]:
-                    dist[a][b] = dist[a][k] + dist[k][b]
+        row, b, w = dist[i - 1], residue(j) - 1, (j - residue(j)) // n
+        row[b] = w if row[b] is None else min(row[b], w)
+    _min_plus_closure(dist)
     for a in range(n):
         if dist[a][a] < 0:
             raise CycleError("relations force i < i (negative cycle)")
         for b in range(n):
-            if a != b and dist[a][b] != INF and dist[b][a] != INF \
+            if a != b and dist[a][b] is not None and dist[b][a] is not None \
                     and dist[a][b] + dist[b][a] <= 0:
                 raise CycleError(f"residues {a + 1} and {b + 1} are mutually below each other")
     for a in range(n):
         for b in range(n):
-            if dist[a][b] == INF:
+            if dist[a][b] is None:
                 raise NotStronglyConnectedError(
                     f"residue {b + 1} is unreachable from residue {a + 1}"
                 )
-    matrix = tuple(tuple(int(x) for x in row) for row in dist)
+    matrix = tuple(tuple(row) for row in dist)
     return AffinePoset(n=n, gen_covers=tuple(sorted(set(pairs))), minshift=matrix)
 
 
@@ -307,43 +315,32 @@ def class_contains(A: AffinePoset, outer: AffineTube, inner: AffineTube) -> bool
     return any(inner.as_set <= outer.instance(d, A.n) for d in range(lo, hi + 1))
 
 
-def _min_relation_shift(A: AffinePoset, a: AffineTube, b: AffineTube) -> int:
-    """Minimal d with i < j + dn for some i in a, j in b (an edge weight)."""
-    best = None
-    for i in a.members:
-        for j in b.members:
-            d = A.minshift[A.residue(i) - 1][A.residue(j) - 1] + A.shift(i) - A.shift(j)
-            if j + d * A.n == i:
-                d += 1
-            best = d if best is None else min(best, d)
-    return best
+def _shift_weight(A: AffinePoset, a: AffineTube, b: AffineTube) -> int:
+    """Least d such that a is disjoint from b + dn and some element of a is
+    below some element of b + dn: the first dependency arrow from a to b.
 
-
-def _root_blocks_acyclic(A: AffinePoset, blocks: tuple[AffineTube, ...]) -> bool:
-    """Cycle test for a periodic partition of the integers.
-
-    Blocks of a partition are never nested, so for each ordered class pair
-    the valid dependency edges are exactly the shifts at or above the
-    minimal relation shift (same class: shift zero excluded).  A cycle in
-    the infinite digraph exists iff some class cycle has total weight <= 0.
+    Relations persist as d grows, so the arrows from a run from this shift
+    upward, less the shifts where the two instances meet.  In a laminar
+    family those instances are nested, and nested tubes carry no arrow, so
+    a meeting shift must not count: on the circular 3-chain, {1,2} and
+    {1,2,3} relate at shift 0 in both directions, but they are nested there
+    and form the hexagon vertex {{1,2},{1,2,3}}.
     """
-    k = len(blocks)
-    weight = [[0] * k for _ in range(k)]
-    for x, a in enumerate(blocks):
-        for y, b in enumerate(blocks):
-            d0 = _min_relation_shift(A, a, b)
-            if x == y and d0 == 0:
-                d0 = 1
-            weight[x][y] = d0
-    dist = [row[:] for row in weight]
-    for m in range(k):
-        for x in range(k):
-            for y in range(k):
-                if dist[x][m] + dist[m][y] < dist[x][y]:
-                    dist[x][y] = dist[x][m] + dist[m][y]
-                    if x == y and dist[x][y] <= 0:
-                        return False
-    return all(dist[x][x] > 0 for x in range(k))
+    d = min(
+        A.minshift[A.residue(i) - 1][A.residue(j) - 1] + A.shift(i) - A.shift(j)
+        + (A.residue(i) == A.residue(j))  # i < i + dn needs d >= 1
+        for i in a.members for j in b.members
+    )
+    while not a.as_set.isdisjoint(b.instance(d, A.n)):
+        d += 1
+    return d
+
+
+def _acyclic(A: AffinePoset, classes) -> bool:
+    """No dependency cycle among the instances of a pairwise laminar family:
+    every closed walk of the closure of the shift weights weighs > 0."""
+    dist = _min_plus_closure([[_shift_weight(A, a, b) for b in classes] for a in classes])
+    return all(dist[x][x] > 0 for x in range(len(classes)))
 
 
 def _instances_inside(A: AffinePoset, classes, tube: AffineTube):
@@ -378,40 +375,14 @@ def _children_partition(A: AffinePoset, classes, tube: AffineTube):
 
 
 def is_affine_tubing(A: AffinePoset, classes) -> bool:
-    """Validity of the periodic family generated by the given classes.
-
-    Pairwise laminarity over all shifts, then acyclicity localized by the
-    nesting tree: finite dependency checks inside every class, and the
-    weighted test on the root partition formed by the maximal classes.
-    """
+    """Validity of the periodic family generated by the given tube classes:
+    pairwise laminarity over all shifts, then the weighted cycle rule."""
     classes = sorted(set(classes), key=AffineTube.key)
     if any(c.is_full for c in classes):
         return False
-    for a, b in itertools.combinations_with_replacement(classes, 2):
-        if not class_nested_or_disjoint(A, a, b):
-            return False
-
-    maximal = [
-        c for c in classes
-        if not any(o != c and class_contains(A, o, c) for o in classes)
-    ]
-    covered = set().union(*(residues_of(A, c) for c in maximal)) if maximal else set()
-    root_blocks = tuple(sorted(
-        maximal + [AffineTube((r,)) for r in range(1, A.n + 1) if r not in covered],
-        key=AffineTube.key,
-    ))
-    if not _root_blocks_acyclic(A, root_blocks):
-        return False
-
-    for tube in classes:
-        blocks = [frozenset(b) for b in _children_partition(A, classes, tube)]
-        depends = {
-            a: [b for b in blocks if a != b and any(A.lt(i, j) for i in a for j in b)]
-            for a in blocks
-        }
-        if find_cycle(depends) is not None:
-            return False
-    return True
+    return all(class_nested_or_disjoint(A, a, b)
+               for a, b in itertools.combinations_with_replacement(classes, 2)) \
+        and _acyclic(A, classes)
 
 
 @dataclass(frozen=True)
@@ -424,7 +395,7 @@ class AffineTubing:
     @staticmethod
     def of(A: AffinePoset, classes) -> "AffineTubing":
         canon = frozenset(
-            c if isinstance(c, AffineTube) else make_affine_tube(A, c) for c in classes
+            make_affine_tube(A, c.members if isinstance(c, AffineTube) else c) for c in classes
         )
         if not is_affine_tubing(A, canon):
             raise NotATubingError(f"classes {sorted(canon, key=AffineTube.key)} cross or cycle")
@@ -441,27 +412,46 @@ class AffineTubing:
 def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset[AffineTube], ...]:
     """All proper periodic tubings as sets of class representatives; with
     max_only, the maximal ones (n - 1 classes), filtered from the cached
-    full list."""
+    full list.
+
+    The walk adds classes in index order.  A candidate must be laminar with
+    every chosen class (``compat`` bits) and keep the min-plus closure of the
+    shift weights free of closed walks of weight <= 0; the closure grows by
+    one class in O(k^2) for k chosen classes.
+    """
     target = A.n - 1
     if max_only:
         return tuple(T for T in enumerate_affine_tubings(A) if len(T) == target)
     classes = enumerate_affine_tubes(A, proper_only=True)
-    chosen: list[AffineTube] = []
+    compat = [sum(1 << y for y, b in enumerate(classes) if class_nested_or_disjoint(A, a, b))
+              for a in classes]
+    weight = [[_shift_weight(A, a, b) for b in classes] for a in classes]
+    chosen: list[int] = []
     out: list[frozenset[AffineTube]] = []
 
-    def extend(start: int) -> None:
-        out.append(frozenset(chosen))
+    def grow(dist: list[list[int]], v: int) -> list[list[int]] | None:
+        """The closure over chosen + [v], or None if v closes a walk of weight <= 0."""
+        to_v = [min([weight[x][v]] + [row[z] + weight[y][v] for z, y in enumerate(chosen)])
+                for x, row in zip(chosen, dist)]
+        from_v = [min([weight[v][y]] + [weight[v][x] + dist[z][j] for z, x in enumerate(chosen)])
+                  for j, y in enumerate(chosen)]
+        loop = min([weight[v][v]] + [f + t for f, t in zip(from_v, to_v)])
+        if loop <= 0:
+            return None
+        return [[min(d, t + f) for d, f in zip(row, from_v)] + [t]
+                for row, t in zip(dist, to_v)] + [from_v + [loop]]
+
+    def extend(allowed: int, start: int, dist: list[list[int]]) -> None:
+        out.append(frozenset(classes[x] for x in chosen))
         if len(chosen) == target:
             return
-        for k in range(start, len(classes)):
-            cand = classes[k]
-            if all(class_nested_or_disjoint(A, cand, c) for c in chosen) \
-                    and is_affine_tubing(A, chosen + [cand]):
-                chosen.append(cand)
-                extend(k + 1)
+        for v in range(start, len(classes)):
+            if allowed >> v & 1 and (grown := grow(dist, v)) is not None:
+                chosen.append(v)
+                extend(allowed & compat[v], v + 1, grown)
                 chosen.pop()
 
-    extend(0)
+    extend(sum(1 << x for x, mask in enumerate(compat) if mask >> x & 1), 0, [])
     out.sort(key=lambda T: (len(T), tuple(sorted(c.members for c in T))))
     return tuple(out)
 
@@ -662,11 +652,9 @@ def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...
 
     def extend(uncovered: frozenset[int]) -> None:
         if not uncovered:
+            # blocks on disjoint residues are laminar, so only cycles can fail
             blocks = tuple(sorted(chosen, key=AffineTube.key))
-            if _root_blocks_acyclic(A, blocks) and all(
-                class_nested_or_disjoint(A, a, b)
-                for a, b in itertools.combinations(blocks, 2)
-            ):
+            if _acyclic(A, blocks):
                 out.append(blocks)
             return
         r = min(uncovered)
@@ -713,14 +701,9 @@ def quotient_affine_poset(A: AffinePoset, classes) -> AffinePoset:
     gens = []
     for x, a in enumerate(blocks, start=1):
         for y, b in enumerate(blocks, start=1):
-            d0 = _min_relation_shift(A, a, b)
-            if x == y:
-                # shift zero is the block itself; shift one is the built-in axiom
-                if d0 == 0:
-                    d0 = 1
-                if d0 == 1:
-                    continue
-            gens.append((x, y + d0 * n_new))
+            d = _shift_weight(A, a, b)
+            if x != y or d != 1:  # shift one of a block is the built-in axiom
+                gens.append((x, y + d * n_new))
     return build_affine_poset(n_new, gens)
 
 

@@ -90,8 +90,12 @@ CONFIG_POINT_SCHEMA = {
 }
 
 
+TUBING_SCHEMA = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
+
+
 SCHEMAS = {"poset": POSET_SCHEMA, "affine poset": AFFINE_POSET_SCHEMA,
-           "polytope": POLYTOPE_SCHEMA, "configuration point": CONFIG_POINT_SCHEMA}
+           "polytope": POLYTOPE_SCHEMA, "configuration point": CONFIG_POINT_SCHEMA,
+           "tubing": TUBING_SCHEMA}
 
 
 KEYWORDS = frozenset({"type", "properties", "required", "additionalProperties",
@@ -175,6 +179,7 @@ def affine_poset_from_json(data) -> AffinePoset:
 
 
 def tubing_from_json(P: Poset, data) -> Tubing:
+    _validate(data, "tubing")
     return Tubing.of(P, [Tube.of(t) for t in data])
 
 

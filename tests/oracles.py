@@ -962,6 +962,88 @@ def enumerate_affine_tubings(A, max_only, enumerate_affine_tubes, class_nested_o
     return tuple(out)
 
 
+def affine_tubing_check(AffineTube, class_nested_or_disjoint, class_contains, residues_of,
+                        _children_partition, find_cycle):
+    """The old ``affine.is_affine_tubing`` with its helpers ``_min_relation_shift``
+    and ``_root_blocks_acyclic``: a Floyd–Warshall test on the root blocks,
+    then a finite cycle check inside every class."""
+
+    def _min_relation_shift(A, a, b):
+        """Minimal d with i < j + dn for some i in a, j in b (an edge weight)."""
+        best = None
+        for i in a.members:
+            for j in b.members:
+                d = A.minshift[A.residue(i) - 1][A.residue(j) - 1] + A.shift(i) - A.shift(j)
+                if j + d * A.n == i:
+                    d += 1
+                best = d if best is None else min(best, d)
+        return best
+
+    def _root_blocks_acyclic(A, blocks):
+        """Cycle test for a periodic partition of the integers.
+
+        Blocks of a partition are never nested, so for each ordered class pair
+        the valid dependency edges are exactly the shifts at or above the
+        minimal relation shift (same class: shift zero excluded).  A cycle in
+        the infinite digraph exists iff some class cycle has total weight <= 0.
+        """
+        k = len(blocks)
+        weight = [[0] * k for _ in range(k)]
+        for x, a in enumerate(blocks):
+            for y, b in enumerate(blocks):
+                d0 = _min_relation_shift(A, a, b)
+                if x == y and d0 == 0:
+                    d0 = 1
+                weight[x][y] = d0
+        dist = [row[:] for row in weight]
+        for m in range(k):
+            for x in range(k):
+                for y in range(k):
+                    if dist[x][m] + dist[m][y] < dist[x][y]:
+                        dist[x][y] = dist[x][m] + dist[m][y]
+                        if x == y and dist[x][y] <= 0:
+                            return False
+        return all(dist[x][x] > 0 for x in range(k))
+
+    def is_affine_tubing(A, classes):
+        """Validity of the periodic family generated by the given classes.
+
+        Pairwise laminarity over all shifts, then acyclicity localized by the
+        nesting tree: finite dependency checks inside every class, and the
+        weighted test on the root partition formed by the maximal classes.
+        """
+        classes = sorted(set(classes), key=AffineTube.key)
+        if any(c.is_full for c in classes):
+            return False
+        for a, b in itertools.combinations_with_replacement(classes, 2):
+            if not class_nested_or_disjoint(A, a, b):
+                return False
+
+        maximal = [
+            c for c in classes
+            if not any(o != c and class_contains(A, o, c) for o in classes)
+        ]
+        covered = set().union(*(residues_of(A, c) for c in maximal)) if maximal else set()
+        root_blocks = tuple(sorted(
+            maximal + [AffineTube((r,)) for r in range(1, A.n + 1) if r not in covered],
+            key=AffineTube.key,
+        ))
+        if not _root_blocks_acyclic(A, root_blocks):
+            return False
+
+        for tube in classes:
+            blocks = [frozenset(b) for b in _children_partition(A, classes, tube)]
+            depends = {
+                a: [b for b in blocks if a != b and any(A.lt(i, j) for i in a for j in b)]
+                for a in blocks
+            }
+            if find_cycle(depends) is not None:
+                return False
+        return True
+
+    return is_affine_tubing
+
+
 def ideal_filter_splits(P, is_ideal, is_connected):
     """The old ``poset.ideal_filter_splits`` (its element budget left out),
     with ``is_ideal`` above."""

@@ -29,6 +29,7 @@ from posetahedra.affine import (
     quotient_affine_poset,
     realize_affine_cyclohedron,
     tube_from_signed_pair,
+    _shift_weight,
 )
 from posetahedra.errors import (
     CycleError,
@@ -38,7 +39,7 @@ from posetahedra.errors import (
     OverlapError,
 )
 from posetahedra.lattice import EMPTY, f_vector, h_vector
-from strategies import SETTINGS
+from strategies import SETTINGS, periodic_bowtie
 
 
 @pytest.fixture
@@ -199,6 +200,23 @@ class TestAffineTubings:
     def test_crossing_pair_invalid(self, cc3):
         assert not is_affine_tubing(cc3, [AffineTube((1, 2)), AffineTube((3, 4))])
 
+    @pytest.mark.parametrize("host, inner", [("cchain3", (1, 2)), ("cclaw3", (1, 3))])
+    def test_nested_pairs_are_tubings(self, host, inner):
+        """Inner and outer relate at shift 0 both ways, but are nested there:
+        the weights skip that shift, so the pair closes no cycle."""
+        A = corpus.DESK_AFFINE[host]
+        inner, outer = AffineTube(inner), AffineTube((1, 2, 3))
+        assert _shift_weight(A, inner, outer) == _shift_weight(A, outer, inner) == 1
+        assert is_affine_tubing(A, [inner, outer])
+        assert frozenset({inner, outer}) in enumerate_affine_tubings(A, max_only=True)
+
+    def test_cycle_pair_invalid(self):
+        A = periodic_bowtie()
+        a, b = AffineTube((1, 3)), AffineTube((2, 4))
+        assert class_nested_or_disjoint(A, a, b)
+        assert _shift_weight(A, a, b) == _shift_weight(A, b, a) == 0
+        assert not is_affine_tubing(A, [a, b])
+
     def test_hexagon_vertex_pairs(self, cc3):
         verts = enumerate_affine_tubings(cc3, max_only=True)
         assert len(verts) == 6
@@ -228,6 +246,14 @@ class TestAffineTubingType:
         assert [c.members for c in T] == [(1, 2)]
         with pytest.raises(NotATubingError):
             AffineTubing.of(cc3, [(1, 2), (3, 4)])
+
+    def test_every_class_is_validated(self, cc3):
+        """Given classes are canonicalized and checked like raw member lists."""
+        from posetahedra.affine import AffineTubing
+
+        assert AffineTubing.of(cc3, [AffineTube((4, 5))]).classes == {AffineTube((1, 2))}
+        with pytest.raises(NotATubeError, match="not convex"):
+            AffineTubing.of(cc3, [AffineTube((1, 3))])
 
 
 class TestCyclohedronLattice:

@@ -23,6 +23,7 @@ from posetahedra.lattice import (
 )
 from posetahedra.poset import build_poset
 from posetahedra.tubes import Tubing, enumerate_proper_tubings
+from strategies import periodic_bowtie
 
 
 def face_counts_of_interval(L, key):
@@ -114,9 +115,10 @@ class TestAffineTubingOracle:
     """The weighted-class acyclicity decision against a brute-force windowed
     instance digraph, over every subset of proper classes."""
 
-    @pytest.mark.parametrize("name", ["cchain2", "cchain3", "cclaw3"])
+    @pytest.mark.parametrize("name", ["cchain2", "cchain3", "cclaw3", "cchain4", "cclaw4",
+                                      "bowtie"])
     def test_exhaustive_subsets(self, name):
-        A = corpus.DESK_AFFINE[name]
+        A = periodic_bowtie() if name == "bowtie" else corpus.DESK_AFFINE[name]
         classes = enumerate_affine_tubes(A)
         for r in range(1, min(len(classes), A.n - 1) + 1):
             for combo in itertools.combinations(classes, r):

@@ -93,7 +93,8 @@ class TestJsonRoundTrips:
 
 
 def _exports():
-    """One real export per schema, as ``(schema name, data)``."""
+    """One real export (for a tubing, the CLI's input) per schema, as
+    ``(schema name, data)``."""
     c4 = corpus.chain(4)
     point = stratum_point(c4, Tubing.of(c4, [(1, 2)]))
     return [("poset", poset_to_json(corpus.DESK_POSETS["w5"])),
@@ -101,7 +102,8 @@ def _exports():
             ("polytope", polytope_to_json(realize_poset_associahedron(c4).primal)),
             ("polytope", polytope_to_json(
                 realize_affine_cyclohedron(corpus.circular_claw(3)).primal)),
-            ("configuration point", config_point_to_json(point))]
+            ("configuration point", config_point_to_json(point)),
+            ("tubing", [[1, 2], [1, 2, 3]])]
 
 
 EXPORTS = _exports()
@@ -336,6 +338,12 @@ class TestCli:
         path = files["dir"] / "bad.json"
         path.write_text(json.dumps(bad))
         assert main([a.format(bad=path, chain4=files["chain4"]) for a in argv]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $") and "Traceback" not in err
+
+    @pytest.mark.parametrize("tubing", ["5", "[5]", '[["a"]]', '[[1, 2.5]]', '{"1": [1]}'])
+    def test_malformed_tubing_exit_code(self, files, tubing, capsys):
+        assert main(["compact", "synthesize", files["chain4"], "--tubing", tubing]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: $") and "Traceback" not in err
 

@@ -2,17 +2,25 @@
 builders, against the predicates and against verbatim copies of the code
 they replaced (``oracles``)."""
 
+import random
+
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 import oracles
-from posetahedra import corpus, tubes
+from posetahedra import affine, corpus, tubes
 from posetahedra.affine import (
+    AffineTube,
+    AffineTubing,
+    _children_partition,
+    class_contains,
     class_nested_or_disjoint,
     cyclohedron_face_lattice,
     enumerate_affine_tubes,
     enumerate_affine_tubings,
     is_affine_tubing,
+    residues_of,
 )
 from posetahedra.lattice import (
     EMPTY,
@@ -37,7 +45,7 @@ from posetahedra.tubes import (
     tubing_walk,
     walk_tubings,
 )
-from strategies import SETTINGS, connected_posets
+from strategies import SETTINGS, affine_posets, connected_posets, periodic_bowtie
 
 # The corpus, plus a host whose flag walk meets a candidate of three tubes
 # with a 2-cycle against its prefix: {1,2,4} after {1,2}, {3,5}.
@@ -161,12 +169,58 @@ def test_cyclohedron_lattice_matches_old_builder(name):
     assert_same_lattice(L, oracles.cyclohedron_face_lattice(A.n, enumerate_affine_tubings(A)))
 
 
-@pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE))
+# The old periodic tubing check (root-block Floyd–Warshall plus a finite cycle
+# check per class), so the old walk below does not share the new rule.
+OLD_IS_AFFINE_TUBING = oracles.affine_tubing_check(
+    AffineTube, class_nested_or_disjoint, class_contains, residues_of, _children_partition,
+    find_cycle)
+
+
+def old_affine_walk(A, max_only):
+    return oracles.enumerate_affine_tubings(A, max_only, enumerate_affine_tubes,
+                                            class_nested_or_disjoint, OLD_IS_AFFINE_TUBING)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE) + ["bowtie"])
 def test_affine_tubings_match_old_walk(name):
-    A = corpus.DESK_AFFINE[name]
+    A = periodic_bowtie() if name == "bowtie" else corpus.DESK_AFFINE[name]
     for max_only in (False, True):
-        assert enumerate_affine_tubings(A, max_only) == oracles.enumerate_affine_tubings(
-            A, max_only, enumerate_affine_tubes, class_nested_or_disjoint, is_affine_tubing)
+        assert enumerate_affine_tubings(A, max_only) == old_affine_walk(A, max_only)
+
+
+@SETTINGS
+@given(affine_posets(), st.integers(0, 2**32 - 1))
+def test_random_affine_hosts_match_the_old_rule(A, seed):
+    """The walk, and the rule on random laminar families (grown greedily, so
+    that families with cycles occur) and on random subsets, against the old
+    check."""
+    assert enumerate_affine_tubings(A, False) == old_affine_walk(A, False)
+    classes = list(enumerate_affine_tubes(A))
+    rng = random.Random(seed)
+    for _ in range(10):
+        rng.shuffle(classes)
+        family = []
+        for cls in classes[:rng.randint(1, len(classes))]:
+            if all(class_nested_or_disjoint(A, cls, c) for c in family):
+                family.append(cls)
+        for combo in (family, rng.sample(classes, min(len(classes), rng.randint(1, A.n)))):
+            assert is_affine_tubing(A, combo) == OLD_IS_AFFINE_TUBING(A, combo), combo
+
+
+def test_affine_walk_never_calls_is_affine_tubing(monkeypatch):
+    calls = []
+
+    def spy(A, classes):
+        calls.append(classes)
+        return is_affine_tubing(A, classes)
+
+    monkeypatch.setattr(affine, "is_affine_tubing", spy)
+    enumerate_affine_tubings.cache_clear()
+    for A in corpus.DESK_AFFINE.values():
+        assert enumerate_affine_tubings(A) == old_affine_walk(A, False)
+    assert calls == []
+    AffineTubing.of(corpus.circular_chain(3), [(1, 2)])  # the spy does see a caller
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("first", ["flag", "lattice", "maximal"])
