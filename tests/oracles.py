@@ -650,6 +650,36 @@ def enumerate_affine_tubes(A, proper_only, make_affine_tube, NotATubeError, Affi
     return tuple(found)
 
 
+
+def affine_root_partitions(A, enumerate_affine_tubes, residues_of, AffineTube, _acyclic):
+    """The old ``affine._affine_root_partitions`` (its cache left out), with
+    its own backtracker over residue sets."""
+    classes = enumerate_affine_tubes(A, proper_only=False)
+    finite = [c for c in classes if not c.is_full]
+    by_residue: dict[int, list[AffineTube]] = {r: [] for r in range(1, A.n + 1)}
+    for cls in finite:
+        by_residue[min(residues_of(A, cls))].append(cls)
+    out: list[tuple[AffineTube, ...]] = []
+    chosen: list[AffineTube] = []
+
+    def extend(uncovered: frozenset[int]) -> None:
+        if not uncovered:
+            # blocks on disjoint residues are laminar, so only cycles can fail
+            blocks = tuple(sorted(chosen, key=AffineTube.key))
+            if _acyclic(A, blocks):
+                out.append(blocks)
+            return
+        r = min(uncovered)
+        for cls in by_residue[r]:
+            rs = residues_of(A, cls)
+            if rs <= uncovered:
+                chosen.append(cls)
+                extend(uncovered - rs)
+                chosen.pop()
+
+    extend(frozenset(range(1, A.n + 1)))
+    return tuple(out)
+
 # -- the compactification kernel on Tube-keyed rows ---------------------------
 #
 # The kernel as it was before it ran on tube positions: rows keyed by Tube,

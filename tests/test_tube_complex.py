@@ -13,6 +13,8 @@ from posetahedra import affine, corpus, tubes
 from posetahedra.affine import (
     AffineTube,
     AffineTubing,
+    _acyclic,
+    _affine_root_partitions,
     _children_partition,
     class_contains,
     class_nested_or_disjoint,
@@ -206,6 +208,24 @@ def test_random_affine_hosts_match_the_old_rule(A, seed):
         for combo in (family, rng.sample(classes, min(len(classes), rng.randint(1, A.n)))):
             assert is_affine_tubing(A, combo) == OLD_IS_AFFINE_TUBING(A, combo), combo
 
+
+
+def check_root_partitions(A):
+    """The periodic tubing partitions of the line against the old search,
+    order included."""
+    assert _affine_root_partitions(A) == oracles.affine_root_partitions(
+        A, enumerate_affine_tubes, residues_of, AffineTube, _acyclic)
+
+
+@pytest.mark.parametrize("name", sorted(AFFINE_HOSTS) + ["bowtie"])
+def test_root_partitions_match_old_search(name):
+    check_root_partitions(periodic_bowtie() if name == "bowtie" else AFFINE_HOSTS[name])
+
+
+@SETTINGS
+@given(affine_posets())
+def test_random_root_partitions_match_old_search(A):
+    check_root_partitions(A)
 
 def test_affine_walk_never_calls_is_affine_tubing(monkeypatch):
     calls = []
