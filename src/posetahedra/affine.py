@@ -38,7 +38,7 @@ from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .linalg import nullspace
 from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
 from .poset import Poset, build_poset, quotient_poset
-from .tubes import CACHE_SIZE
+from .tubes import CACHE_SIZE, block_partitions
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,6 @@ class AffinePoset:
         return i != j and self.le(i, j)
 
     @cached_property
-    def max_descent(self) -> int:
-        """Relations i < j satisfy j >= i - max_descent."""
-        worst = min(min(row) for row in self.minshift)
-        return max(0, -worst) * self.n + (self.n - 1)
-
-    @cached_property
     def atom_spans(self) -> tuple[int, ...]:
         """Signed spans of single relation steps (cover candidates)."""
         spans = {self.n}
@@ -83,7 +77,7 @@ class AffinePoset:
         return max(self.n, max(abs(s) for s in self.atom_spans))
 
     def between(self, i: int, j: int) -> list[int]:
-        """All m with i < m < j strictly (finite by the descent bound)."""
+        """All m with i < m < j strictly."""
         out = []
         for r in range(1, self.n + 1):
             lo = self.shift(i) + self.minshift[self.residue(i) - 1][r - 1]
@@ -237,11 +231,19 @@ def residues_of(A: AffinePoset, tube: AffineTube) -> frozenset[int]:
 def make_affine_tube(A: AffinePoset, members) -> AffineTube:
     """Validated canonical tube: convex, connected, one element per residue."""
     tube = AffineTube.of(A, members)
+    defect = _tube_defect(A, tube)
+    if defect is not None:
+        raise NotATubeError(f"{tube} {defect}")
+    return tube
+
+
+def _tube_defect(A: AffinePoset, tube: AffineTube) -> str | None:
+    """Why the canonical members are no tube, or None."""
     if len(residues_of(A, tube)) != len(tube.members):
-        raise NotATubeError(f"{tube} repeats a residue class")
+        return "repeats a residue class"
     for i, j in itertools.permutations(tube.members, 2):
         if A.lt(i, j) and any(m not in tube.as_set for m in A.between(i, j)):
-            raise NotATubeError(f"{tube} is not convex")
+            return "is not convex"
     seen = {tube.members[0]}
     stack = [tube.members[0]]
     while stack:
@@ -250,9 +252,7 @@ def make_affine_tube(A: AffinePoset, members) -> AffineTube:
             if w in tube.as_set and w not in seen:
                 seen.add(w)
                 stack.append(w)
-    if seen != tube.as_set:
-        raise NotATubeError(f"{tube} is not connected")
-    return tube
+    return None if seen == tube.as_set else "is not connected"
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -273,13 +273,8 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
     found = []
     for size in range(1, n + 1):
         for combo in itertools.combinations(window, size):
-            if combo[0] > n:
-                continue
-            try:
-                tube = make_affine_tube(A, combo)
-            except NotATubeError:
-                continue
-            if tube.members == combo:
+            # a minimum in 1..n makes the combination canonical
+            if combo[0] <= n and _tube_defect(A, tube := AffineTube(combo)) is None:
                 found.append(tube)
     return (*sorted(set(found), key=AffineTube.key), FULL)
 
@@ -641,31 +636,15 @@ def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...
     """Periodic tubing partitions of the integers, as class sets.
 
     Cached per host: every melting stage asks for them again, through a
-    fresh tube system."""
-    classes = enumerate_affine_tubes(A, proper_only=False)
-    finite = [c for c in classes if not c.is_full]
-    by_residue: dict[int, list[AffineTube]] = {r: [] for r in range(1, A.n + 1)}
-    for cls in finite:
-        by_residue[min(residues_of(A, cls))].append(cls)
-    out: list[tuple[AffineTube, ...]] = []
-    chosen: list[AffineTube] = []
-
-    def extend(uncovered: frozenset[int]) -> None:
-        if not uncovered:
-            # blocks on disjoint residues are laminar, so only cycles can fail
-            blocks = tuple(sorted(chosen, key=AffineTube.key))
-            if _acyclic(A, blocks):
-                out.append(blocks)
-            return
-        r = min(uncovered)
-        for cls in by_residue[r]:
-            rs = residues_of(A, cls)
-            if rs <= uncovered:
-                chosen.append(cls)
-                extend(uncovered - rs)
-                chosen.pop()
-
-    extend(frozenset(range(1, A.n + 1)))
+    fresh tube system.  ``block_partitions`` finds them on residue masks."""
+    classes = enumerate_affine_tubes(A, proper_only=False)[:-1]  # less the line
+    residues = [sum(1 << A.residue(m) - 1 for m in cls) for cls in classes]
+    out = []
+    for found in block_partitions((1 << A.n) - 1, residues):
+        # blocks on disjoint residues are laminar, so only cycles can fail
+        blocks = tuple(classes[k] for k in sorted(found))
+        if _acyclic(A, blocks):
+            out.append(blocks)
     return tuple(out)
 
 

@@ -23,7 +23,7 @@ from .errors import MismatchError, PosetahedraError, ValidationError
 from .geometry import realize_poset_associahedron
 from .lattice import EMPTY, associahedron_face_lattice, f_vector, h_vector, is_flag_dual
 from .rational import format_rational, parse_rational
-from .tubes import Tube, enumerate_proper_tubings, enumerate_tubes
+from .tubes import enumerate_proper_tubings, enumerate_tubes
 from .verification import run_all
 
 
@@ -149,8 +149,8 @@ def cmd_compact_verify(args) -> int:
 def cmd_compact_expand(args) -> int:
     P = _load_poset(args.poset)
     point = serialize.config_point_from_json(P, _read_json(args.file))
-    moved = expand(point, Tube.of(json.loads(args.tube)),
-                   Tube.of(json.loads(args.parent)), parse_rational(args.t))
+    moved = expand(point, serialize.tube_from_json(json.loads(args.tube)),
+                   serialize.tube_from_json(json.loads(args.parent)), parse_rational(args.t))
     _emit(serialize.config_point_to_json(moved), args.out)
     return 0
 
@@ -158,8 +158,8 @@ def cmd_compact_expand(args) -> int:
 def cmd_compact_collapse(args) -> int:
     P = _load_poset(args.poset)
     point = serialize.config_point_from_json(P, _read_json(args.file))
-    merged, t = collapse(point, Tube.of(json.loads(args.tube)),
-                         Tube.of(json.loads(args.parent)))
+    merged, t = collapse(point, serialize.tube_from_json(json.loads(args.tube)),
+                         serialize.tube_from_json(json.loads(args.parent)))
     payload = serialize.config_point_to_json(merged)
     payload["t"] = format_rational(t)
     _emit(payload, args.out)

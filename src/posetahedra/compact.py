@@ -21,12 +21,13 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from numbers import Rational
 from types import MappingProxyType
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     IncoherentError,
     NotAdjacentError,
     NotAPartitionError,
+    NotATubeError,
     NotATubingError,
     NotCollapsibleError,
     NotExpandableError,
@@ -37,6 +38,7 @@ from .errors import (
     WrongFaceError,
 )
 from .linalg import homogeneous
+from .polytope import bit_positions
 from .poset import Poset, Vector, cover_indices, from_row, res_cleared
 from .rational import frac
 from .tubes import (
@@ -44,9 +46,9 @@ from .tubes import (
     Tube,
     Tubing,
     TubingTree,
-    enumerate_tubes,
+    TubeTable,
     full_tube,
-    tube_complex,
+    tube_table,
     tubing_tree,
 )
 
@@ -78,7 +80,7 @@ UNBOUNDED = _Unbounded()
 
 
 def nonsingleton_tubes(P: Poset) -> tuple[Tube, ...]:
-    return tuple(t for t in enumerate_tubes(P) if len(t) > 1)
+    return tube_table(P).tubes
 
 
 @dataclass(frozen=True)
@@ -154,7 +156,7 @@ class ConfigPoint:
     def tubing(self) -> Tubing:
         index = self._index
         return Tubing(self.host, frozenset(map(index.tubes.__getitem__,
-                                               _positions(self.nodes & index.proper))))
+                                               bit_positions(self.nodes & index.proper))))
 
     @cached_property
     def tree(self) -> TubingTree:
@@ -241,60 +243,24 @@ def _check_row(tube: Tube, pairs: Sequence[tuple[int, int]], row: Row) -> None:
 # -- the position index -------------------------------------------------------
 
 
-def _positions(mask: int) -> Iterator[int]:
-    """The set bits of a mask, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
-@lru_cache(maxsize=CACHE_SIZE)
-def _nested_pairs(P: Poset) -> tuple[tuple[Tube, Tube], ...]:
-    """Covering pairs (inner, outer) of inclusion among non-singleton tubes.
-
-    Coherence is transitive along chains: projection is linear, so if mid's
-    projection of outer is a*mid and inner's projection of mid is b*inner,
-    inner's projection of outer is ab*inner.  Covering pairs therefore
-    decide coherence, and every non-root tube is the inner tube of one.
-    """
-    tubes = nonsingleton_tubes(P)
-    pairs = []
-    for inner in tubes:
-        above = [t for t in tubes if inner.as_set < t.as_set]
-        pairs.extend((inner, outer) for outer in above
-                     if not any(mid.as_set < outer.as_set for mid in above))
-    return tuple(pairs)
-
-
 class _HostIndex(NamedTuple):
-    """Per-host tables of the non-singleton tubes, by position.
-
-    Position k is ``tubes[k]``: the proper tubes in ``tube_complex`` order
-    (by size, then members), then the root.  A smaller tube comes first, so
-    the smallest tube of a chain in a mask is its lowest set bit.  Elements
-    are bits too, in the order of ``P.elements``.
-    """
+    """Per-host tables of the non-singleton tubes at their ``tube_table``
+    positions, the root last; elements are bits in ``P.elements`` order."""
 
     host: Poset
+    table: TubeTable
     tubes: tuple[Tube, ...]
     position: Mapping[Tube, int]
     root: int
     proper: int  # the mask of the proper tubes
-    mask: tuple[int, ...]  # the element mask of each tube
     at_mask: Mapping[int, int]  # the position of each element mask
-    bit: Mapping[int, int]  # the bit of each element
     bits: tuple[tuple[int, ...], ...]  # the bits of each tube's members
-    above: tuple[int, ...]  # the strict up-set of each element, as a mask
-    sup: tuple[int, ...]  # the tubes strictly containing each tube
     inside: tuple[tuple[int, ...], ...]  # the positions strictly inside each tube
     # the host's cover pairs inside each tube, as positions in its members
     covers: tuple[tuple[tuple[int, int], ...], ...]
-    # covering pairs (inner, outer), their positions, and the positions of
-    # inner's members among outer's
+    # covering pairs (inner, outer) of inclusion, their positions, and the
+    # positions of inner's members among outer's
     pairs: tuple[tuple[Tube, Tube, int, int, tuple[int, ...]], ...]
-    compat: tuple[int, ...]  # tube_complex's, on the proper positions
-    arrow: tuple[int, ...]
     # filled on demand: gathers[m][x] holds the positions of tube x's
     # members among tube m's, and boundary[x, y] the boundary relations
     # of tube x inside tube y (see _boundary)
@@ -304,29 +270,34 @@ class _HostIndex(NamedTuple):
 
 @lru_cache(maxsize=CACHE_SIZE)
 def _host_index(P: Poset) -> _HostIndex:
-    tubes = nonsingleton_tubes(P)
-    position = {tube: k for k, tube in enumerate(tubes)}
+    """The index, with the covering pairs of inclusion in position order.
+
+    Coherence is transitive along chains: projection is linear, so if mid's
+    projection of outer is a*mid and inner's projection of mid is b*inner,
+    inner's projection of outer is ab*inner.  Covering pairs therefore
+    decide coherence, and every non-root tube is the inner tube of one.
+    The tubes covering x are those of ``sup[x]`` that contain no other
+    tube of ``sup[x]``.
+    """
+    table = tube_table(P)
+    tubes, sup = table.tubes, table.sup
     bit = {e: 1 << k for k, e in enumerate(P.elements)}
-    above = dict.fromkeys(P.elements, 0)
-    for i, j in P._strict:
-        above[i] |= bit[j]
-    bits = tuple(tuple(bit[e] for e in t.members) for t in tubes)
-    mask = tuple(sum(b) for b in bits)
-    sup = tuple(sum(1 << o for o, outer in enumerate(mask) if outer != m and outer & m == m)
-                for m in mask)
-    inside = tuple(tuple(x for x in range(len(tubes)) if sup[x] >> k & 1)
-                   for k in range(len(tubes)))
-    pairs = tuple((inner, outer, position[inner], position[outer],
-                   tuple(outer.members.index(i) for i in inner.members))
-                  for inner, outer in _nested_pairs(P))
-    cx = tube_complex(P)
+    pairs = []
+    for x, inner in enumerate(tubes):
+        over = sup[x]
+        for o in bit_positions(over):
+            over &= ~sup[o]
+        pairs.extend((inner, tubes[o], x, o, tuple(map(tubes[o].members.index, inner.members)))
+                     for o in bit_positions(over))
     root = len(tubes) - 1
     return _HostIndex(
-        host=P, tubes=tubes, position=MappingProxyType(position), root=root, proper=(1 << root) - 1,
-        mask=mask, at_mask=MappingProxyType({m: k for k, m in enumerate(mask)}),
-        bit=MappingProxyType(bit), bits=bits, above=tuple(above.values()), sup=sup,
-        inside=inside, covers=tuple(tuple(cover_indices(P, t.members)) for t in tubes),
-        pairs=pairs, compat=cx.compat, arrow=cx.arrow,
+        host=P, table=table, tubes=tubes,
+        position=MappingProxyType({tube: k for k, tube in enumerate(tubes)}), root=root,
+        proper=(1 << root) - 1, at_mask=MappingProxyType({m: k for k, m in enumerate(table.mask)}),
+        bits=tuple(tuple(bit[e] for e in t.members) for t in tubes),
+        inside=tuple(tuple(x for x in range(len(tubes)) if sup[x] >> k & 1)
+                     for k in range(len(tubes))),
+        covers=tuple(tuple(cover_indices(P, t.members)) for t in tubes), pairs=tuple(pairs),
         gathers=tuple({} for _ in tubes), boundary={})
 
 
@@ -341,7 +312,7 @@ def _gather(index: _HostIndex, x: int, m: int) -> tuple[int, ...]:
 
 def _parent(index: _HostIndex, nodes: int, x: int) -> int | None:
     """The smallest node strictly containing tube x, if any."""
-    low = index.sup[x] & nodes
+    low = index.table.sup[x] & nodes
     return (low & -low).bit_length() - 1 if low else None
 
 
@@ -359,12 +330,12 @@ def _children(index: _HostIndex, nodes: int, k: int) -> list[int]:
     """The element masks of node k's children, in ``Tube.key`` order: a
     singleton for each element of k in no node below it, then the largest
     nodes below it."""
-    below = [index.mask[x] for x in index.inside[k]
-             if nodes >> x & 1 and _parent(index, nodes, x) == k]
-    rest = index.mask[k]
+    mask = index.table.mask
+    below = [mask[x] for x in index.inside[k] if nodes >> x & 1 and _parent(index, nodes, x) == k]
+    rest = mask[k]
     for m in below:
         rest &= ~m
-    return [1 << e for e in _positions(rest)] + below
+    return [1 << e for e in bit_positions(rest)] + below
 
 
 # -- restriction embedding ----------------------------------------------------
@@ -433,7 +404,7 @@ def b_partition(P: Poset, tube_members: Iterable[int],
     members = tuple(sorted(set(tube_members)))
     blocks = _level_masks([1 << a for a in range(len(members))], cover_indices(P, members),
                           [frac(x[i]) for i in members])
-    return frozenset(Tube(tuple(members[a] for a in _positions(m))) for m in blocks)
+    return frozenset(Tube(tuple(members[a] for a in bit_positions(m))) for m in blocks)
 
 
 def _level_masks(bits: Sequence[int], pairs: Iterable[tuple[int, int]],
@@ -513,7 +484,7 @@ def _fill(index: _HostIndex, nodes: int, rows: list, top: int) -> tuple[Row, ...
     whose row is carried too: for X inside tau, res(X, res(tau, y)) =
     res(X, y), so they already hold their restriction of tau's component.
     """
-    sup, covers, gathers = index.sup, index.covers, index.gathers
+    sup, covers, gathers = index.table.sup, index.covers, index.gathers
     top_bit = 1 << top
     for x in index.inside[top]:
         if nodes >> x & 1:
@@ -541,7 +512,7 @@ def synthesize(P: Poset, T: Tubing, interior: Mapping[Tube, Mapping[int, Fractio
     index = _host_index(P)
     nodes = _nodes_of(index, T)
     rows: list = [None] * len(index.tubes)
-    for k in _positions(nodes):
+    for k in bit_positions(nodes):
         tube = index.tubes[k]
         if tube not in interior:
             raise WrongFaceError(f"missing interior point for {tube}")
@@ -570,7 +541,7 @@ def _interior_row(above: Sequence[int], blocks: Sequence[int], bits: Sequence[in
     ups = []
     for block in blocks:
         up = 0
-        for e in _positions(block):
+        for e in bit_positions(block):
             up |= above[e]
         ups.append(up)
     # into[b]: the blocks other than b with a relation into b
@@ -579,11 +550,11 @@ def _interior_row(above: Sequence[int], blocks: Sequence[int], bits: Sequence[in
     height: dict[int, int] = {}
     waiting = (1 << len(blocks)) - 1
     for level in range(len(blocks)):
-        b = next((b for b in _positions(waiting) if not into[b] & waiting), None)
+        b = next((b for b in bit_positions(waiting) if not into[b] & waiting), None)
         if b is None:
             raise NotATubingError("the blocks' dependency digraph has a cycle")
         waiting ^= 1 << b
-        height.update(dict.fromkeys((1 << e for e in _positions(blocks[b])), level))
+        height.update(dict.fromkeys((1 << e for e in bit_positions(blocks[b])), level))
     return res_cleared(pairs, [height[e] for e in bits])
 
 
@@ -593,31 +564,37 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
     Blocks get distinct integer heights along a linear extension of the
     quotient, the smallest ready block first, so the level-set components
     are exactly the blocks; the point is the restriction of the heights.
-    Blocks that do not partition the tube raise NotAPartitionError, and
-    blocks whose dependency digraph has a cycle NotATubingError.
+    A tube that is no non-singleton tube of P raises NotATubeError, blocks
+    that do not partition the tube NotAPartitionError, and blocks whose
+    dependency digraph has a cycle NotATubingError.
     """
     index = _host_index(P)
-    masks = [sum(index.bit[e] for e in b.members) for b in sorted(blocks, key=Tube.key)]
-    members = tube.members
-    union = 0
-    for m in masks:
+    k = index.position.get(tube)
+    if k is None:
+        raise NotATubeError(f"{tube} is not a non-singleton tube of the host")
+    bit = dict(zip(tube.members, index.bits[k]))
+    masks, union = [], 0
+    for block in sorted(blocks, key=Tube.key):
+        if not block.as_set <= bit.keys():
+            raise NotAPartitionError(f"blocks do not cover exactly {tube}")
+        m = sum(map(bit.__getitem__, block.members))
         if union & m:
             raise NotAPartitionError("blocks overlap")
         union |= m
-    if union != sum(index.bit[e] for e in members):
+        masks.append(m)
+    if union != index.table.mask[k]:
         raise NotAPartitionError(f"blocks do not cover exactly {tube}")
-    row = _interior_row(index.above, masks, [index.bit[e] for e in members],
-                        cover_indices(P, members))
-    return from_row(members, row)
+    return from_row(tube.members, _interior_row(index.table.above, masks, index.bits[k],
+                                                index.covers[k]))
 
 
 def _canonical_rows(index: _HostIndex, nodes: int) -> list:
     """The canonical interior row of every node, each checked to be a point
     of its order polytope constant on exactly its children; None elsewhere."""
     rows: list = [None] * len(index.tubes)
-    for k in _positions(nodes):
+    for k in bit_positions(nodes):
         blocks = _children(index, nodes, k)
-        row = rows[k] = _interior_row(index.above, blocks, index.bits[k], index.covers[k])
+        row = rows[k] = _interior_row(index.table.above, blocks, index.bits[k], index.covers[k])
         _check_row(index.tubes[k], index.covers[k], row)
         _check_blocks(index, k, row, blocks)
     return rows
@@ -711,7 +688,7 @@ def _boundary(index: _HostIndex, x: int, y: int) -> tuple[list, list]:
     """
     found = index.boundary.get((x, y))
     if found is None:
-        above, inner = index.above, index.mask[x]
+        above, inner = index.table.above, index.table.mask[x]
         outside = [(j, q) for j, q in enumerate(index.bits[y]) if not q & inner]
         up, down = [], []
         for a, (i, p) in enumerate(zip(_gather(index, x, y), index.bits[x])):
@@ -794,14 +771,14 @@ def expand(c: ConfigPoint, tau: Tube, tau_plus: Tube, t) -> ConfigPoint:
 def _tubing_defect(index: _HostIndex, nodes: int, x: int) -> str | None:
     """Why the stratum's tubes plus the proper tube x are no tubing, or None.
 
-    These are the two conditions of ``is_tubing``, on ``tube_complex``'s
+    These are the two conditions of ``is_tubing``, on ``tube_table``'s
     bitsets.  The stratum's tubes form a tubing, so a crossing or a cycle
     of the dependency digraph in the larger family involves x: x crosses a
     stratum tube outside ``compat[x]``, or x reaches itself along arrows
     between the family's tubes.
     """
     family = nodes & index.proper
-    crossing = family & ~index.compat[x]
+    crossing = family & ~index.table.compat[x]
     if crossing:
         return f"it crosses {index.tubes[(crossing & -crossing).bit_length() - 1]}"
     family |= 1 << x
@@ -809,7 +786,7 @@ def _tubing_defect(index: _HostIndex, nodes: int, x: int) -> str | None:
     while todo:
         low = todo & -todo
         todo ^= low
-        out = index.arrow[low.bit_length() - 1] & family & ~reached
+        out = index.table.arrow[low.bit_length() - 1] & family & ~reached
         reached |= out
         todo |= out
     if reached >> x & 1:

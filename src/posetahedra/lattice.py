@@ -20,9 +20,9 @@ from .tubes import (
     CACHE_SIZE,
     Tube,
     Tubing,
-    enumerate_tubes,
+    block_partitions,
     full_tube,
-    tube_masks,
+    tube_table,
     tubing_tree,
     tubing_walk,
 )
@@ -159,22 +159,19 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
                       strict_blocks: bool = False) -> tuple[frozenset[Tube], ...]:
     """All partitions of ``members`` into tubes with acyclic dependencies.
 
-    strict_blocks drops the one-block partition {members}.  On element masks
-    (``tube_masks``), blocks are found by always covering the smallest
-    remaining element, so each partition is produced exactly once.  It is
-    acyclic when rounds of peeling off the blocks no other remaining block
-    has an arrow into take them all.
+    strict_blocks drops the one-block partition {members}.  The blocks are
+    element masks, of the singletons and of ``tube_table``, and
+    ``block_partitions`` finds each partition once.  It is acyclic when
+    rounds of peeling off the blocks no other remaining block has an arrow
+    into take them all.
     """
-    tubes = enumerate_tubes(P)
-    masks, ups = tube_masks(P)
+    table = tube_table(P)
+    tubes = (*(Tube((e,)) for e in P.elements), *table.tubes)
+    masks = (*(1 << k for k in range(len(P.elements))), *table.mask)
+    out = [up & ~mask for mask, up in zip(masks, (*table.above, *table.up))]  # arrow heads
     ground = sum(1 << P.elements.index(e) for e in (P.elements if members is None else members))
-    starting: dict[int, list[int]] = {}  # lowest element bit -> tubes inside the ground
-    for k, mask in enumerate(masks):
-        if mask & ground == mask:
-            starting.setdefault(mask & -mask, []).append(k)
-    out = [up & ~mask for mask, up in zip(masks, ups)]  # arrow heads outside each tube
 
-    def acyclic(blocks: list[int]) -> bool:
+    def acyclic(blocks: Sequence[int]) -> bool:
         while len(blocks) > 1:
             into = reduce(or_, map(out.__getitem__, blocks))
             rest = [k for k in blocks if masks[k] & into]
@@ -183,21 +180,8 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
             blocks = rest
         return True
 
-    results: list[tuple[int, ...]] = []
-    chosen: list[int] = []
-
-    def extend(remaining: int) -> None:
-        if not remaining:
-            if not (strict_blocks and len(chosen) == 1) and acyclic(chosen):
-                results.append(tuple(chosen))
-            return
-        for k in starting.get(remaining & -remaining, ()):
-            if masks[k] & remaining == masks[k]:
-                chosen.append(k)
-                extend(remaining ^ masks[k])
-                chosen.pop()
-
-    extend(ground)
+    results = [blocks for blocks in block_partitions(ground, masks)
+               if not (strict_blocks and len(blocks) == 1) and acyclic(blocks)]
     results.sort(key=lambda blocks: (len(blocks), tuple(tubes[k].members for k in blocks)))
     return tuple(frozenset(map(tubes.__getitem__, blocks)) for blocks in results)
 
@@ -213,8 +197,10 @@ def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     two blocks merge to the tube whose element mask is their union.
     """
     parts = tubing_partitions(P)
-    mask_of = dict(zip(enumerate_tubes(P), tube_masks(P)[0]))
-    tube_at = {mask: t for t, mask in mask_of.items()}
+    table = tube_table(P)
+    tube_at = dict(zip(table.mask, table.tubes))  # a union of two blocks is no singleton
+    mask_of = {t: mask for mask, t in tube_at.items()}
+    mask_of.update((Tube((e,)), 1 << k) for k, e in enumerate(P.elements))
     position = {T: p for p, T in enumerate(parts)}
     covers = []
     for p, T in enumerate(parts):

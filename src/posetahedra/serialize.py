@@ -90,12 +90,13 @@ CONFIG_POINT_SCHEMA = {
 }
 
 
-TUBING_SCHEMA = {"type": "array", "items": {"type": "array", "items": {"type": "integer"}}}
+TUBE_SCHEMA = {"type": "array", "items": {"type": "integer"}}
+TUBING_SCHEMA = {"type": "array", "items": TUBE_SCHEMA}
 
 
 SCHEMAS = {"poset": POSET_SCHEMA, "affine poset": AFFINE_POSET_SCHEMA,
            "polytope": POLYTOPE_SCHEMA, "configuration point": CONFIG_POINT_SCHEMA,
-           "tubing": TUBING_SCHEMA}
+           "tube": TUBE_SCHEMA, "tubing": TUBING_SCHEMA}
 
 
 KEYWORDS = frozenset({"type", "properties", "required", "additionalProperties",
@@ -176,6 +177,11 @@ def affine_poset_to_json(A: AffinePoset) -> dict:
 def affine_poset_from_json(data) -> AffinePoset:
     _validate(data, "affine poset")
     return build_affine_poset(data["n"], [tuple(c) for c in data["covers"]])
+
+
+def tube_from_json(data) -> Tube:
+    _validate(data, "tube")
+    return Tube.of(data)
 
 
 def tubing_from_json(P: Poset, data) -> Tubing:

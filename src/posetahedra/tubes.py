@@ -2,9 +2,9 @@
 
 A tube is a convex connected nonempty subset; a tubing is a family of tubes
 that is pairwise nested-or-disjoint whose dependency digraph (edges between
-disjoint tubes carrying an order relation) is acyclic.  The proper tubes of
-a host are indexed once as integer bitsets (``tube_complex``), and one
-backtracker walks the complex of proper tubings on that index with a
+disjoint tubes carrying an order relation) is acyclic.  The non-singleton
+tubes of a host are indexed once as integer bitsets (``tube_table``), and
+one backtracker walks the complex of proper tubings on that index with a
 reach-set cycle test, once per host (``tubing_walk``); the complex is not
 flag, so clique-style shortcuts would be unsound.
 """
@@ -110,19 +110,6 @@ def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
                          if is_convex(P, members) and is_connected(P, members)), key=Tube.key))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def tube_masks(P: Poset) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per tube of ``enumerate_tubes(P)``, its element mask and the strict
-    up-set of its members as a mask; bit k stands for ``P.elements[k]``."""
-    bit = {e: 1 << k for k, e in enumerate(P.elements)}
-    above = dict.fromkeys(P.elements, 0)  # strict up-set of each element
-    for i, j in P._strict:
-        above[i] |= bit[j]
-    tubes = enumerate_tubes(P)
-    return (tuple(sum(map(bit.__getitem__, t.members)) for t in tubes),
-            tuple(reduce(or_, map(above.__getitem__, t.members)) for t in tubes))
-
-
 def nested_or_disjoint(a: Tube, b: Tube) -> bool:
     return a.issubset(b) or b.issubset(a) or a.isdisjoint(b)
 
@@ -171,15 +158,12 @@ class Tubing:
     tubes: frozenset[Tube]
 
     @staticmethod
-    def of(P: Poset, tubes: Iterable, validate: bool = True) -> "Tubing":
-        tset = frozenset(t if isinstance(t, Tube) else make_tube(P, t) for t in tubes)
-        if validate:
-            for t in tset:
-                make_tube(P, t.members)
-            check = is_tubing(P, tset)
-            if not check:
-                detail = f"crossing {check.crossing}" if check.crossing else f"cycle {check.cycle}"
-                raise NotATubingError(detail)
+    def of(P: Poset, tubes: Iterable) -> "Tubing":
+        tset = frozenset(make_tube(P, t.members if isinstance(t, Tube) else t) for t in tubes)
+        check = is_tubing(P, tset)
+        if not check:
+            detail = f"crossing {check.crossing}" if check.crossing else f"cycle {check.cycle}"
+            raise NotATubingError(detail)
         return Tubing(P, tset)
 
     @cached_property
@@ -202,39 +186,53 @@ class Tubing:
         return "Tubing[" + " ".join(map(repr, self.sorted_tubes)) + "]"
 
 
-class TubeComplex(NamedTuple):
-    """The proper tubes of a host in canonical order, with bitset relations.
+class TubeTable(NamedTuple):
+    """The non-singleton tubes of a host by position, with bitset relations.
 
-    Bit k of a mask stands for ``tubes[k]``.  ``compat[i]`` holds the tubes
-    nested with or disjoint from tube i (tube i included), ``arrow[i]`` the
-    tubes b disjoint from tube i with some member of i strictly below some
-    member of b, and ``arrow_in[i]`` the tubes with an arrow into tube i.
+    Position k is ``tubes[k]``, in ``enumerate_tubes`` order: smaller tubes
+    first, so the proper tubes are the positions below the root, which is
+    last, and the smallest tube of a chain in a mask is its lowest set bit.
+    Bit e of an element mask stands for ``P.elements[e]``.  Over the proper
+    positions, ``compat[i]`` holds the tubes nested with or disjoint from
+    tube i (tube i included), ``arrow[i]`` the tubes b disjoint from tube i
+    with some member of i strictly below some member of b, and
+    ``arrow_in[i]`` the tubes with an arrow into tube i.
     """
 
     tubes: tuple[Tube, ...]
+    mask: tuple[int, ...]  # the element mask of each tube
+    up: tuple[int, ...]  # the strict up-set of each tube's members
+    sup: tuple[int, ...]  # the positions of the tubes strictly containing each
+    above: tuple[int, ...]  # the strict up-set of each element
     compat: tuple[int, ...]
     arrow: tuple[int, ...]
     arrow_in: tuple[int, ...]
-    max_tubes: int  # tubes in a maximal tubing: |P| - 2
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def tube_complex(P: Poset) -> TubeComplex:
-    """Index the proper tubes of P once, on element bitmasks and up-sets."""
-    n = len(P.elements)
-    masks, ups = tube_masks(P)
-    masks, ups = masks[n:-1], ups[n:-1]  # the singletons come first and P last
-    count = len(masks)
-    compat = tuple(sum(1 << k for k, b in enumerate(masks) if a & b in (0, a, b)) for a in masks)
-    arrow = tuple(sum(1 << k for k, b in enumerate(masks) if not a & b and up & b)
-                  for a, up in zip(masks, ups))
-    arrow_in = tuple(sum(1 << k for k in range(count) if arrow[k] >> i & 1)
-                     for i in range(count))
-    return TubeComplex(enumerate_tubes(P, proper_only=True), compat, arrow, arrow_in, n - 2)
+def tube_table(P: Poset) -> TubeTable:
+    """Index the non-singleton tubes of P once, on element bitmasks and up-sets."""
+    bit = {e: 1 << k for k, e in enumerate(P.elements)}
+    above = dict.fromkeys(P.elements, 0)
+    for i, j in P._strict:
+        above[i] |= bit[j]
+    tubes = enumerate_tubes(P)[len(P.elements):]  # the singletons come first
+    masks = tuple(sum(map(bit.__getitem__, t.members)) for t in tubes)
+    ups = tuple(reduce(or_, map(above.__getitem__, t.members)) for t in tubes)
+    sup = tuple(sum(1 << o for o, outer in enumerate(masks) if outer != m and outer & m == m)
+                for m in masks)
+    proper = masks[:-1]
+    compat = tuple(sum(1 << k for k, b in enumerate(proper) if a & b in (0, a, b)) for a in proper)
+    arrow = tuple(sum(1 << k for k, b in enumerate(proper) if not a & b and up & b)
+                  for a, up in zip(proper, ups))
+    arrow_in = tuple(sum(1 << k for k in range(len(proper)) if arrow[k] >> i & 1)
+                     for i in range(len(proper)))
+    return TubeTable(tubes, masks, ups, sup, tuple(above.values()), compat, arrow, arrow_in)
 
 
-def walk_tubings(cx: TubeComplex, visit, reject=None) -> None:
-    """Depth-first over the proper tubings of ``cx``, each before its extensions.
+def walk_tubings(table: TubeTable, visit, reject=None) -> None:
+    """Depth-first over the proper tubings of a host's ``tube_table``, each
+    before its extensions.
 
     ``visit(chosen)`` sees every tubing as its increasing list of tube
     indices.  A candidate is taken when it is compatible with every chosen
@@ -245,7 +243,7 @@ def walk_tubings(cx: TubeComplex, visit, reject=None) -> None:
     it.  ``reject(chosen, i)`` sees each compatible candidate i that closes
     a cycle.
     """
-    compat, arrow, arrow_in = cx.compat, cx.arrow, cx.arrow_in
+    compat, arrow, arrow_in = table.compat, table.arrow, table.arrow_in
     chosen: list[int] = []
 
     def extend(start: int, allowed: int, reach: list[int]) -> None:
@@ -269,7 +267,7 @@ def walk_tubings(cx: TubeComplex, visit, reject=None) -> None:
                    [r | reached if r & into else r for r in reach] + [reached])
             chosen.pop()
 
-    extend(0, (1 << len(cx.tubes)) - 1, [])
+    extend(0, (1 << len(compat)) - 1, [])
 
 
 @lru_cache(maxsize=CACHE_SIZE)
@@ -283,22 +281,22 @@ def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[tuple[int, ...], ...]
     ``witness`` is the first that passes ``is_tubing`` on every subfamily,
     so it is minimal (None when the complex is flag).
     """
-    cx = tube_complex(P)
-    tubes = cx.tubes
+    table = tube_table(P)
+    tubes = table.tubes[:-1]
     order = sorted(range(len(tubes)), key=lambda k: tubes[k].members)
     rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
     found: list[tuple[int, ...]] = []
     witness: list[tuple[Tube, ...]] = []
 
     def reject(chosen: list[int], i: int) -> None:
-        two_cycles = cx.arrow[i] & cx.arrow_in[i]
+        two_cycles = table.arrow[i] & table.arrow_in[i]
         if witness or len(chosen) < 2 or any(two_cycles >> j & 1 for j in chosen):
             return  # a witness is known, or a pair of the candidate is no tubing
         family = [tubes[k] for k in chosen] + [tubes[i]]
         if all(is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))):
             witness.append(tuple(family))
 
-    walk_tubings(cx, lambda chosen: found.append(tuple(map(rank.__getitem__, chosen))),
+    walk_tubings(table, lambda chosen: found.append(tuple(map(rank.__getitem__, chosen))),
                  reject)
     return tuple(tubes[k] for k in order), tuple(found), witness[0] if witness else None
 
@@ -316,6 +314,31 @@ def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, 
     return tuple(Tubing(P, frozenset(map(tubes.__getitem__, ranks)))
                  for ranks in sorted(sorted(found), key=len))
 
+
+def block_partitions(ground: int, blocks: Sequence[int]) -> list[tuple[int, ...]]:
+    """Every partition of the bitset ``ground`` into masks of ``blocks``, as
+    tuples of their indices.  The next block always covers the lowest bit
+    not yet covered, tried in list order, so each partition is found once,
+    its blocks in the order of their lowest bits."""
+    starting: dict[int, list[int]] = {}  # lowest bit -> the blocks inside the ground
+    for k, mask in enumerate(blocks):
+        if mask & ground == mask:
+            starting.setdefault(mask & -mask, []).append(k)
+    found: list[tuple[int, ...]] = []
+    chosen: list[int] = []
+
+    def extend(remaining: int) -> None:
+        if not remaining:
+            found.append(tuple(chosen))
+            return
+        for k in starting.get(remaining & -remaining, ()):
+            if blocks[k] & remaining == blocks[k]:
+                chosen.append(k)
+                extend(remaining ^ blocks[k])
+                chosen.pop()
+
+    extend(ground)
+    return found
 
 @dataclass(frozen=True)
 class TubingTree:

@@ -880,7 +880,7 @@ def tube_keyed_kernel(Tube, Tubing, tubing_tree, is_tubing, homogeneous, has_arr
             _require_adjacent(c, tau, tau_plus)
             return c, Fraction(0)
 
-        bigger = Tubing.of(P, T.tubes | {tau}, validate=False)
+        bigger = Tubing(P, frozenset(T.tubes | {tau}))  # marked: Tubing.of unvalidated
         check = is_tubing(P, bigger.tubes)
         if not check:
             raise NotInCollError(f"adding {tau} is not a tubing: {check}")
@@ -950,13 +950,15 @@ def admissible_tubings(P, M, tube_system, AdmissiblePoset):
     return AdmissiblePoset(host=P, melted=M, elements=elements)
 
 
-def walk_proper_tubings(P, max_only, tube_complex, walk_tubings, Tubing):
-    """The old ``tubes.enumerate_proper_tubings``: max_only walks again."""
-    cx = tube_complex(P)
+def walk_proper_tubings(P, max_only, tube_table, walk_tubings, Tubing):
+    """The old ``tubes.enumerate_proper_tubings``: max_only walks again.  The
+    walk now runs on the host's ``tube_table``, which has the old tube
+    complex's proper tubes at the same positions and the root after them."""
+    cx = tube_table(P)
     found = []
 
     def visit(chosen):
-        if not max_only or len(chosen) == cx.max_tubes:
+        if not max_only or len(chosen) == len(P.elements) - 2:
             found.append(tuple(chosen))
 
     walk_tubings(cx, visit)

@@ -141,12 +141,24 @@ class TestAffineTubes:
         assert enumerate_affine_tubes(A, proper_only=proper_only) == expected
 
     def test_residue_repetition_rejected(self, cc3):
-        with pytest.raises(NotATubeError):
+        with pytest.raises(NotATubeError, match=r"^\{1,4\} repeats a residue class$"):
             make_affine_tube(cc3, [1, 4])
 
     def test_not_convex_rejected(self, cc3):
-        with pytest.raises(NotATubeError):
+        with pytest.raises(NotATubeError, match=r"^\{1,3\} is not convex$"):
             make_affine_tube(cc3, [1, 3])
+
+    def test_not_connected_rejected(self, ck3):
+        with pytest.raises(NotATubeError, match=r"^\{1,2\} is not connected$"):
+            make_affine_tube(ck3, [1, 2])
+
+    def test_class_search_formats_no_message(self, ck3, monkeypatch):
+        """The search rejects most candidates, and names none of them."""
+        calls = []
+        monkeypatch.setattr(AffineTube, "__repr__", lambda tube: calls.append(tube) or "")
+        enumerate_affine_tubes.cache_clear()
+        assert len(enumerate_affine_tubes(ck3)) == 8
+        assert calls == []
 
     def test_canonical_representative(self, cc3):
         tube = make_affine_tube(cc3, [6, 7])

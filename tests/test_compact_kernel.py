@@ -30,7 +30,6 @@ from posetahedra.compact import (
     Stratum,
     _fill,
     _host_index,
-    _nested_pairs,
     _tubing_defect,
     collapse,
     embed,
@@ -56,8 +55,7 @@ from posetahedra.tubes import (
     enumerate_proper_tubings,
     enumerate_tubes,
     full_tube,
-    tube_complex,
-    tube_masks,
+    tube_table,
     tubing_tree,
     tubing_walk,
 )
@@ -65,6 +63,11 @@ from strategies import SETTINGS, connected_posets
 
 steps = st.fractions(min_value=F(1, 7), max_value=3, max_denominator=7)
 values = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+
+
+def cover_pairs(P):
+    """The covering pairs (inner, outer) that is_coherent checks, in its order."""
+    return tuple((inner, outer) for inner, outer, *_ in _host_index(P).pairs)
 
 
 @st.composite
@@ -105,7 +108,7 @@ def test_cover_pair_coherence_matches_all_pairs(case, tamper, data):
     if tamper in ("none", "flip"):
         assert ok == (tamper == "none")
     if not ok:
-        assert witness in _nested_pairs(P)
+        assert witness in cover_pairs(P)
 
 
 @SETTINGS
@@ -116,7 +119,7 @@ def test_cover_pairs_are_the_covering_relation(P):
     related = set(nested)
     covering = tuple((a, b) for a, b in nested
                      if not any((a, m) in related and (m, b) in related for m in tubes))
-    assert _nested_pairs(P) == covering
+    assert cover_pairs(P) == covering
     assert {inner for inner, _ in covering} == set(tubes) - {full_tube(P)}
 
 
@@ -126,7 +129,7 @@ def test_cover_pairs_are_the_covering_relation(P):
 def test_cover_pair_counts(name, nested, covering):
     P = corpus.DESK_POSETS[name]
     assert len(oracles.nested_pairs(nonsingleton_tubes(P))) == nested
-    assert len(_nested_pairs(P)) == covering
+    assert len(cover_pairs(P)) == covering
 
 
 @SETTINGS
@@ -277,8 +280,8 @@ def test_round_trip_builds_no_component():
 def test_host_caches_are_bounded():
     """Each per-host cache keeps at most CACHE_SIZE entries: one host more
     than that evicts the oldest."""
-    caches = (_nested_pairs, _host_index, enumerate_tubes, enumerate_proper_tubings,
-              tube_complex, tube_masks, tubing_walk, associahedron_face_lattice,
+    caches = (_host_index, enumerate_tubes, enumerate_proper_tubings,
+              tube_table, tubing_walk, associahedron_face_lattice,
               order_polytope_face_lattice,
               tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
               cyclohedron_face_lattice, _affine_root_partitions, tube_index)
@@ -308,10 +311,12 @@ def old_kernel():
 
 
 def test_positions_are_the_tube_complex_positions():
-    """The proper tubes sit at their tube_complex positions, the root last."""
+    """The tubes sit at their tube_table positions: the proper tubes in
+    enumerate_tubes order, the root last."""
     for P in corpus.DESK_POSETS.values():
         index = _host_index(P)
-        assert index.tubes[:-1] == tube_complex(P).tubes
+        assert index.table is tube_table(P) and index.tubes == tube_table(P).tubes
+        assert index.tubes[:-1] == enumerate_tubes(P, proper_only=True)
         assert index.tubes[index.root] == full_tube(P)
         assert all(index.position[t] == k for k, t in enumerate(index.tubes))
 
@@ -358,7 +363,7 @@ def check_defect(P, T, tau):
 @given(strata(), st.data())
 def test_bitset_tubing_check_matches_is_tubing(stratum, data):
     P, T = stratum
-    tau = data.draw(st.sampled_from([t for t in tube_complex(P).tubes if t not in T.tubes]))
+    tau = data.draw(st.sampled_from([t for t in tube_table(P).tubes[:-1] if t not in T.tubes]))
     check_defect(P, T, tau)
 
 
@@ -368,7 +373,7 @@ def test_bitset_tubing_check_on_every_pair(name):
     P = corpus.DESK_POSETS[name]
     seen = {"ok": 0, "crossing": 0, "cycle": 0}
     for T in enumerate_proper_tubings(P):
-        for tau in tube_complex(P).tubes:
+        for tau in tube_table(P).tubes[:-1]:
             if tau not in T.tubes:
                 check = check_defect(P, T, tau)
                 seen["ok" if check else "crossing" if check.crossing else "cycle"] += 1

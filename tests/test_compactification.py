@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
@@ -27,6 +28,7 @@ from posetahedra.errors import (
     IncoherentError,
     NotAdjacentError,
     NotAPartitionError,
+    NotATubeError,
     NotATubingError,
     NotCollapsibleError,
     NotInCollError,
@@ -461,6 +463,17 @@ class TestFaceInteriorPoint:
     def test_rejects_blocks_that_are_no_face(self, h6, blocks, error):
         with pytest.raises(error):
             face_interior_point(h6, full_tube(h6), [Tube.of(b) for b in blocks])
+
+    @pytest.mark.parametrize("members", [(1, 2, 9), (1, 5), (1,)],
+                             ids=["outside the host", "not convex", "singleton"])
+    def test_rejects_a_tube_that_is_no_non_singleton_tube(self, w5, members):
+        tube = Tube.of(members)
+        with pytest.raises(NotATubeError, match="^" + re.escape(f"{tube} is not a non-singleton")):
+            face_interior_point(w5, tube, [Tube.of((e,)) for e in members])
+
+    def test_rejects_blocks_outside_the_tube(self, w5):
+        with pytest.raises(NotAPartitionError, match="do not cover exactly"):
+            face_interior_point(w5, full_tube(w5), [Tube.of((e,)) for e in (*w5.elements, 9)])
 
 
 class TestStratum:

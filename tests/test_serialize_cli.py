@@ -103,7 +103,7 @@ def _exports():
             ("polytope", polytope_to_json(
                 realize_affine_cyclohedron(corpus.circular_claw(3)).primal)),
             ("configuration point", config_point_to_json(point)),
-            ("tubing", [[1, 2], [1, 2, 3]])]
+            ("tube", [1, 2]), ("tubing", [[1, 2], [1, 2, 3]])]
 
 
 EXPORTS = _exports()
@@ -344,6 +344,20 @@ class TestCli:
     @pytest.mark.parametrize("tubing", ["5", "[5]", '[["a"]]', '[[1, 2.5]]', '{"1": [1]}'])
     def test_malformed_tubing_exit_code(self, files, tubing, capsys):
         assert main(["compact", "synthesize", files["chain4"], "--tubing", tubing]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: $") and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["5", "[[1]]", "null"])
+    @pytest.mark.parametrize("flag", ["--tube", "--parent"])
+    @pytest.mark.parametrize("command", ["expand", "collapse"])
+    def test_malformed_tube_exit_code(self, files, tmp_path, command, flag, value, capsys):
+        point_file = tmp_path / "point.json"
+        assert main(["compact", "synthesize", files["chain4"],
+                     "--tubing", "[[1,2]]", "--out", str(point_file)]) == 0
+        tubes = {"--tube": "[1,2]", "--parent": "[1,2,3,4]", flag: value}
+        argv = ["compact", command, str(point_file), "--poset", files["chain4"],
+                "--tube", tubes["--tube"], "--parent", tubes["--parent"]]
+        assert main(argv + (["--t", "1/2"] if command == "expand" else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: $") and "Traceback" not in err
 

@@ -43,7 +43,7 @@ from posetahedra.tubes import (
     has_arrow,
     is_tubing,
     nested_or_disjoint,
-    tube_complex,
+    tube_table,
     tubing_walk,
     walk_tubings,
 )
@@ -57,15 +57,25 @@ AFFINE_HOSTS = {**corpus.DESK_AFFINE, "cchain5": corpus.circular_chain(5),
 
 
 def check_complex_bits(P):
-    cx = tube_complex(P)
-    assert list(cx.tubes) == oracles.proper_tubes(P, Tube)
-    assert cx.max_tubes == len(P.elements) - 2
-    for i, a in enumerate(cx.tubes):
-        for k, b in enumerate(cx.tubes):
-            assert bool(cx.compat[i] >> k & 1) == nested_or_disjoint(a, b), (a, b)
+    table = tube_table(P)
+    proper = table.tubes[:-1]
+    assert list(proper) == oracles.proper_tubes(P, Tube)
+    assert table.tubes[-1] == Tube(P.elements)
+    bit = {e: 1 << k for k, e in enumerate(P.elements)}
+    for k, e in enumerate(P.elements):
+        assert table.above[k] == sum(bit[j] for j in P.elements if P.lt(e, j))
+    for i, a in enumerate(table.tubes):
+        assert table.mask[i] == sum(bit[e] for e in a)
+        assert table.up[i] == sum(bit[j] for j in P.elements if any(P.lt(e, j) for e in a)), a
+        for k, b in enumerate(table.tubes):
+            assert bool(table.sup[i] >> k & 1) == (a.as_set < b.as_set), (a, b)
+    assert len(table.compat) == len(table.arrow) == len(table.arrow_in) == len(proper)
+    for i, a in enumerate(proper):
+        for k, b in enumerate(proper):
+            assert bool(table.compat[i] >> k & 1) == nested_or_disjoint(a, b), (a, b)
             arrow = a.isdisjoint(b) and has_arrow(P, a, b)
-            assert bool(cx.arrow[i] >> k & 1) == arrow, (a, b)
-            assert bool(cx.arrow_in[k] >> i & 1) == arrow, (a, b)
+            assert bool(table.arrow[i] >> k & 1) == arrow, (a, b)
+            assert bool(table.arrow_in[k] >> i & 1) == arrow, (a, b)
 
 
 def check_tubings(P):
@@ -73,7 +83,7 @@ def check_tubings(P):
         got = enumerate_proper_tubings(P, max_only)
         assert [T.tubes for T in got] == oracles.enumerate_proper_tubings(P, Tube, max_only)
         # the maximal tubings come from the cached walk, in the order a walk of their own gave
-        assert got == oracles.walk_proper_tubings(P, max_only, tube_complex, walk_tubings,
+        assert got == oracles.walk_proper_tubings(P, max_only, tube_table, walk_tubings,
                                                   Tubing), max_only
 
 
