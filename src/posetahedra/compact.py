@@ -565,16 +565,18 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
     quotient, the smallest ready block first, so the level-set components
     are exactly the blocks; the point is the restriction of the heights.
     A tube that is no non-singleton tube of P raises NotATubeError, blocks
-    that do not partition the tube NotAPartitionError, and blocks whose
-    dependency digraph has a cycle NotATubingError.
+    that do not partition the tube NotAPartitionError, then a block that
+    is no tube NotATubeError, and blocks whose dependency digraph has a
+    cycle NotATubingError.
     """
     index = _host_index(P)
     k = index.position.get(tube)
     if k is None:
         raise NotATubeError(f"{tube} is not a non-singleton tube of the host")
     bit = dict(zip(tube.members, index.bits[k]))
+    blocks = sorted(blocks, key=Tube.key)
     masks, union = [], 0
-    for block in sorted(blocks, key=Tube.key):
+    for block in blocks:
         if not block.as_set <= bit.keys():
             raise NotAPartitionError(f"blocks do not cover exactly {tube}")
         m = sum(map(bit.__getitem__, block.members))
@@ -584,6 +586,8 @@ def face_interior_point(P: Poset, tube: Tube, blocks: Iterable[Tube]) -> Vector:
         masks.append(m)
     if union != index.table.mask[k]:
         raise NotAPartitionError(f"blocks do not cover exactly {tube}")
+    if stray := [b for b in blocks if len(b) > 1 and b not in index.position]:
+        raise NotATubeError(f"block {stray[0]} is not a tube of the host")
     return from_row(tube.members, _interior_row(index.table.above, masks, index.bits[k],
                                                 index.covers[k]))
 
@@ -859,10 +863,6 @@ def collapse(c: ConfigPoint, tau: Tube, tau_plus: Tube) -> tuple[ConfigPoint, Fr
     return ConfigPoint._trusted(index, rows), t
 
 
-def _removal_order(tubes: Iterable[Tube]) -> list[Tube]:
-    return sorted(tubes, key=Tube.key)
-
-
 def composite_expand(c: ConfigPoint, T: Tubing, T_sub: Tubing,
                      t: Mapping[Tube, Fraction],
                      order: Sequence[Tube] | None = None) -> ConfigPoint:
@@ -908,7 +908,7 @@ def composite_collapse(c: ConfigPoint, T: Tubing, T_sub: Tubing,
 
 def _check_order(tubes: frozenset[Tube], order: Sequence[Tube] | None) -> list[Tube]:
     if order is None:
-        return _removal_order(tubes)
+        return sorted(tubes, key=Tube.key)
     order = list(order)
     if set(order) != set(tubes) or len(order) != len(tubes):
         raise ValueError("order must list exactly the removed tubes")

@@ -213,9 +213,7 @@ class TubeTable(NamedTuple):
 def tube_table(P: Poset) -> TubeTable:
     """Index the non-singleton tubes of P once, on element bitmasks and up-sets."""
     bit = {e: 1 << k for k, e in enumerate(P.elements)}
-    above = dict.fromkeys(P.elements, 0)
-    for i, j in P._strict:
-        above[i] |= bit[j]
+    above = {i: sum(bit[j] for j in P.elements if P.lt(i, j)) for i in P.elements}
     tubes = enumerate_tubes(P)[len(P.elements):]  # the singletons come first
     masks = tuple(sum(map(bit.__getitem__, t.members)) for t in tubes)
     ups = tuple(reduce(or_, map(above.__getitem__, t.members)) for t in tubes)

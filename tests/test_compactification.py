@@ -471,6 +471,13 @@ class TestFaceInteriorPoint:
         with pytest.raises(NotATubeError, match="^" + re.escape(f"{tube} is not a non-singleton")):
             face_interior_point(w5, tube, [Tube.of((e,)) for e in members])
 
+    def test_rejects_a_block_that_is_no_tube(self):
+        """{1,2} of the claw is convex but not connected: heights along a
+        linear extension would give a point constant on {1} and {2}."""
+        claw3 = corpus.claw(3)
+        with pytest.raises(NotATubeError, match=re.escape("block {1,2} is not a tube")):
+            face_interior_point(claw3, full_tube(claw3), [Tube.of(b) for b in ((1, 2), (0,), (3,))])
+
     def test_rejects_blocks_outside_the_tube(self, w5):
         with pytest.raises(NotAPartitionError, match="do not cover exactly"):
             face_interior_point(w5, full_tube(w5), [Tube.of((e,)) for e in (*w5.elements, 9)])
