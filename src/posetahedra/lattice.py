@@ -21,6 +21,7 @@ from .tubes import (
     Tube,
     Tubing,
     block_partitions,
+    enumerate_tubes,
     full_tube,
     tube_table,
     tubing_tree,
@@ -166,7 +167,7 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
     into take them all.
     """
     table = tube_table(P)
-    tubes = (*(Tube((e,)) for e in P.elements), *table.tubes)
+    tubes = enumerate_tubes(P)  # the singletons, in element order, then the table's tubes
     masks = (*(1 << k for k in range(len(P.elements))), *table.mask)
     out = [up & ~mask for mask, up in zip(masks, (*table.above, *table.up))]  # arrow heads
     ground = sum(1 << P.elements.index(e) for e in (P.elements if members is None else members))
@@ -198,9 +199,9 @@ def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     """
     parts = tubing_partitions(P)
     table = tube_table(P)
+    mask_of = dict(zip(enumerate_tubes(P), (*(1 << k for k in range(len(P.elements))),
+                                            *table.mask)))
     tube_at = dict(zip(table.mask, table.tubes))  # a union of two blocks is no singleton
-    mask_of = {t: mask for mask, t in tube_at.items()}
-    mask_of.update((Tube((e,)), 1 << k) for k, e in enumerate(P.elements))
     position = {T: p for p, T in enumerate(parts)}
     covers = []
     for p, T in enumerate(parts):
