@@ -109,10 +109,12 @@ class TestLinearExtension:
     @pytest.mark.parametrize("minshift,message", [
         (((1, 1), (-1, -2)), "no fundamental domain"),
         (((-2, 1), (1, 2)), "relabeling breaks"),
+        # a fundamental domain whose relations form a cycle
+        (((-1, -1, -1), (-1, -1, -1), (-1, -1, 0)), "fundamental domain has a cycle"),
     ])
     def test_non_order_shift_matrix_raises(self, minshift, message):
         # built directly, bypassing build_affine_poset's validation
-        A = AffinePoset(n=2, gen_covers=(), minshift=minshift)
+        A = AffinePoset(n=len(minshift), gen_covers=(), minshift=minshift)
         with pytest.raises(CycleError, match=message):
             linear_extension(A)
 
