@@ -14,7 +14,7 @@ from posetahedra.cli import main
 from posetahedra.compact import stratum_point
 from posetahedra.errors import SchemaError
 from posetahedra.geometry import realize_poset_associahedron
-from posetahedra.rational import format_rational, parse_rational
+from posetahedra.rational import frac, format_rational, parse_rational
 from posetahedra.serialize import (
     affine_poset_from_json,
     affine_poset_to_json,
@@ -41,6 +41,11 @@ class TestRationals:
         for s in ("-1/2", "3/1", "0/1", "22/7"):
             assert format_rational(parse_rational(s)) == s
         assert parse_rational("5") == F(5)
+
+    def test_zero_denominator_is_a_value_error(self):
+        for parse in (parse_rational, frac):
+            with pytest.raises(ValueError, match="1/0"):
+                parse("1/0")
 
 
 class TestJsonRoundTrips:
@@ -360,6 +365,16 @@ class TestCli:
         assert main(argv + (["--t", "1/2"] if command == "expand" else [])) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: $") and "Traceback" not in err
+
+    def test_zero_denominator_exit_code(self, files, tmp_path, capsys):
+        point_file = tmp_path / "point.json"
+        assert main(["compact", "synthesize", files["chain4"],
+                     "--tubing", "[[1,2]]", "--out", str(point_file)]) == 0
+        capsys.readouterr()
+        assert main(["compact", "expand", str(point_file), "--poset", files["chain4"],
+                     "--tube", "[1,2]", "--parent", "[1,2,3,4]", "--t", "1/0"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "1/0" in err and "Traceback" not in err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["poset", "validate", "/nonexistent.json"]) == 1
