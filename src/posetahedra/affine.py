@@ -37,7 +37,7 @@ from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .linalg import nullspace
 from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
-from .poset import Poset, build_poset, quotient_poset
+from .poset import Poset, build_poset, dependency_order, quotient_poset
 from .tubes import CACHE_SIZE, block_partitions
 
 
@@ -495,15 +495,11 @@ def linear_extension(A: AffinePoset) -> dict[int, int]:
     S = [i for i in range(-bound, bound + 1) if A.lt(i - n, 0) and not A.lt(i, 0)]
     if len(S) != n or len({A.residue(i) for i in S}) != n:
         raise CycleError("no fundamental domain: the shift matrix is not an order")
-    remaining = list(S)
-    order: dict[int, int] = {}
-    rank = 1
-    while remaining:
-        ready = [i for i in remaining if not any(A.lt(j, i) for j in remaining if j != i)]
-        pick = min(ready)
-        order[pick] = rank
-        rank += 1
-        remaining.remove(pick)
+    into = [sum(1 << a for a, j in enumerate(S) if j != i and A.lt(j, i)) for i in S]
+    placed, blocked = dependency_order(into, (1 << n) - 1)  # S ascends: the least ready first
+    if blocked:
+        raise CycleError("the fundamental domain has a cycle: the shift matrix is not an order")
+    order = {S[k]: rank for rank, k in enumerate(placed, 1)}
     phi = {}
     for r in range(1, n + 1):
         s = next(i for i in S if A.residue(i) == r)
@@ -631,12 +627,9 @@ class PeriodicTubes:
 geometry.tube_system.register(AffinePoset, PeriodicTubes)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def _affine_root_partitions(A: AffinePoset) -> tuple[tuple[AffineTube, ...], ...]:
-    """Periodic tubing partitions of the integers, as class sets.
-
-    Cached per host: every melting stage asks for them again, through a
-    fresh tube system.  ``block_partitions`` finds them on residue masks."""
+    """Periodic tubing partitions of the integers, as class sets, found by
+    ``block_partitions`` on residue masks."""
     classes = enumerate_affine_tubes(A, proper_only=False)[:-1]  # less the line
     residues = [sum(1 << A.residue(m) - 1 for m in cls) for cls in classes]
     out = []

@@ -259,7 +259,6 @@ def build_parser() -> argparse.ArgumentParser:
     kd.set_defaults(fn=cmd_compact_demo_ratios)
 
     va = sub.add_parser("verify-all", help="run the acceptance suite")
-    va.add_argument("--corpus", default="desk", choices=("desk",))
     va.set_defaults(fn=cmd_verify_all)
     return parser
 

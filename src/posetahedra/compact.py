@@ -39,7 +39,7 @@ from .errors import (
 )
 from .linalg import homogeneous
 from .polytope import bit_positions
-from .poset import Poset, Vector, cover_indices, from_row, res_cleared
+from .poset import Poset, Vector, cover_indices, dependency_order, from_row, res_cleared
 from .rational import frac
 from .tubes import (
     CACHE_SIZE,
@@ -547,13 +547,11 @@ def _interior_row(above: Sequence[int], blocks: Sequence[int], bits: Sequence[in
     # into[b]: the blocks other than b with a relation into b
     into = [sum(1 << a for a, up in enumerate(ups) if a != b and up & block)
             for b, block in enumerate(blocks)]
+    order, blocked = dependency_order(into, (1 << len(blocks)) - 1)
+    if blocked:
+        raise NotATubingError("the blocks' dependency digraph has a cycle")
     height: dict[int, int] = {}
-    waiting = (1 << len(blocks)) - 1
-    for level in range(len(blocks)):
-        b = next((b for b in bit_positions(waiting) if not into[b] & waiting), None)
-        if b is None:
-            raise NotATubingError("the blocks' dependency digraph has a cycle")
-        waiting ^= 1 << b
+    for level, b in enumerate(order):
         height.update(dict.fromkeys((1 << e for e in bit_positions(blocks[b])), level))
     return res_cleared(pairs, [height[e] for e in bits])
 
@@ -778,22 +776,14 @@ def _tubing_defect(index: _HostIndex, nodes: int, x: int) -> str | None:
     These are the two conditions of ``is_tubing``, on ``tube_table``'s
     bitsets.  The stratum's tubes form a tubing, so a crossing or a cycle
     of the dependency digraph in the larger family involves x: x crosses a
-    stratum tube outside ``compat[x]``, or x reaches itself along arrows
-    between the family's tubes.
+    stratum tube outside ``compat[x]``, or ``dependency_order`` cannot
+    place the larger family along ``arrow_in``.
     """
     family = nodes & index.proper
     crossing = family & ~index.table.compat[x]
     if crossing:
         return f"it crosses {index.tubes[(crossing & -crossing).bit_length() - 1]}"
-    family |= 1 << x
-    reached, todo = 0, 1 << x
-    while todo:
-        low = todo & -todo
-        todo ^= low
-        out = index.table.arrow[low.bit_length() - 1] & family & ~reached
-        reached |= out
-        todo |= out
-    if reached >> x & 1:
+    if dependency_order(index.table.arrow_in, family | 1 << x)[1]:
         return "it closes a cycle of the dependency digraph"
     return None
 

@@ -10,12 +10,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache, reduce
-from operator import or_
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotGradedError
-from .poset import Poset, quotient_poset
+from .poset import Poset, dependency_order, quotient_poset
 from .tubes import (
     CACHE_SIZE,
     Tube,
@@ -163,8 +162,7 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
     strict_blocks drops the one-block partition {members}.  The blocks are
     element masks, of the singletons and of ``tube_table``, and
     ``block_partitions`` finds each partition once.  It is acyclic when
-    rounds of peeling off the blocks no other remaining block has an arrow
-    into take them all.
+    ``dependency_order`` places every block.
     """
     table = tube_table(P)
     tubes = enumerate_tubes(P)  # the singletons, in element order, then the table's tubes
@@ -173,13 +171,8 @@ def tubing_partitions(P: Poset, members: tuple[int, ...] | None = None,
     ground = sum(1 << P.elements.index(e) for e in (P.elements if members is None else members))
 
     def acyclic(blocks: Sequence[int]) -> bool:
-        while len(blocks) > 1:
-            into = reduce(or_, map(out.__getitem__, blocks))
-            rest = [k for k in blocks if masks[k] & into]
-            if len(rest) == len(blocks):
-                return False
-            blocks = rest
-        return True
+        into = [sum(1 << a for a, s in enumerate(blocks) if out[s] & masks[t]) for t in blocks]
+        return not dependency_order(into, (1 << len(blocks)) - 1)[1]
 
     results = [blocks for blocks in block_partitions(ground, masks)
                if not (strict_blocks and len(blocks) == 1) and acyclic(blocks)]

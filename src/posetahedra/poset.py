@@ -88,34 +88,27 @@ def _members(subset) -> tuple[int, ...]:
     return tuple(sorted(set(subset)))
 
 
-def find_cycle(adjacency: Mapping) -> list | None:
-    """A directed cycle of the digraph as a vertex list, or None if acyclic.
+def dependency_order(into: Sequence[int], waiting: int) -> tuple[list[int], int]:
+    """Place the vertices of the bitset ``waiting`` in dependency order.
 
-    ``adjacency`` maps every vertex to its successors.  Depth-first search
-    with an explicit stack; the cycle is the path from the first vertex
-    found on the current path back to the end of that path.
+    Bit j of ``into[i]`` is an arc j -> i.  Each step places the lowest
+    waiting vertex none of whose predecessors still waits.  Returns the
+    vertices in the order placed and the bitset of those never placed,
+    which is 0 exactly when the digraph on ``waiting`` is acyclic (a
+    self-loop is a cycle); every vertex left has a predecessor left.
     """
-    done: set = set()
-    for start in adjacency:
-        if start in done:
+    order: list[int] = []
+    rest = waiting
+    while rest:
+        low = rest & -rest
+        i = low.bit_length() - 1
+        if into[i] & waiting:
+            rest ^= low
             continue
-        path, on_path = [start], {start}
-        branches = [iter(adjacency[start])]
-        while branches:
-            for w in branches[-1]:
-                if w in on_path:
-                    return path[path.index(w):]
-                if w not in done:
-                    path.append(w)
-                    on_path.add(w)
-                    branches.append(iter(adjacency[w]))
-                    break
-            else:
-                v = path.pop()
-                on_path.discard(v)
-                done.add(v)
-                branches.pop()
-    return None
+        order.append(i)
+        waiting ^= low
+        rest = waiting
+    return order, waiting
 
 
 def _strictly_above(up: dict[int, set[int]]) -> dict[int, set[int]]:
@@ -144,11 +137,11 @@ def build_poset(covers: Iterable[tuple[int, int]]) -> Poset:
     for i, j in pairs:
         up.setdefault(i, set()).add(j)
         up.setdefault(j, set())
-    if find_cycle(up) is not None:  # a self-loop is a cycle of length one
+    reach = _strictly_above(up)
+    if any(v in reach[v] for v in up):  # a self-loop is a cycle of length one
         raise CycleError("cover relations contain a directed cycle")
     if len(up) < 2:
         raise TooSmallError("a poset needs at least two elements")
-    reach = _strictly_above(up)
     # i <. j when j is above i but above none of i's other successors
     redges = tuple(sorted(
         (i, j) for i, succ in up.items()
@@ -249,12 +242,10 @@ def quotient_poset(P: Poset, partition) -> Poset:
         for e in b:
             rep[e] = min(b)
     edges = {(rep[i], rep[j]) for i, j in P._strict if rep[i] != rep[j]}
-    depends: dict[int, list[int]] = {r: [] for r in rep.values()}
-    for a, b in edges:
-        depends[a].append(b)
-    if find_cycle(depends) is not None:
-        raise NotATubingError("partition dependency digraph has a cycle")
-    return build_poset(sorted(edges))
+    try:
+        return build_poset(sorted(edges))
+    except CycleError:
+        raise NotATubingError("partition dependency digraph has a cycle") from None
 
 
 # -- linear functionals on R^A ------------------------------------------------

@@ -22,7 +22,11 @@ def frac(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    return Fraction(text.strip().replace("−", "-"))
+    """Parse "p/q", an integer or a decimal; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text.strip().replace("−", "-"))
+    except ZeroDivisionError:
+        raise ValueError(f"{text!r} has a zero denominator") from None
 
 
 def format_rational(value: Fraction) -> str:

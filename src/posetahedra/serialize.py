@@ -189,56 +189,40 @@ def tubing_from_json(P: Poset, data) -> Tubing:
     return Tubing.of(P, [Tube.of(t) for t in data])
 
 
-def _label_json(label) -> list:
-    """Vertex labels are admissible tubings; emit just the proper tubes."""
-    tubes = [t for t in label if getattr(t, "members", None) and not getattr(t, "is_full", False)]
-    if not tubes:
+def _proper_tubes(label) -> list[list[int]]:
+    """The proper tubes of an admissible-tubing label, sorted.
+
+    Dropping the ambient tube (the whole poset, or the full-line marker) and
+    the singletons leaves them.  A label that is no family of tubes (None,
+    an order-polytope facet's cover pair, a vertex's ideal-filter split)
+    has none.
+    """
+    tubes = [t for t in label or () if not getattr(t, "is_full", False)]
+    if not tubes or not all(hasattr(t, "members") for t in tubes):
         return []
     ground = set().union(*(t.members for t in tubes))
     ambient = None if any(getattr(t, "is_full", False) for t in label) else tuple(sorted(ground))
-    proper = [t for t in tubes if len(t.members) > 1 and t.members != ambient]
-    return sorted(list(t.members) for t in proper)
+    return sorted(list(t.members) for t in tubes if len(t.members) > 1 and t.members != ambient)
+
+
+def _facet_json(f) -> dict:
+    out = {"normal": [format_rational(x) for x in f.normal], "offset": format_rational(f.offset)}
+    tubes = _proper_tubes(f.label)
+    if len(tubes) == 1:  # a realized polytope's facet is labeled by one proper tube
+        out["tube"] = tubes[0]
+    return out
 
 
 def polytope_to_json(Q: RationalPolytope) -> dict:
     out = {
         "chart_dim": Q.dim,
         "vertices": [[format_rational(x) for x in v] for v in Q.vertices],
-        "facets": [
-            {
-                "normal": [format_rational(x) for x in f.normal],
-                "offset": format_rational(f.offset),
-                **({"tube": _facet_tube(f.label)} if _facet_tube(f.label) is not None else {}),
-            }
-            for f in Q.facets
-        ],
+        "facets": [_facet_json(f) for f in Q.facets],
     }
     if Q.vertex_labels is not None:
-        out["vertex_labels"] = [_label_json(lab) for lab in Q.vertex_labels]
+        out["vertex_labels"] = [_proper_tubes(lab) for lab in Q.vertex_labels]
     _validate(out, "polytope")
     return out
-
-
-def _facet_tube(label) -> list[int] | None:
-    """Facets of realized polytopes are labeled by one proper tube each.
-
-    The label is an admissible tubing; dropping the ambient tube (the whole
-    poset, or the full-line marker) and the singletons leaves the tube.
-    """
-    if label is None:
-        return None
-    try:
-        tubes = [t for t in label if not getattr(t, "is_full", False)]
-    except TypeError:
-        return None
-    if not tubes or any(not hasattr(t, "members") for t in tubes):
-        return None
-    ground = set().union(*(t.members for t in tubes))
-    ambient = None if any(getattr(t, "is_full", False) for t in label) else tuple(sorted(ground))
-    proper = [t for t in tubes if len(t.members) > 1 and t.members != ambient]
-    if len(proper) == 1:
-        return list(proper[0].members)
-    return None
 
 
 def polytope_from_json(data) -> RationalPolytope:

@@ -25,7 +25,7 @@ from .errors import (
     NotATubeError,
     NotATubingError,
 )
-from .poset import MAX_ELEMENTS, Poset, build_poset, find_cycle, is_connected, is_convex
+from .poset import MAX_ELEMENTS, Poset, build_poset, dependency_order, is_connected, is_convex
 
 # Hosts (or host and flag) kept by each per-host cache of tubes and tubings
 CACHE_SIZE = 128
@@ -139,15 +139,28 @@ class TubingCheck(NamedTuple):
 
 
 def is_tubing(P: Poset, tubes: Iterable[Tube]) -> TubingCheck:
-    """Check the tubing conditions, returning a certificate on failure."""
+    """Check the tubing conditions, returning a certificate on failure.
+
+    A cycle is found by walking back from a tube ``dependency_order`` left
+    waiting, through predecessors also left waiting, until one repeats; it
+    is returned along its arcs, from its first tube in ``Tube.key`` order.
+    """
     tubes = sorted(set(tubes), key=Tube.key)
     for a, b in itertools.combinations(tubes, 2):
         if not nested_or_disjoint(a, b):
             return TubingCheck(False, crossing=(a, b))
-    cycle = find_cycle(d_graph(P, tubes))
-    if cycle is not None:
-        return TubingCheck(False, cycle=tuple(cycle))
-    return TubingCheck(True)
+    arcs = d_graph(P, tubes).values()  # keyed in the order of ``tubes``
+    into = [sum(1 << a for a, out in enumerate(arcs) if t in out) for t in tubes]
+    _, blocked = dependency_order(into, (1 << len(tubes)) - 1)
+    if not blocked:
+        return TubingCheck(True)
+    back = [(blocked & -blocked).bit_length() - 1]  # each a predecessor of the one before
+    while back.count(back[-1]) < 2:
+        pred = into[back[-1]] & blocked
+        back.append((pred & -pred).bit_length() - 1)
+    cycle = back[back.index(back[-1]) + 1:][::-1]  # the repeated tube first, along the arcs
+    first = cycle.index(min(cycle))
+    return TubingCheck(False, cycle=tuple(tubes[i] for i in cycle[first:] + cycle[:first]))
 
 
 @dataclass(frozen=True)

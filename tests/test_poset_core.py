@@ -7,7 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
@@ -26,6 +26,7 @@ from posetahedra.poset import (
     MAX_ELEMENTS,
     alpha,
     build_poset,
+    dependency_order,
     ideal_filter_splits,
     is_connected,
     is_convex,
@@ -106,6 +107,43 @@ def test_build_poset_matches_oracle(pairs):
         return
     with pytest.raises(expected):
         build_poset(pairs)
+
+
+@st.composite
+def digraphs(draw):
+    """A digraph on 0..n-1 as its arc set, self-loops included, and a
+    random set of waiting vertices as a bitset."""
+    n = draw(st.integers(1, 8))
+    vertex = st.integers(0, n - 1)
+    arcs = draw(st.sets(st.tuples(vertex, vertex), max_size=2 * n))
+    return n, arcs, draw(st.integers(0, (1 << n) - 1))
+
+
+@settings(SETTINGS, max_examples=300)
+@given(digraphs())
+@example((3, {(0, 1), (1, 2), (2, 0)}, 7))
+@example((2, {(1, 1), (0, 1)}, 3))
+@example((3, {(0, 1), (1, 0)}, 5))
+def test_dependency_order_matches_the_dfs(graph):
+    """Against the old depth-first cycle search on the waiting vertices:
+    the same verdict, the placed vertices in an order every arc among the
+    waiting ones respects, each the lowest ready vertex at its step, and
+    every vertex left with a predecessor left."""
+    n, arcs, waiting = graph
+    inside = [v for v in range(n) if waiting >> v & 1]
+    into = [sum(1 << j for j, k in arcs if k == i) for i in range(n)]
+    order, blocked = dependency_order(into, waiting)
+    dfs = oracles._find_cycle({v: [k for j, k in arcs if j == v and k in inside] for v in inside})
+    assert (blocked == 0) == (dfs is None)
+    assert sorted(order + [v for v in inside if blocked >> v & 1]) == inside
+    assert not blocked & ~waiting
+    left = waiting
+    for v in order:
+        assert not into[v] & left
+        assert all(into[u] & left for u in inside if u < v and left >> u & 1)
+        left ^= 1 << v
+    assert left == blocked
+    assert all(into[v] & blocked for v in inside if blocked >> v & 1)
 
 
 def test_import_leaves_networkx_out():

@@ -33,7 +33,7 @@ from posetahedra.lattice import (
     order_polytope_face_lattice,
     tubing_partitions,
 )
-from posetahedra.poset import build_poset, find_cycle
+from posetahedra.poset import build_poset
 from posetahedra.tubes import (
     Tube,
     Tubing,
@@ -104,7 +104,7 @@ def check_face_lattice(P):
 
 
 def old_partitions(P, members=None, strict_blocks=False):
-    return oracles.tubing_partitions(P, members, strict_blocks, enumerate_tubes, find_cycle,
+    return oracles.tubing_partitions(P, members, strict_blocks, enumerate_tubes, oracles._find_cycle,
                                      d_graph)
 
 
@@ -185,7 +185,7 @@ def test_cyclohedron_lattice_matches_old_builder(name):
 # check per class), so the old walk below does not share the new rule.
 OLD_IS_AFFINE_TUBING = oracles.affine_tubing_check(
     AffineTube, class_nested_or_disjoint, class_contains, residues_of, _children_partition,
-    find_cycle)
+    oracles._find_cycle)
 
 
 def old_affine_walk(A, max_only):

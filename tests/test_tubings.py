@@ -1,3 +1,4 @@
+import collections
 import itertools
 
 import pytest
@@ -12,6 +13,7 @@ from posetahedra.errors import (
     NotATubeError,
     NotATubingError,
 )
+from posetahedra.poset import build_poset
 from posetahedra.tubes import (
     MAX_ELEMENTS,
     Tube,
@@ -105,6 +107,57 @@ class TestDGraphAndTubing:
     def test_tubing_of_validates(self, h6):
         with pytest.raises(NotATubingError):
             Tubing.of(h6, [(1, 2), (3, 4), (5, 6)])
+
+
+def check_cycle_certificates(P, max_size=5):
+    """Every tubing of fewer than max_size proper tubes, plus each later
+    compatible tube in enumerate_tubes order: is_tubing's verdict is the
+    oracle's, and a cycle is a closed walk of d_graph arcs through distinct
+    tubes that starts at its lowest tube in Tube.key order.  Returns the
+    number of cycles of each length."""
+    rel = oracles.closure(P.covers)
+    tubes = enumerate_tubes(P, proper_only=True)
+    lengths = collections.Counter()
+
+    def grow(family, start):
+        for k in range(start, len(tubes)):
+            t = tubes[k]
+            if not all(oracles._nested_or_disjoint(t, s) for s in family):
+                continue
+            check = is_tubing(P, family + [t])
+            assert check.ok == oracles._is_tubing(rel, family + [t], Tube)
+            if check.ok:
+                if len(family) + 1 < max_size:
+                    grow(family + [t], k + 1)
+                continue
+            cycle, arcs = check.cycle, d_graph(P, family + [t])
+            assert len(set(cycle)) == len(cycle) > 1
+            assert cycle[0] == min(cycle, key=Tube.key)
+            assert all(b in arcs[a] for a, b in zip(cycle, cycle[1:] + cycle[:1]))
+            lengths[len(cycle)] += 1
+
+    grow([], 0)
+    return lengths
+
+
+# the crown on eight elements has dependency cycles of two, three and four tubes
+CROWN8 = [(1, 2), (3, 2), (3, 4), (5, 4), (5, 6), (7, 6), (7, 8), (1, 8)]
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_POSETS) + ["crown8"])
+def test_cycle_certificates_are_closed_walks(name):
+    if name == "crown8":
+        assert set(check_cycle_certificates(build_poset(CROWN8), 4)) == {2, 3, 4}
+    else:
+        lengths = check_cycle_certificates(corpus.DESK_POSETS[name])
+        if name == "h6":  # the flagness counterexample: three pairwise compatible tubes in a cycle
+            assert set(lengths) == {2, 3}
+
+
+@SETTINGS
+@given(connected_posets())
+def test_cycle_certificates_on_random_posets(P):
+    check_cycle_certificates(P)
 
 
 class TestEnumerateTubings:
