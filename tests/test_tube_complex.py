@@ -104,8 +104,8 @@ def check_face_lattice(P):
 
 
 def old_partitions(P, members=None, strict_blocks=False):
-    return oracles.tubing_partitions(P, members, strict_blocks, enumerate_tubes, oracles._find_cycle,
-                                     d_graph)
+    return oracles.tubing_partitions(P, members, strict_blocks, enumerate_tubes,
+                                     oracles._find_cycle, d_graph)
 
 
 def check_partitions(P):
