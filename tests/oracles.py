@@ -1096,3 +1096,85 @@ def is_ideal(P, subset):
     """The old ``poset.is_ideal``, which the old splits called."""
     inside = set(subset)
     return all(i in inside for j in inside for i in P.elements if P.lt(i, j))
+
+
+def order_polytope(P, ideal_filter_splits, nullspace, Chart, Facet, polytope_from_data,
+                   affine_rank, DegenerateError):
+    """The old ``geometry.order_polytope``, with its ``_sigma_alpha_chart``."""
+
+    def _sigma_alpha_chart(P, base):
+        """Chart of the affine plane {sum x = 0, alpha_P x = 1} anchored at base."""
+        ids = P.elements
+        weight = {e: Fraction(0) for e in ids}
+        for i, j in P.covers:
+            weight[j] += 1
+            weight[i] -= 1
+        rows = [[Fraction(1)] * len(ids), [weight[e] for e in ids]]
+        basis = tuple(tuple(v) for v in nullspace(rows, len(ids)))
+        return Chart(ids=ids, base=tuple(base[e] for e in ids), basis=basis)
+
+    n = len(P.elements)
+    splits = ideal_filter_splits(P)
+    ambient_vertices = []
+    for ideal, filt in splits:
+        e = sum(1 for i, j in P.covers if i in set(ideal) and j in set(filt))
+        a = Fraction(-len(filt), e * n)
+        b = Fraction(len(ideal), e * n)
+        ambient_vertices.append({x: (a if x in set(ideal) else b) for x in P.elements})
+    centroid = {
+        e: sum((v[e] for v in ambient_vertices), Fraction(0)) / len(ambient_vertices)
+        for e in P.elements
+    }
+    chart = _sigma_alpha_chart(P, centroid)
+    vertices = [chart.to_chart(v) for v in ambient_vertices]
+    if n == 2:
+        return polytope_from_data(0, vertices[:1], (), chart, vertex_labels=(splits[0],))
+
+    facets = []
+    for i, j in P.covers:
+        # x_j - x_i >= 0 becomes <B^T(e_i - e_j), u> <= base_j - base_i
+        normal = tuple(vec[P.elements.index(i)] - vec[P.elements.index(j)] for vec in chart.basis)
+        offset = centroid[j] - centroid[i]
+        facets.append(Facet(normal, offset, label=(i, j)))
+    poly = polytope_from_data(n - 2, vertices, facets, chart, vertex_labels=tuple(splits))
+    if affine_rank(poly.vertices) != n - 2:
+        raise DegenerateError("order polytope has unexpected dimension")
+    return poly
+
+
+def affine_order_polytope(A, c, maximal_proper_classes, nullspace, Chart, Facet,
+                          polytope_from_data):
+    """The old ``affine.affine_order_polytope``."""
+    n = A.n
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("period increment must be positive")
+    ids = tuple(range(1, n + 1))
+    vertices_ambient = []
+    vlabels = maximal_proper_classes(A)
+    for cls in vlabels:
+        ks = {}
+        for m in cls.members if not cls.is_full else ():
+            ks[A.residue(m)] = A.shift(m)
+        if A.n == 1:
+            ks = {1: 0}
+        v0 = sum(ks.values()) * c / n
+        vertices_ambient.append({i: v0 - ks[i] * c for i in ids})
+    base = {
+        i: sum((v[i] for v in vertices_ambient), Fraction(0)) / len(vertices_ambient)
+        for i in ids
+    }
+    basis = tuple(tuple(v) for v in nullspace([[Fraction(1)] * n], n))
+    chart = Chart(ids=ids, base=tuple(base[i] for i in ids), basis=basis)
+    verts = [chart.to_chart(v) for v in vertices_ambient]
+    if n == 1:
+        return polytope_from_data(0, verts[:1], (), chart, vertex_labels=vlabels)
+    facets = []
+    for i, j in A.cover_classes:
+        rj = A.residue(j)
+        if rj == i:
+            continue
+        normal = tuple(vec[i - 1] - vec[rj - 1] for vec in chart.basis)
+        offset = A.shift(j) * c - (base[i] - base[rj])
+        facets.append(Facet(normal, offset, label=(i, j)))
+    return polytope_from_data(n - 1, verts, facets, chart, vertex_labels=vlabels)

@@ -261,6 +261,21 @@ class TestCli:
         assert main(["cyclo", "faces", files["cclaw3"], "--fvector"]) == 0
         assert capsys.readouterr().out.strip() == "8 8 1"
 
+    @pytest.mark.parametrize("command,file,expected", [
+        ("assoc", "chain4", "1 3 1"), ("cyclo", "cclaw3", "1 6 1")])
+    def test_hvector(self, files, capsys, command, file, expected):
+        assert main([command, "faces", files[file], "--hvector"]) == 0
+        assert capsys.readouterr().out.strip() == expected
+
+    def test_cyclo_faces_json(self, files, capsys):
+        assert main(["cyclo", "faces", files["cclaw3"]]) == 0
+        data = json.loads(capsys.readouterr().out)
+        assert data["dim"] == 2
+        assert [face["dim"] for face in data["faces"]].count(0) == 8
+        assert data["faces"][0] == {"dim": -1, "empty": True}
+        assert data["classes"] == [[1, 3], [2, 3], [3, 4], [3, 5],
+                                   [1, 2, 3], [1, 3, 5], [2, 3, 4], [3, 4, 5]]
+
     def test_poset_validate(self, files, capsys):
         assert main(["poset", "validate", files["chain4"]]) == 0
         data = json.loads(capsys.readouterr().out)
@@ -304,6 +319,21 @@ class TestCli:
                      "--precision", "3"]) == 0
         out = capsys.readouterr().out
         assert out.startswith("OFF") and "(3 decimal digits)" in out
+
+    def test_cyclo_realize_json_roundtrip(self, files, tmp_path, capsys):
+        out = tmp_path / "octagon.json"
+        assert main(["cyclo", "realize", files["cclaw3"], "--out", str(out)]) == 0
+        data = json.loads(out.read_text())
+        assert data["chart_dim"] == 2 and len(data["vertices"]) == 8
+        back = polytope_from_json(data)
+        assert back.vertices == realize_affine_cyclohedron(corpus.circular_claw(3)).primal.vertices
+
+    def test_cyclo_realize_off(self, files, capsys):
+        assert main(["cyclo", "realize", files["cclaw3"], "--format", "off",
+                     "--precision", "3"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("OFF") and "(3 decimal digits)" in out
+        assert out.splitlines()[2] == "8 1 0"
 
     def test_compact_pipeline(self, files, tmp_path, capsys):
         point_file = tmp_path / "point.json"
