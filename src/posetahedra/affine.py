@@ -35,8 +35,7 @@ from .errors import (
 )
 from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
-from .linalg import nullspace
-from .polytope import Chart, Facet, RationalPolytope, polytope_from_data
+from .polytope import RationalPolytope, order_chart_polytope
 from .poset import Poset, build_poset, dependency_order, quotient_poset
 from .tubes import CACHE_SIZE, block_partitions
 
@@ -541,35 +540,15 @@ def affine_order_polytope(A: AffinePoset, c: Fraction = Fraction(1)) -> Rational
     c = Fraction(c)
     if c <= 0:
         raise ValueError("period increment must be positive")
-    ids = tuple(range(1, n + 1))
     vertices_ambient = []
     vlabels = maximal_proper_classes(A)
     for cls in vlabels:
-        ks = {}
-        for m in cls.members if not cls.is_full else ():
-            ks[A.residue(m)] = A.shift(m)
-        if A.n == 1:
-            ks = {1: 0}
+        ks = {A.residue(m): A.shift(m) for m in cls.members}
         v0 = sum(ks.values()) * c / n
-        vertices_ambient.append({i: v0 - ks[i] * c for i in ids})
-    base = {
-        i: sum((v[i] for v in vertices_ambient), Fraction(0)) / len(vertices_ambient)
-        for i in ids
-    }
-    basis = tuple(tuple(v) for v in nullspace([[Fraction(1)] * n], n))
-    chart = Chart(ids=ids, base=tuple(base[i] for i in ids), basis=basis)
-    verts = [chart.to_chart(v) for v in vertices_ambient]
-    if n == 1:
-        return polytope_from_data(0, verts[:1], (), chart, vertex_labels=vlabels)
-    facets = []
-    for i, j in A.cover_classes:
-        rj = A.residue(j)
-        if rj == i:
-            continue
-        normal = tuple(vec[i - 1] - vec[rj - 1] for vec in chart.basis)
-        offset = A.shift(j) * c - (base[i] - base[rj])
-        facets.append(Facet(normal, offset, label=(i, j)))
-    return polytope_from_data(n - 1, verts, facets, chart, vertex_labels=vlabels)
+        vertices_ambient.append({i: v0 - ks[i] * c for i in range(1, n + 1)})
+    covers = [(i, A.residue(j), A.shift(j) * c, (i, j))
+              for i, j in A.cover_classes if A.residue(j) != i]
+    return order_chart_polytope(n - 1, vertices_ambient, [[1] * n], covers, vlabels)
 
 
 # -- the tube system of the melting induction ---------------------------------

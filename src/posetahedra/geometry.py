@@ -27,13 +27,13 @@ from typing import NamedTuple
 
 from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
-from .linalg import affine_rank, homogeneous, nullspace
+from .linalg import affine_rank, homogeneous
 from .polytope import (
-    Chart,
     Facet,
     RationalPolytope,
     bit_positions,
     facet_through,
+    order_chart_polytope,
     polar_dual,
     polytope_from_data,
     union_table,
@@ -48,49 +48,26 @@ AdmTubing = frozenset[Tube]
 # -- order polytope -----------------------------------------------------------
 
 
-def _sigma_alpha_chart(P: Poset, base: dict[int, Fraction]) -> Chart:
-    """Chart of the affine plane {sum x = 0, alpha_P x = 1} anchored at base."""
-    ids = P.elements
-    weight = {e: Fraction(0) for e in ids}
-    for i, j in P.covers:
-        weight[j] += 1
-        weight[i] -= 1
-    rows = [[Fraction(1)] * len(ids), [weight[e] for e in ids]]
-    basis = tuple(tuple(v) for v in nullspace(rows, len(ids)))
-    return Chart(ids=ids, base=tuple(base[e] for e in ids), basis=basis)
-
-
 def order_polytope(P: Poset) -> RationalPolytope:
     """V/H representation of the order polytope, dimension |P| - 2.
 
     Vertices come from ideal/filter splits: the split (I, F) crossed by e
-    covers gets value -|F|/(e|P|) on I and |I|/(e|P|) on F.  Facets are the
-    cover inequalities x_i <= x_j expressed in the chart.
+    covers gets value -|F|/(e|P|) on I and |I|/(e|P|) on F.  They span the
+    plane {sum x = 0, alpha_P x = 1}, and the facets are the cover
+    inequalities x_i <= x_j.
     """
     n = len(P.elements)
     splits = ideal_filter_splits(P)
     ambient_vertices = []
     for ideal, filt in splits:
-        e = sum(1 for i, j in P.covers if i in set(ideal) and j in set(filt))
+        inside = set(ideal)
+        e = sum(i in inside and j not in inside for i, j in P.covers)
         a = Fraction(-len(filt), e * n)
         b = Fraction(len(ideal), e * n)
-        ambient_vertices.append({x: (a if x in set(ideal) else b) for x in P.elements})
-    centroid = {
-        e: sum((v[e] for v in ambient_vertices), Fraction(0)) / len(ambient_vertices)
-        for e in P.elements
-    }
-    chart = _sigma_alpha_chart(P, centroid)
-    vertices = [chart.to_chart(v) for v in ambient_vertices]
-    if n == 2:
-        return polytope_from_data(0, vertices[:1], (), chart, vertex_labels=(splits[0],))
-
-    facets = []
-    for i, j in P.covers:
-        # x_j - x_i >= 0 becomes <B^T(e_i - e_j), u> <= base_j - base_i
-        normal = tuple(vec[P.elements.index(i)] - vec[P.elements.index(j)] for vec in chart.basis)
-        offset = centroid[j] - centroid[i]
-        facets.append(Facet(normal, offset, label=(i, j)))
-    poly = polytope_from_data(n - 2, vertices, facets, chart, vertex_labels=tuple(splits))
+        ambient_vertices.append({x: (a if x in inside else b) for x in P.elements})
+    alpha = [sum((j == e) - (i == e) for i, j in P.covers) for e in P.elements]
+    poly = order_chart_polytope(n - 2, ambient_vertices, [[1] * n, alpha],
+                                [(i, j, 0, (i, j)) for i, j in P.covers], tuple(splits))
     if affine_rank(poly.vertices) != n - 2:
         raise DegenerateError("order polytope has unexpected dimension")
     return poly

@@ -276,6 +276,32 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
     return poly
 
 
+def order_chart_polytope(dim, ambient, constraints, covers, labels) -> RationalPolytope:
+    """An order polytope from its ambient vertices, in a chart of their plane.
+
+    ``ambient`` holds each vertex as a dict over the ambient ids, in one key
+    order; the vertices span the plane {constraints . x = const}, charted at
+    their centroid on the ``nullspace`` basis of ``constraints``.  Each cover
+    (i, j, gap, label) is the facet x_i <= x_j + gap.  In dimension 0 only
+    the first vertex and label are kept.
+    """
+    ids = tuple(ambient[0])
+    base = tuple(sum((v[i] for v in ambient), Fraction(0)) / len(ambient) for i in ids)
+    basis = tuple(map(tuple, linalg.nullspace(constraints, len(ids))))
+    chart = Chart(ids=ids, base=base, basis=basis)
+    vertices = [chart.to_chart(v) for v in ambient]
+    if dim == 0:
+        return polytope_from_data(0, vertices[:1], (), chart, vertex_labels=labels[:1])
+    at = {i: k for k, i in enumerate(ids)}
+    facets = [
+        # x_i - x_j <= gap becomes <B^T(e_i - e_j), u> <= gap + base_j - base_i
+        Facet(tuple(vec[at[i]] - vec[at[j]] for vec in basis),
+              gap + base[at[j]] - base[at[i]], label=label)
+        for i, j, gap, label in covers
+    ]
+    return polytope_from_data(dim, vertices, facets, chart, vertex_labels=labels)
+
+
 def polar_dual(Q: RationalPolytope) -> RationalPolytope:
     """Polar dual after translating the vertex centroid to the origin.
 
