@@ -73,8 +73,8 @@ class Poset:
 
     def subposet(self, members: Iterable[int]) -> "Poset":
         """Induced subposet; for convex subsets this keeps the Hasse edges."""
-        inside = sorted(set(members))
-        pairs = [(i, j) for i, j in self._strict if i in set(inside) and j in set(inside)]
+        inside = set(members)
+        pairs = [(i, j) for i, j in self._strict if i in inside and j in inside]
         return build_poset(pairs)
 
     def __len__(self) -> int:
