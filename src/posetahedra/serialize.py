@@ -48,6 +48,8 @@ AFFINE_POSET_SCHEMA = {
 }
 
 RATIONAL = {"type": "string", "pattern": "^-?[0-9]+/[1-9][0-9]*$"}
+TUBE_SCHEMA = {"type": "array", "items": {"type": "integer"}}
+TUBING_SCHEMA = {"type": "array", "items": TUBE_SCHEMA}
 
 POLYTOPE_SCHEMA = {
     "type": "object",
@@ -64,12 +66,12 @@ POLYTOPE_SCHEMA = {
                 "properties": {
                     "normal": {"type": "array", "items": RATIONAL},
                     "offset": RATIONAL,
-                    "tube": {"type": "array", "items": {"type": "integer"}},
+                    "tube": TUBE_SCHEMA,
                 },
                 "required": ["normal", "offset"],
             },
         },
-        "vertex_labels": {"type": "array"},
+        "vertex_labels": {"type": "array", "items": TUBING_SCHEMA},
     },
     "required": ["chart_dim", "vertices", "facets"],
 }
@@ -88,10 +90,6 @@ CONFIG_POINT_SCHEMA = {
     "required": ["tubes"],
     "additionalProperties": False,
 }
-
-
-TUBE_SCHEMA = {"type": "array", "items": {"type": "integer"}}
-TUBING_SCHEMA = {"type": "array", "items": TUBE_SCHEMA}
 
 
 SCHEMAS = {"poset": POSET_SCHEMA, "affine poset": AFFINE_POSET_SCHEMA,
@@ -189,14 +187,21 @@ def tubing_from_json(P: Poset, data) -> Tubing:
     return Tubing.of(P, [Tube.of(t) for t in data])
 
 
+class JsonLabel(tuple):
+    """A label read back from JSON: the member tuples of the proper tubes
+    it was exported with."""
+
+
 def _proper_tubes(label) -> list[list[int]]:
     """The proper tubes of an admissible-tubing label, sorted.
 
     Dropping the ambient tube (the whole poset, or the full-line marker) and
     the singletons leaves them.  A label that is no family of tubes (None,
     an order-polytope facet's cover pair, a vertex's ideal-filter split)
-    has none.
+    has none.  A ``JsonLabel`` gives back the tubes it was read with.
     """
+    if isinstance(label, JsonLabel):
+        return [list(t) for t in label]
     tubes = [t for t in label or () if not getattr(t, "is_full", False)]
     if not tubes or not all(hasattr(t, "members") for t in tubes):
         return []
@@ -226,7 +231,11 @@ def polytope_to_json(Q: RationalPolytope) -> dict:
 
 
 def polytope_from_json(data) -> RationalPolytope:
-    """Rebuild vertices/facets exactly; incidence is recomputed and certified."""
+    """Rebuild vertices/facets exactly; incidence is recomputed and certified.
+
+    Facet tubes and vertex labels come back as ``JsonLabel``s, so exporting
+    the result gives back ``data``.
+    """
     from .polytope import Facet, polytope_from_data
 
     _validate(data, "polytope")
@@ -235,11 +244,16 @@ def polytope_from_json(data) -> RationalPolytope:
         Facet(
             tuple(parse_rational(x) for x in f["normal"]),
             parse_rational(f["offset"]),
-            label=tuple(f["tube"]) if "tube" in f else None,
+            label=JsonLabel([tuple(f["tube"])]) if "tube" in f else None,
         )
         for f in data["facets"]
     ]
-    return polytope_from_data(data["chart_dim"], vertices, facets)
+    labels = data.get("vertex_labels")
+    if labels is not None:
+        if len(labels) != len(vertices):
+            raise ValueError(f"{len(labels)} vertex labels for {len(vertices)} vertices")
+        labels = tuple(JsonLabel(map(tuple, label)) for label in labels)
+    return polytope_from_data(data["chart_dim"], vertices, facets, vertex_labels=labels)
 
 
 def config_point_to_json(c: ConfigPoint) -> dict:

@@ -13,7 +13,7 @@ from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.cli import main
 from posetahedra.compact import stratum_point
 from posetahedra.errors import SchemaError
-from posetahedra.geometry import realize_poset_associahedron
+from posetahedra.geometry import order_polytope, realize_poset_associahedron
 from posetahedra.rational import frac, format_rational, parse_rational
 from posetahedra.serialize import (
     affine_poset_from_json,
@@ -70,6 +70,27 @@ class TestJsonRoundTrips:
         data = polytope_to_json(realize_poset_associahedron(c4).primal)
         tubes = sorted(tuple(f["tube"]) for f in data["facets"])
         assert tubes == [(1, 2), (1, 2, 3), (2, 3), (2, 3, 4), (3, 4)]
+
+    @pytest.mark.parametrize("name", ["chain4", "cclaw3", "w5-order"])
+    def test_polytope_export_is_a_fixed_point(self, name):
+        """Import then export gives back every key, facet tubes and vertex
+        labels included."""
+        Q = {"chain4": lambda: realize_poset_associahedron(corpus.chain(4)).primal,
+             "cclaw3": lambda: realize_affine_cyclohedron(corpus.circular_claw(3)).primal,
+             "w5-order": lambda: order_polytope(corpus.DESK_POSETS["w5"])}[name]()
+        data = polytope_to_json(Q)
+        assert "vertex_labels" in data
+        assert polytope_to_json(polytope_from_json(copy.deepcopy(data))) == data
+        assert serialize.dumps(polytope_to_json(polytope_from_json(data))) == serialize.dumps(data)
+
+    def test_vertex_labels_must_match_the_vertices(self, c4):
+        data = polytope_to_json(realize_poset_associahedron(c4).primal)
+        data["vertex_labels"].pop()
+        with pytest.raises(ValueError, match="4 vertex labels for 5 vertices"):
+            polytope_from_json(data)
+        data["vertex_labels"] = [5] * 5
+        with pytest.raises(SchemaError, match=r"\$.vertex_labels\[0\]: 5 is not of type 'array'"):
+            polytope_from_json(data)
 
     def test_config_point(self, c4):
         point = stratum_point(c4, Tubing.of(c4, [(1, 2)]))
