@@ -95,18 +95,21 @@ def cmd_assoc_faces(args) -> int:
     return 0
 
 
-def _export_realization(polytope, args) -> None:
+def cmd_realize(args) -> int:
+    polytope = args.realize(args.load(args.file)).primal
     if args.format == "off":
         _emit(serialize.polytope_to_off(polytope, precision=args.precision), args.out)
     else:
         _emit(serialize.polytope_to_json(polytope), args.out)
-
-
-def cmd_assoc_realize(args) -> int:
-    P = _load_poset(args.file)
-    result = realize_poset_associahedron(P)
-    _export_realization(result.primal, args)
     return 0
+
+
+def _realize_parser(parser, load, realize) -> None:
+    parser.add_argument("file")
+    parser.add_argument("--out", default="-")
+    parser.add_argument("--format", choices=("json", "off"), default="json")
+    parser.add_argument("--precision", type=int, default=12)
+    parser.set_defaults(fn=cmd_realize, load=load, realize=realize)
 
 
 def cmd_cyclo_faces(args) -> int:
@@ -119,13 +122,6 @@ def cmd_cyclo_faces(args) -> int:
     else:
         _emit({"dim": L.dim, "faces": _lattice_faces_json(L),
                "classes": [list(t.members) for t in enumerate_affine_tubes(A)]}, None)
-    return 0
-
-
-def cmd_cyclo_realize(args) -> int:
-    A = _load_affine(args.file)
-    result = realize_affine_cyclohedron(A)
-    _export_realization(result.primal, args)
     return 0
 
 
@@ -206,12 +202,8 @@ def build_parser() -> argparse.ArgumentParser:
     af.add_argument("--hvector", action="store_true")
     af.add_argument("--flag-check", dest="flag_check", action="store_true")
     af.set_defaults(fn=cmd_assoc_faces)
-    ar = asub.add_parser("realize", help="certified rational realization")
-    ar.add_argument("file")
-    ar.add_argument("--out", default="-")
-    ar.add_argument("--format", choices=("json", "off"), default="json")
-    ar.add_argument("--precision", type=int, default=12)
-    ar.set_defaults(fn=cmd_assoc_realize)
+    _realize_parser(asub.add_parser("realize", help="certified rational realization"),
+                    _load_poset, realize_poset_associahedron)
 
     c = sub.add_parser("cyclo", help="affine poset cyclohedron")
     csub = c.add_subparsers(dest="sub", required=True)
@@ -220,12 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     cf.add_argument("--fvector", action="store_true")
     cf.add_argument("--hvector", action="store_true")
     cf.set_defaults(fn=cmd_cyclo_faces)
-    cr = csub.add_parser("realize")
-    cr.add_argument("file")
-    cr.add_argument("--out", default="-")
-    cr.add_argument("--format", choices=("json", "off"), default="json")
-    cr.add_argument("--precision", type=int, default=12)
-    cr.set_defaults(fn=cmd_cyclo_realize)
+    _realize_parser(csub.add_parser("realize"), _load_affine, realize_affine_cyclohedron)
 
     k = sub.add_parser("compact", help="compactified configuration spaces")
     ksub = k.add_subparsers(dest="sub", required=True)
