@@ -15,7 +15,7 @@ from fractions import Fraction
 from .affine import AffinePoset, build_affine_poset
 from .compact import ConfigPoint
 from .errors import SchemaError
-from .polytope import RationalPolytope
+from .polytope import Facet, RationalPolytope, polytope_from_data
 from .poset import Poset, build_poset
 from .rational import format_rational, parse_rational
 from .tubes import Tube, Tubing
@@ -233,11 +233,9 @@ def polytope_to_json(Q: RationalPolytope) -> dict:
 def polytope_from_json(data) -> RationalPolytope:
     """Rebuild vertices/facets exactly; incidence is recomputed and certified.
 
-    Facet tubes and vertex labels come back as ``JsonLabel``s, so exporting
-    the result gives back ``data``.
+    Facet tubes and vertex labels come back as ``JsonLabel``s, so that
+    exporting an imported export gives it back.
     """
-    from .polytope import Facet, polytope_from_data
-
     _validate(data, "polytope")
     vertices = [tuple(parse_rational(x) for x in v) for v in data["vertices"]]
     facets = [
