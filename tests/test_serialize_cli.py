@@ -80,8 +80,8 @@ class TestJsonRoundTrips:
              "w5-order": lambda: order_polytope(corpus.DESK_POSETS["w5"])}[name]()
         data = polytope_to_json(Q)
         assert "vertex_labels" in data
-        assert polytope_to_json(polytope_from_json(copy.deepcopy(data))) == data
-        assert serialize.dumps(polytope_to_json(polytope_from_json(data))) == serialize.dumps(data)
+        again = polytope_to_json(polytope_from_json(copy.deepcopy(data)))
+        assert serialize.dumps(again) == serialize.dumps(data)
 
     def test_vertex_labels_must_match_the_vertices(self, c4):
         data = polytope_to_json(realize_poset_associahedron(c4).primal)
