@@ -36,8 +36,8 @@ from .errors import (
 from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .polytope import RationalPolytope, order_chart_polytope
-from .poset import Poset, build_poset, dependency_order, quotient_poset
-from .tubes import CACHE_SIZE, block_partitions
+from .poset import Poset, _is_connected, build_poset, dependency_order, quotient_poset
+from .tubes import CACHE_SIZE, block_partitions, connected_sets
 
 
 @dataclass(frozen=True)
@@ -243,39 +243,20 @@ def _tube_defect(A: AffinePoset, tube: AffineTube) -> str | None:
     for i, j in itertools.permutations(tube.members, 2):
         if A.lt(i, j) and any(m not in tube.as_set for m in A.between(i, j)):
             return "is not convex"
-    seen = {tube.members[0]}
-    stack = [tube.members[0]]
-    while stack:
-        v = stack.pop()
-        for w in A.hasse_neighbors(v):
-            if w in tube.as_set and w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return None if seen == tube.as_set else "is not connected"
+    return None if _is_connected(tube.as_set, A.hasse_neighbors) else "is not connected"
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[AffineTube, ...]:
-    """Canonical representatives of tube classes.
-
-    Members of a connected tube on <= n vertices span at most (n-1) times
-    the largest Hasse edge span, so the search window [1, n + (n-1)s] with
-    the minimum pinned to 1..n sees every class exactly once.  The search
-    runs once per host: the proper classes are the cached full list less
-    the singletons and the line.
-    """
+    """Canonical representatives of tube classes: the convex ``connected_sets``
+    grown from the roots 1..n with one member per residue, since each class
+    has exactly one such instance.  The search runs once per host: the proper
+    classes are the cached full list less the singletons and the line."""
     if proper_only:
         return tuple(t for t in enumerate_affine_tubes(A, proper_only=False)
                      if not t.is_full and len(t) > 1)
-    n, s = A.n, A.max_edge_span
-    window = range(1, n + max(0, (n - 1)) * s + 1)
-    found = []
-    for size in range(1, n + 1):
-        for combo in itertools.combinations(window, size):
-            # a minimum in 1..n makes the combination canonical
-            if combo[0] <= n and _tube_defect(A, tube := AffineTube(combo)) is None:
-                found.append(tube)
-    return (*sorted(set(found), key=AffineTube.key), FULL)
+    found = map(AffineTube, connected_sets(range(1, A.n + 1), A.hasse_neighbors, A.residue))
+    return (*sorted((t for t in found if _tube_defect(A, t) is None), key=AffineTube.key), FULL)
 
 
 def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bool:

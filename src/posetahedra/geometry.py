@@ -25,9 +25,9 @@ from functools import cached_property, lru_cache, reduce, singledispatch
 from operator import mul, or_
 from typing import NamedTuple
 
-from .errors import DegenerateError, EpsilonInfeasibleError, MismatchError, NotAFaceError
+from .errors import EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
-from .linalg import affine_rank, homogeneous
+from .linalg import homogeneous
 from .polytope import (
     Facet,
     RationalPolytope,
@@ -66,11 +66,8 @@ def order_polytope(P: Poset) -> RationalPolytope:
         b = Fraction(len(ideal), e * n)
         ambient_vertices.append({x: (a if x in inside else b) for x in P.elements})
     alpha = [sum((j == e) - (i == e) for i, j in P.covers) for e in P.elements]
-    poly = order_chart_polytope(n - 2, ambient_vertices, [[1] * n, alpha],
+    return order_chart_polytope(n - 2, ambient_vertices, [[1] * n, alpha],
                                 [(i, j, 0, (i, j)) for i, j in P.covers], tuple(splits))
-    if affine_rank(poly.vertices) != n - 2:
-        raise DegenerateError("order polytope has unexpected dimension")
-    return poly
 
 
 # -- admissible tubings -------------------------------------------------------

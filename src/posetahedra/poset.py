@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import (
     CycleError,
@@ -28,9 +28,9 @@ from .rational import frac
 
 Vector = dict[int, Fraction]
 
-# Most elements a search over all 2^|P| subsets takes (tube enumeration,
-# ideal-filter splits): about a second at 16 elements, doubling with each
-# one more.
+# Most elements that tube enumeration and the ideal-filter splits take: each
+# lists its sets once, but they can number 2^(|P| - 1) (a claw on 16
+# elements has 2^15 + 15 tubes), doubling with each element more.
 MAX_ELEMENTS = 16
 
 
@@ -166,15 +166,19 @@ def is_convex(P: Poset, subset) -> bool:
 
 def is_connected(P: Poset, subset) -> bool:
     """True iff the induced subgraph of the Hasse diagram is connected."""
-    inside = set(_members(subset))
+    return _is_connected(set(subset), P.hasse_adjacency.__getitem__)
+
+
+def _is_connected(inside: set[int] | frozenset[int],
+                  neighbours: Callable[[int], Iterable[int]]) -> bool:
+    """True iff the set ``inside`` is nonempty and connected along ``neighbours``."""
     if not inside:
         return False
     start = next(iter(inside))
     seen = {start}
     stack = [start]
     while stack:
-        v = stack.pop()
-        for w in P.hasse_adjacency[v]:
+        for w in neighbours(stack.pop()):
             if w in inside and w not in seen:
                 seen.add(w)
                 stack.append(w)

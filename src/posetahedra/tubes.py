@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import or_
 from types import MappingProxyType
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .errors import (
     ElementBudgetError,
@@ -92,10 +92,33 @@ def full_tube(P: Poset) -> Tube:
     return Tube(tuple(P.elements))
 
 
+def connected_sets(roots: Iterable[int], neighbours: Callable[[int], Iterable[int]],
+                   label: Callable[[int], int] = lambda v: v) -> Iterator[tuple[int, ...]]:
+    """Every connected set whose least vertex is a root and whose members have
+    distinct labels, once each, as a sorted tuple.  ESU (Wernicke 2006): a set
+    grows by a vertex w of its extension, and the neighbours of w above the
+    root and neither in nor next to the set join the extension."""
+
+    def extend(members: dict[int, int], near: set[int], ext: list[int], root: int):
+        yield tuple(sorted(members.values()))  # members: label -> vertex
+        while ext:
+            w = ext.pop()
+            # a set is grown through its own subsets, and every superset of a
+            # set with a repeated label repeats it too
+            if label(w) not in members:
+                fresh = [u for u in neighbours(w) if u > root and u not in near]
+                yield from extend({**members, label(w): w}, near.union(fresh), ext + fresh, root)
+
+    for root in roots:
+        ext = [u for u in neighbours(root) if u > root]
+        yield from extend({label(root): root}, {root, *ext}, ext, root)
+
+
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
     """All tubes, sorted by (size, members); proper keeps 1 < |t| < |P|,
-    filtered from the cached full list.
+    filtered from the cached full list: the convex ``connected_sets`` of
+    the Hasse diagram.
 
     Raises ElementBudgetError when |P| is above MAX_ELEMENTS.
     """
@@ -105,9 +128,9 @@ def enumerate_tubes(P: Poset, proper_only: bool = False) -> tuple[Tube, ...]:
     if n > MAX_ELEMENTS:
         raise ElementBudgetError(
             f"{n} elements: tube enumeration takes at most {MAX_ELEMENTS}")
-    subsets = (tuple(P.elements[k] for k in range(n) if mask >> k & 1) for mask in range(1, 1 << n))
-    return tuple(sorted((Tube(members) for members in subsets
-                         if is_convex(P, members) and is_connected(P, members)), key=Tube.key))
+    found = connected_sets(P.elements, P.hasse_adjacency.__getitem__)
+    return tuple(sorted((Tube(members) for members in found if is_convex(P, members)),
+                        key=Tube.key))
 
 
 def nested_or_disjoint(a: Tube, b: Tube) -> bool:

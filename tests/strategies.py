@@ -46,10 +46,10 @@ def affine_posets(draw, max_classes=40):
     proper tube classes.
 
     Generator covers i < j have i in 1..n and |j - i| <= n, which keeps the
-    class search window at its least width.  A cover goes up from each
-    residue to the next one of a random cyclic order (so every draw is
-    strongly connected), and up to n random covers go up or down.  Hosts
-    that ``build_affine_poset`` refuses are rejected.
+    window of the old class search in ``oracles`` at its least width.  A
+    cover goes up from each residue to the next one of a random cyclic order
+    (so every draw is strongly connected), and up to n random covers go up
+    or down.  Hosts that ``build_affine_poset`` refuses are rejected.
     """
     n = draw(st.integers(2, 5))
     cycle = draw(st.permutations(range(1, n + 1)))

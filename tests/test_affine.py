@@ -39,7 +39,13 @@ from posetahedra.errors import (
     OverlapError,
 )
 from posetahedra.lattice import EMPTY, f_vector, h_vector
-from strategies import SETTINGS, periodic_bowtie
+from strategies import SETTINGS, affine_posets, periodic_bowtie
+
+# the desk hosts, the largest on which the old search is quick, and a host
+# whose Hasse diagram has a cycle on distinct residues (1-3-2-4), where a
+# growth search could meet a class twice
+OLD_SEARCH_HOSTS = {**corpus.DESK_AFFINE, "cchain5": corpus.circular_chain(5),
+                    "cclaw5": corpus.circular_claw(5), "bowtie": periodic_bowtie()}
 
 
 @pytest.fixture
@@ -132,15 +138,23 @@ class TestAffineTubes:
     def test_order_one_none(self):
         assert enumerate_affine_tubes(corpus.circular_chain(1)) == ()
 
-    @pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE))
+    @pytest.mark.parametrize("name", sorted(OLD_SEARCH_HOSTS))
     @pytest.mark.parametrize("proper_only", [True, False])
     def test_classes_match_the_old_search(self, name, proper_only):
         """Both lists, the proper one filtered from the cached full one,
-        equal the old search for that flag, order included."""
-        A = corpus.DESK_AFFINE[name]
+        equal the old window search for that flag, order included, so the
+        growth search meets each class once."""
+        A = OLD_SEARCH_HOSTS[name]
         expected = oracles.enumerate_affine_tubes(A, proper_only, make_affine_tube,
                                                   NotATubeError, AffineTube, FULL)
         assert enumerate_affine_tubes(A, proper_only=proper_only) == expected
+
+    @SETTINGS
+    @given(affine_posets())
+    def test_classes_match_the_old_search_random(self, A):
+        expected = oracles.enumerate_affine_tubes(A, False, make_affine_tube,
+                                                  NotATubeError, AffineTube, FULL)
+        assert enumerate_affine_tubes(A, proper_only=False) == expected
 
     def test_residue_repetition_rejected(self, cc3):
         with pytest.raises(NotATubeError, match=r"^\{1,4\} repeats a residue class$"):

@@ -66,6 +66,14 @@ class TestEnumerateTubes:
             P = corpus.DESK_POSETS[name]
             assert members(enumerate_tubes(P)) == sorted(oracles.tubes(P.covers)), name
 
+    @SETTINGS
+    @given(connected_posets(max_size=7))
+    def test_growth_meets_every_tube_once(self, P):
+        """The list is the brute-force one over every subset, in Tube.key
+        order and with no tube twice."""
+        expected = tuple(sorted(map(Tube, oracles.tubes(P.covers)), key=Tube.key))
+        assert enumerate_tubes(P) == expected
+
     def test_make_tube_validation(self, w5):
         assert make_tube(w5, [2, 4]).members == (2, 4)
         with pytest.raises(NotATubeError):
