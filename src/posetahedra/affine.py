@@ -392,7 +392,8 @@ def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[fr
     The walk adds classes in index order.  A candidate must be laminar with
     every chosen class (``compat`` bits) and keep the min-plus closure of the
     shift weights free of closed walks of weight <= 0; the closure grows by
-    one class in O(k^2) for k chosen classes.
+    one class in O(k^2) for k chosen classes.  The walk reads weights only
+    between laminar classes, the diagonal included, so only those are filled.
     """
     target = A.n - 1
     if max_only:
@@ -400,7 +401,8 @@ def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[fr
     classes = enumerate_affine_tubes(A, proper_only=True)
     compat = [sum(1 << y for y, b in enumerate(classes) if class_nested_or_disjoint(A, a, b))
               for a in classes]
-    weight = [[_shift_weight(A, a, b) for b in classes] for a in classes]
+    weight = [[_shift_weight(A, a, b) if mask >> y & 1 else None for y, b in enumerate(classes)]
+              for a, mask in zip(classes, compat)]
     chosen: list[int] = []
     out: list[frozenset[AffineTube]] = []
 

@@ -80,17 +80,17 @@ def _lattice_faces_json(L) -> list:
 
 def cmd_assoc_faces(args) -> int:
     P = _load_poset(args.file)
-    L = associahedron_face_lattice(P)
     if args.fvector:
-        print(" ".join(map(str, f_vector(L))))
+        print(" ".join(map(str, f_vector(associahedron_face_lattice(P)))))
     elif args.hvector:
-        print(" ".join(map(str, h_vector(L))))
-    elif args.flag_check:
+        print(" ".join(map(str, h_vector(associahedron_face_lattice(P)))))
+    elif args.flag_check:  # reads the tubing walk alone, not the face lattice
         check = is_flag_dual(P)
         _emit({"flag": check.ok,
                "witness": None if check.witness is None
                else [list(t.members) for t in check.witness]}, None)
     else:
+        L = associahedron_face_lattice(P)
         _emit({"dim": L.dim, "faces": _lattice_faces_json(L)}, None)
     return 0
 

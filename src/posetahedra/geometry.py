@@ -14,6 +14,16 @@ differs between hosts is behind a tube system (``tube_system``), whose
 tubes have one position per host (``tube_index``); tubings are bitsets of
 positions.  Each stage carries forward what its subdivision leaves
 unchanged, and is certified in full all the same.
+
+Each fact of a stage is computed once.  A facet the subdivision keeps
+keeps its hyperplane and its signs at the kept vertices, so only the new
+vertex is signed against it.  A solved facet's hyperplane solve has
+proved that its tight rows have rank d, and seeds the rank memo with it,
+so ``certify`` looks the rank up.  A facet with exactly d vertices of rank
+d has linearly independent rows, so every face below it has rank equal to
+its vertex count; ``lattice_match`` only eliminates the rows of faces
+below no such facet.  The vertex-below table of a stage (``FaceOrder.below``)
+is built once, for the facet solves and the lattice match alike.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ from .polytope import (
     order_chart_polytope,
     polar_dual,
     polytope_from_data,
+    sides,
     union_table,
 )
 from .poset import Poset, ideal_filter_splits
@@ -252,6 +263,7 @@ class FaceOrder:
         frozen, covered = ((1 << self.width) - 1) & ~melted, union_table(sub)
         self.bads = [(melted & ~mask) | (frozen & ~covered(mask & frozen)) for mask in masks]
         self.index = {T: i for i, T in enumerate(elements)}
+        self._below = ((), None)  # the last labels asked for, and their table
 
     def le(self, a, b) -> bool:
         return not self.masks[self.index[a]] & self.bads[self.index[b]]
@@ -259,8 +271,13 @@ class FaceOrder:
     def below(self, labels):
         """The map i -> the bitset of the positions k with labels[k] <= elements[i]:
         every label less those holding a tube of bad(i).  Raises
-        MismatchError when a label is not an element.
+        MismatchError when a label is not an element.  The table of the last
+        labels is kept, so that a stage's facet solves and its lattice match
+        share one.
         """
+        labels = tuple(labels)
+        if self._below[0] == labels:
+            return self._below[1]
         holders = [0] * self.width  # per tube bit, the labels holding it
         held = 0
         for k, label in enumerate(labels):
@@ -271,7 +288,8 @@ class FaceOrder:
             for j in bit_positions(self.masks[i]):
                 holders[j] |= 1 << k
         every, bads, union = (1 << len(labels)) - 1, self.bads, union_table(holders)
-        return lambda i: every & ~union(bads[i] & held)
+        self._below = (labels, lambda i: every & ~union(bads[i] & held))
+        return self._below[1]
 
 
 class TubingMemo:
@@ -374,9 +392,9 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
     ``rows`` are the vertices' homogeneous rows and ``ranks`` the rank memo
     of the realization (see ``RationalPolytope``); both go on to the polytope.
     ``carried`` maps a tight vertex bitset to the facet a previous stage
-    kept there, whose hyperplane is taken as it is; the other facets are
-    solved.  Every facet is then signed against every vertex and every face
-    checked, as always.
+    kept there and its sign row, both taken as they are; the other facets
+    are solved, and each solve seeds the memo with the rank d of its tight
+    rows.  The polytope is then certified and every face checked, as always.
     """
     vertices_below, index = adm.order.below(labels), adm.order.index
     carried = carried or {}
@@ -385,9 +403,14 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
         tight = vertices_below(index[Tf])
         kept = carried.get(tight)
         if kept is None:
-            facet, row = facet_through(rows, bit_positions(tight), label=Tf)
-        else:  # a kept facet keeps its label too, as a rule
-            facet, row = kept if kept.label == Tf else Facet(kept.normal, kept.offset, Tf), None
+            ids = bit_positions(tight)
+            facet, row = facet_through(rows, ids, label=Tf)
+            row = sides(row)
+            ranks.seed([rows[k] for k in ids], dim)  # the solve found a hyperplane
+        else:
+            facet, row = kept
+            if facet.label != Tf:  # a kept facet keeps its label too, as a rule
+                facet = Facet(facet.normal, facet.offset, Tf)
         facets.append(facet)
         signs.append(row)
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
@@ -405,8 +428,11 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     the facets above T are those whose bad set misses every tube of T, one
     table OR over the tubes of T, and their intersection is the AND of their
     incidence columns, a vertex bitset compared with the bitset of the
-    vertices below T.  Ranks are taken on Q's homogeneous rows, through Q's
-    rank memo.
+    vertices below T.  A facet with exactly d vertices of rank d has
+    linearly independent rows; below such a facet, (a) puts the vertices
+    of T among them, so T's rank is its vertex count.  The other ranks are
+    taken on Q's homogeneous rows, through Q's rank memo, as are the
+    facets' own.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -419,6 +445,7 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     tubes = (1 << order.width) - 1
     fine = [0] * order.width  # per tube bit, the facets whose bad set misses it
     columns = []  # per facet, the bitset of its vertices
+    independent = 0  # the facets with linearly independent rows
     for k, (facet, inc) in enumerate(zip(Q.facets, Q.incidence)):
         i = order.index.get(facet.label)
         if i is None:
@@ -426,12 +453,15 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         for j in bit_positions(tubes & ~order.bads[i]):
             fine[j] |= 1 << k
         columns.append(sum(1 << v for v in inc))
+        if len(inc) == Q.dim and Q.rank_of(columns[-1]) == Q.dim:
+            independent |= 1 << k
     every_facet, every_vertex = (1 << len(columns)) - 1, (1 << len(labels)) - 1
     spoiled = union_table([every_facet & ~f for f in fine])
     for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
         above = every_facet & ~spoiled(mask)
         if adm.dim(T) < Q.dim and not above:
             raise MismatchError(f"face {_face_name(T)} lies on no facet")
+        simplex = above & independent
         cut = every_vertex
         while above:
             low = above & -above
@@ -441,7 +471,8 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         if cut != below:
             raise MismatchError(
                 f"face {_face_name(T)} vertex set disagrees with facet intersection")
-        if Q.rank_of(below) - 1 != adm.dim(T):
+        rank = below.bit_count() if simplex else Q.rank_of(below)
+        if rank - 1 != adm.dim(T):
             raise MismatchError(f"face {_face_name(T)} has wrong dimension")
 
 
@@ -457,7 +488,9 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     beyond exactly the facets containing the face.  Combinatorics: the
     supplied (already updated) lattice gives every facet's tight set.  A
     facet not containing the face keeps its hyperplane and its vertices (a
-    vertex is removed only when the face is that vertex), so it is carried.
+    vertex is removed only when the face is that vertex), so it is carried
+    with its sign row: its signs at the kept vertices, whose rows are kept,
+    and the new vertex signed against it.
     """
     face_ids = frozenset(face_vertex_ids)
     if Q.face_from_vertices(face_ids) != face_ids:
@@ -475,11 +508,20 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     # kept vertices keep their cleared rows; only the new one is cleared
     vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
     labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
-    rows = tuple(Q.rows[k] for k in kept) + (homogeneous(new_point),)
+    new_row = homogeneous(new_point)
+    rows = tuple(Q.rows[k] for k in kept) + (new_row,)
     position = dict(zip(kept, range(len(kept))))  # old vertex -> new vertex
-    carried = {sum(1 << position[v] for v in inc): facet
-               for facet, inc in zip(Q.facets, Q.incidence)
-               if not face_ids <= inc and all(v in position for v in inc)}
+    # a sign bitset drops the removed vertex, if any, by shifting the bits
+    # above it down one, and gains the new vertex as its top bit
+    gone = next((k for k, old in enumerate(kept) if k != old), len(kept))
+    low, new = (1 << gone) - 1, len(kept)
+    carried = {}
+    for facet, inc, (on, beyond) in zip(Q.facets, Q.incidence, Q.signs):
+        if not face_ids <= inc and all(v in position for v in inc):
+            value = sum(map(mul, facet.halfspace, new_row))
+            carried[sum(1 << position[v] for v in inc)] = facet, (
+                on & low | on >> (gone + 1) << gone | (value == 0) << new,
+                beyond & low | beyond >> (gone + 1) << gone | (value > 0) << new)
     return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks, carried)
 
 

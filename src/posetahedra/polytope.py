@@ -8,9 +8,14 @@ Certification is exact: a facet's tight vertex set must match its claimed
 incidence row, and every other vertex must be strictly beneath.  Both are
 read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
 pair, evaluated in integers on the vertices' homogeneous rows, which each
-polytope clears of denominators once (``RationalPolytope.rows``).  Facet
-hyperplanes and ranks are solved on the same rows, and each rank is kept
-in a memo keyed by the set of rows (``RankMemo``).
+polytope clears of denominators once (``RationalPolytope.rows``).  The
+matrix is kept with the polytope (``RationalPolytope.signs``), each facet's
+row as two vertex bitsets (``sides``), so that a caller who knows some of
+its rows already (a facet kept by a subdivision, at vertices that kept
+their rows) hands them in instead of signing again.  Facet hyperplanes and
+ranks are solved on the same rows, and each rank is kept in a memo keyed
+by the set of rows (``RankMemo``); a hyperplane solve has proved the rank
+of its rows, and its caller records it there (``RankMemo.seed``).
 """
 
 from __future__ import annotations
@@ -86,6 +91,14 @@ class RankMemo(dict):
             bit = self.bits[row] = 1 << len(self.bits)
         return bit
 
+    def seed(self, rows, rank: int) -> None:
+        """Record the rank of the given rows, proved by the caller's own
+        elimination, under the key a lookup of the same rows would use."""
+        key = 0
+        for row in rows:
+            key |= self.bit(row)
+        self[key] = rank
+
     def clear(self) -> None:
         super().clear()
         self.bits.clear()
@@ -108,6 +121,17 @@ class RationalPolytope:
         ``dataclasses.replace`` clears its own vertices.
         """
         return tuple(map(linalg.homogeneous, self.vertices))
+
+    @cached_property
+    def signs(self) -> tuple[tuple[int, int], ...]:
+        """The sign matrix: per facet, the :func:`sides` of its
+        :func:`side_signs` on ``rows``.
+
+        A cached property, so that a ``dataclasses.replace`` copy signs its
+        own facets and vertices; ``polytope_from_data`` fills it with the
+        matrix it certified.
+        """
+        return tuple(sides(_signs(f.halfspace, self.rows)) for f in self.facets)
 
     @cached_property
     def ranks(self) -> RankMemo:
@@ -169,32 +193,28 @@ class RationalPolytope:
             face &= inc
         return face
 
-    def certify(self, signs=None) -> None:
-        """Exact V/H/incidence consistency; raises MismatchError on failure.
-
-        ``signs`` is the sign matrix, :func:`side_signs` for every facet in
-        order, when the caller has already evaluated it; without it the
-        matrix is evaluated here.
-        """
+    def certify(self) -> None:
+        """Exact V/H/incidence consistency on the sign matrix (``signs``);
+        raises MismatchError on failure."""
         rows = self.rows  # canonical: equal rows are equal vertices
         if len(set(rows)) != len(rows):
             raise MismatchError("duplicate vertices")
         if rows and self.rank(range(len(rows))) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
-        if signs is None:
-            signs = [_signs(f.halfspace, rows) for f in self.facets]
-        for facet, claimed, row in zip(self.facets, self.incidence, signs):
-            if 1 in row:
-                raise MismatchError(f"vertex {row.index(1)} beyond facet {facet.label}")
-            if _zeros(row) != claimed:
+        for facet, claimed, (on, beyond) in zip(self.facets, self.incidence, self.signs):
+            if beyond:
+                raise MismatchError(
+                    f"vertex {(beyond & -beyond).bit_length() - 1} beyond facet {facet.label}")
+            if on != sum(map((1).__lshift__, claimed)):
                 raise MismatchError(f"incidence mismatch on facet {facet.label}")
-            if self.dim >= 1 and self.rank(claimed) - 1 != self.dim - 1:
+            if self.dim >= 1 and self.rank_of(on) - 1 != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
 
 
-def _zeros(signs) -> frozenset[int]:
-    """The positions of the zeros of a sign row."""
-    return frozenset(compress(count(), map(not_, signs)))
+def sides(signs) -> tuple[int, int]:
+    """A sign row as two bitsets of positions: its zeros, and its ones."""
+    return (sum(1 << k for k in compress(count(), map(not_, signs))),
+            sum(1 << k for k in compress(count(), map((1).__eq__, signs))))
 
 
 def bit_positions(x: int) -> list[int]:
@@ -257,22 +277,24 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
     ``rows``, when the caller has them, are the vertices' homogeneous rows
     (``RationalPolytope.rows``) and are not cleared again; ``ranks`` is a
     rank memo to carry on (``RationalPolytope.ranks``).  ``signs`` may give
-    facets' :func:`side_signs` rows; the rows given as None are evaluated.
+    facets' rows of the sign matrix, as :func:`sides`; the rows given as
+    None are evaluated.
     """
     vertices = tuple(tuple(frac(x) for x in v) for v in vertices)
     facets = tuple(facets)
     rows = tuple(map(linalg.homogeneous, vertices)) if rows is None else tuple(rows)
-    signs = [_signs(f.halfspace, rows) if row is None else row
-             for f, row in zip(facets, signs or [None] * len(facets))]
-    incidence = tuple(map(_zeros, signs))
+    signs = tuple(sides(_signs(f.halfspace, rows)) if row is None else row
+                  for f, row in zip(facets, signs or [None] * len(facets)))
+    incidence = tuple(frozenset(bit_positions(on)) for on, _ in signs)
     poly = RationalPolytope(
         dim=dim, vertices=vertices, facets=facets, incidence=incidence,
         chart=chart, vertex_labels=vertex_labels,
     )
-    poly.__dict__["rows"] = rows  # fill the cached properties: these are its rows
+    # fill the cached properties: these are its rows and its sign matrix
+    poly.__dict__.update(rows=rows, signs=signs)
     if ranks is not None:
         poly.__dict__["ranks"] = ranks
-    poly.certify(signs)
+    poly.certify()
     return poly
 
 

@@ -137,6 +137,22 @@ def test_face_with_wrong_dimension(w5_dual):
         lattice_match(dual, wrong)
 
 
+def test_simplex_facet_with_dependent_rows(w5):
+    """A facet with d vertices gives the faces below it their vertex count
+    as rank only when its own rows are independent, which ``lattice_match``
+    looks up itself: a copy whose d-vertex facet has dependent rows fails."""
+    _, _, dual, adm = _first_stage(w5)
+    inc = next(inc for inc in dual.incidence if len(inc) == dual.dim)
+    k, *others = sorted(inc)
+    # vertex k onto the line through two other vertices of the facet
+    middle = tuple((x + y) / 2 for x, y in zip(*(dual.vertices[j] for j in others[:2])))
+    tampered = replace(dual, vertices=dual.vertices[:k] + (middle,) + dual.vertices[k + 1:])
+    assert tampered.rank(inc) < dual.rank(inc) == dual.dim
+    lattice_match(dual, adm)
+    with pytest.raises(MismatchError, match="wrong dimension"):
+        lattice_match(tampered, adm)
+
+
 def _face_centroid(Q, face_ids):
     """A pull-out point that was never pulled out: it stays on the face."""
     pts = [Q.vertices[i] for i in sorted(face_ids)]

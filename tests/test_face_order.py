@@ -36,7 +36,8 @@ from posetahedra.linalg import (
     nullspace,
     solve_unique,
 )
-from posetahedra.polytope import Facet, bit_positions, facet_through, side_signs, union_table
+from posetahedra.polytope import (Facet, bit_positions, facet_through, side_signs, sides,
+                                   union_table)
 from posetahedra.tubes import enumerate_tubes
 from strategies import SETTINGS, connected_posets
 
@@ -129,6 +130,10 @@ def test_integer_signs_match_facet_value(case, data):
     expected = [(facet.value(p) > facet.offset) - (facet.value(p) < facet.offset)
                 for p in points]
     assert signs == expected
+    # the polytope keeps a sign row as the bitsets of its zeros and its ones
+    values = [facet.value(p) - facet.offset for p in points]
+    assert sides(signs) == (sum(1 << k for k, v in enumerate(values) if v == 0),
+                            sum(1 << k for k, v in enumerate(values) if v > 0))
 
 
 @st.composite

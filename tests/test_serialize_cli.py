@@ -8,12 +8,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from posetahedra import corpus, serialize
+from posetahedra import cli, corpus, serialize
 from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.cli import main
 from posetahedra.compact import stratum_point
 from posetahedra.errors import SchemaError
 from posetahedra.geometry import order_polytope, realize_poset_associahedron
+from posetahedra.lattice import associahedron_face_lattice, is_flag_dual
 from posetahedra.rational import frac, format_rational, parse_rational
 from posetahedra.serialize import (
     affine_poset_from_json,
@@ -327,6 +328,24 @@ class TestCli:
     def test_flag_check(self, files, capsys):
         assert main(["assoc", "faces", files["chain4"], "--flag-check"]) == 0
         assert json.loads(capsys.readouterr().out) == {"flag": True, "witness": None}
+
+    @pytest.mark.parametrize("host", ["chain4", "h6"])
+    def test_flag_check_builds_no_face_lattice(self, files, capsys, monkeypatch, host):
+        """The flag check reads the tubing walk alone: it prints what
+        ``is_flag_dual`` finds, witness included, and never builds the lattice."""
+        P = {"chain4": corpus.chain(4), "h6": corpus.h6()}[host]
+        path = files["dir"] / f"{host}.json"
+        path.write_text(json.dumps({"covers": [list(c) for c in P.covers]}))
+        built = []
+        monkeypatch.setattr(cli, "associahedron_face_lattice",
+                            lambda P: built.append(P) or associahedron_face_lattice(P))
+        assert main(["assoc", "faces", str(path), "--flag-check"]) == 0
+        check = is_flag_dual(P)
+        assert json.loads(capsys.readouterr().out) == {
+            "flag": check.ok,
+            "witness": None if check.witness is None else [list(t.members) for t in check.witness]}
+        assert (check.witness is None) == (host == "chain4") and not built
+        assert main(["assoc", "faces", str(path), "--fvector"]) == 0 and len(built) == 1
 
     def test_realize_json_roundtrip(self, files, tmp_path, capsys):
         out = tmp_path / "pentagon.json"

@@ -10,6 +10,12 @@ enumeration (``oracles.admissible_tubings``), every face with the per-pair
 order of ``oracles.admissible_le`` and the Fraction rank, and every facet
 against a solve from scratch.  The memo is shown to be keyed by row
 values, not by vertex index or label.
+
+What a stage takes from what it has already proved is checked too: each
+face rank read off an independent facet (a vertex count) against the
+integer rank of the face's rows, each sign row, carried or solved, against
+a fresh ``side_signs``, and each rank a facet solve seeded into the memo
+against the integer rank of its rows.
 """
 
 from fractions import Fraction as F
@@ -20,22 +26,30 @@ from hypothesis import given
 import oracles
 from posetahedra import affine, corpus, geometry, linalg
 from posetahedra.geometry import AdmissiblePoset, initial_dual, tube_system
-from posetahedra.linalg import homogeneous
-from posetahedra.polytope import facet_through, polytope_from_data
-from strategies import SETTINGS, connected_posets
+from posetahedra.linalg import homogeneous, integer_rank
+from posetahedra.polytope import RankMemo, facet_through, polytope_from_data, side_signs, sides
+from strategies import SETTINGS, affine_posets, connected_posets
 
 
 def _stages(host):
-    """(polytope, admissible poset) of every stage of the host's realization."""
-    stages = []
-    rebuild = geometry.rebuild_from_lattice
+    """(polytope, admissible poset, the (rows, rank) its facet solves seeded
+    into the rank memo) of every stage of the host's realization."""
+    stages, seeds = [], []
+    rebuild, seed = geometry.rebuild_from_lattice, RankMemo.seed
 
     def recording(*args):
-        stages.append((rebuild(*args), args[3]))
-        return stages[-1][0]
+        first = len(seeds)
+        Q = rebuild(*args)
+        stages.append((Q, args[3], seeds[first:]))
+        return Q
+
+    def seeding(memo, rows, rank):
+        seeds.append((tuple(rows), rank))
+        seed(memo, rows, rank)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(geometry, "rebuild_from_lattice", recording)
+        mp.setattr(RankMemo, "seed", seeding)
         R = geometry.realize(host)
     assert len(stages) == len(R.melt_sequence) + 1
     return stages
@@ -50,7 +64,7 @@ def _le(host):
 def _check_every_stage(host):
     le = _le(host)
     ranks = {}  # the Fraction rank of each point set, which recurs from stage to stage
-    for Q, adm in _stages(host):
+    for Q, adm, seeded in _stages(host):
         old = oracles.admissible_tubings(host, adm.melted, tube_system, AdmissiblePoset)
         assert adm.elements == old.elements
         # each vertex was cleared once, and the rows handed on are its rows
@@ -70,6 +84,26 @@ def _check_every_stage(host):
         # carried and solved facets alike are the facets a solve from scratch gives
         assert list(Q.facets) == [facet_through(Q.rows, tight[Tf], Tf)[0]
                                   for Tf in adm.facets()]
+        _check_stage_facts(Q, adm, seeded)
+
+
+def _check_stage_facts(Q, adm, seeded):
+    """What the stage took from its own proofs equals a fresh computation."""
+    assert Q.signs == tuple(sides(side_signs(f.normal, f.offset, Q.rows)) for f in Q.facets)
+    tight_rows = {frozenset(Q.rows[k] for k in inc) for inc in Q.incidence}
+    for rows, rank in seeded:  # each the tight rows of a solved facet
+        assert frozenset(rows) in tight_rows
+        assert rank == integer_rank(rows) == Q.dim
+    # a facet of d vertices of rank d has independent rows, and a face below
+    # it has its vertex count as rank
+    independent = [f.label for f, inc in zip(Q.facets, Q.incidence)
+                   if len(inc) == Q.dim and integer_rank([Q.rows[k] for k in inc]) == Q.dim]
+    vertices_below = adm.order.below(Q.vertex_labels)
+    for i, T in enumerate(adm.elements):
+        below = vertices_below(i)
+        rows = [Q.rows[k] for k in range(Q.n_vertices) if below >> k & 1]
+        if any(adm.le(T, label) for label in independent):
+            assert below.bit_count() == integer_rank(rows), T
 
 
 @pytest.mark.parametrize("host", [corpus.w5(), corpus.h6(), corpus.circular_chain(3),
@@ -83,6 +117,13 @@ def test_every_stage_matches_the_definitions(host):
 @given(connected_posets())
 def test_every_stage_matches_the_definitions_on_random_posets(P):
     _check_every_stage(P)
+
+
+@SETTINGS
+@given(affine_posets())
+def test_stage_facts_on_random_affine_posets(A):
+    for stage in _stages(A):
+        _check_stage_facts(*stage)
 
 
 def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
