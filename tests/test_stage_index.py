@@ -27,7 +27,8 @@ import oracles
 from posetahedra import affine, corpus, geometry, linalg
 from posetahedra.geometry import AdmissiblePoset, initial_dual, tube_system
 from posetahedra.linalg import homogeneous, integer_rank
-from posetahedra.polytope import RankMemo, facet_through, polytope_from_data, side_signs, sides
+from posetahedra.polytope import (RankMemo, bit_positions, facet_through, polytope_from_data,
+                                   side_signs, sides)
 from strategies import SETTINGS, affine_posets, connected_posets
 
 
@@ -64,6 +65,7 @@ def _le(host):
 def _check_every_stage(host):
     le = _le(host)
     ranks = {}  # the Fraction rank of each point set, which recurs from stage to stage
+    integer_ranks = {}
     for Q, adm, seeded in _stages(host):
         old = oracles.admissible_tubings(host, adm.melted, tube_system, AdmissiblePoset)
         assert adm.elements == old.elements
@@ -84,26 +86,34 @@ def _check_every_stage(host):
         # carried and solved facets alike are the facets a solve from scratch gives
         assert list(Q.facets) == [facet_through(Q.rows, tight[Tf], Tf)[0]
                                   for Tf in adm.facets()]
-        _check_stage_facts(Q, adm, seeded)
+        _check_stage_facts(Q, adm, seeded, integer_ranks)
 
 
-def _check_stage_facts(Q, adm, seeded):
-    """What the stage took from its own proofs equals a fresh computation."""
+def _check_stage_facts(Q, adm, seeded, ranks):
+    """What the stage took from its own proofs equals a fresh computation;
+    ``ranks`` keeps the integer rank of each set of rows across stages."""
     assert Q.signs == tuple(sides(side_signs(f.normal, f.offset, Q.rows)) for f in Q.facets)
     tight_rows = {frozenset(Q.rows[k] for k in inc) for inc in Q.incidence}
     for rows, rank in seeded:  # each the tight rows of a solved facet
         assert frozenset(rows) in tight_rows
         assert rank == integer_rank(rows) == Q.dim
+
+    def rank(vertices):
+        rows = tuple(Q.rows[k] for k in sorted(vertices))
+        if rows not in ranks:
+            ranks[rows] = integer_rank(rows)
+        return ranks[rows]
+
     # a facet of d vertices of rank d has independent rows, and a face below
     # it has its vertex count as rank
-    independent = [f.label for f, inc in zip(Q.facets, Q.incidence)
-                   if len(inc) == Q.dim and integer_rank([Q.rows[k] for k in inc]) == Q.dim]
-    vertices_below = adm.order.below(Q.vertex_labels)
-    for i, T in enumerate(adm.elements):
-        below = vertices_below(i)
-        rows = [Q.rows[k] for k in range(Q.n_vertices) if below >> k & 1]
-        if any(adm.le(T, label) for label in independent):
-            assert below.bit_count() == integer_rank(rows), T
+    order = adm.order  # T <= F when mask(T) misses bad(F)
+    independent = [order.bads[order.index[f.label]] for f, inc in zip(Q.facets, Q.incidence)
+                   if len(inc) == Q.dim and rank(inc) == Q.dim]
+    vertices_below = order.below(Q.vertex_labels)
+    for i, mask in enumerate(order.masks):
+        if any(not mask & bad for bad in independent):
+            below = vertices_below(i)
+            assert below.bit_count() == rank(bit_positions(below)), adm.elements[i]
 
 
 @pytest.mark.parametrize("host", [corpus.w5(), corpus.h6(), corpus.circular_chain(3),
@@ -122,8 +132,9 @@ def test_every_stage_matches_the_definitions_on_random_posets(P):
 @SETTINGS
 @given(affine_posets())
 def test_stage_facts_on_random_affine_posets(A):
+    ranks = {}
     for stage in _stages(A):
-        _check_stage_facts(*stage)
+        _check_stage_facts(*stage, ranks)
 
 
 def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
