@@ -15,7 +15,9 @@ generating shifts.  For a pairwise laminar family of classes the weight
 from a to b is the least shift d at which the canonical instance of a has
 a dependency arrow to b + dn (``_shift_weight``); the arrows run from that
 shift upward, so the instance digraph has a cycle exactly when the closure
-has a closed walk of total weight <= 0.
+has a closed walk of total weight <= 0.  That closure is the cycle test of
+the host's one walk of its periodic tubings (``_class_walk``), which runs
+on ``tubes.walk_tubings`` as the finite walk does.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .polytope import RationalPolytope, order_chart_polytope
 from .poset import Poset, _is_connected, build_poset, dependency_order, quotient_poset
-from .tubes import CACHE_SIZE, block_partitions, connected_sets
+from .tubes import CACHE_SIZE, block_partitions, connected_sets, walk_tubings
 
 
 @dataclass(frozen=True)
@@ -384,30 +386,26 @@ class AffineTubing:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset[AffineTube], ...]:
-    """All proper periodic tubings as sets of class representatives; with
-    max_only, the maximal ones (n - 1 classes), filtered from the cached
-    full list.
+def _class_walk(A: AffinePoset) -> tuple[tuple[AffineTube, ...], tuple[tuple[int, ...], ...]]:
+    """One walk of the proper periodic tubings of A (``walk_tubings``) for
+    every face structure built from them.
 
-    The walk adds classes in index order.  A candidate must be laminar with
-    every chosen class (``compat`` bits) and keep the min-plus closure of the
-    shift weights free of closed walks of weight <= 0; the closure grows by
-    one class in O(k^2) for k chosen classes.  The walk reads weights only
-    between laminar classes, the diagonal included, so only those are filled.
+    The state is the min-plus closure of the chosen classes' shift weights;
+    a candidate must keep it free of closed walks of weight <= 0, and grows
+    it in O(k^2) for k chosen classes.  The walk reads weights only between
+    laminar classes, the diagonal included, so only those are filled.  No
+    family grows past n - 1 classes, the most a periodic tubing has.
     """
-    target = A.n - 1
-    if max_only:
-        return tuple(T for T in enumerate_affine_tubings(A) if len(T) == target)
     classes = enumerate_affine_tubes(A, proper_only=True)
     compat = [sum(1 << y for y, b in enumerate(classes) if class_nested_or_disjoint(A, a, b))
               for a in classes]
     weight = [[_shift_weight(A, a, b) if mask >> y & 1 else None for y, b in enumerate(classes)]
               for a, mask in zip(classes, compat)]
-    chosen: list[int] = []
-    out: list[frozenset[AffineTube]] = []
 
-    def grow(dist: list[list[int]], v: int) -> list[list[int]] | None:
+    def grow(chosen: list[int], dist: list[list[int]], v: int) -> list[list[int]] | None:
         """The closure over chosen + [v], or None if v closes a walk of weight <= 0."""
+        if len(chosen) == A.n - 1:
+            return None
         to_v = [min([weight[x][v]] + [row[z] + weight[y][v] for z, y in enumerate(chosen)])
                 for x, row in zip(chosen, dist)]
         from_v = [min([weight[v][y]] + [weight[v][x] + dist[z][j] for z, x in enumerate(chosen)])
@@ -418,29 +416,28 @@ def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[fr
         return [[min(d, t + f) for d, f in zip(row, from_v)] + [t]
                 for row, t in zip(dist, to_v)] + [from_v + [loop]]
 
-    def extend(allowed: int, start: int, dist: list[list[int]]) -> None:
-        out.append(frozenset(classes[x] for x in chosen))
-        if len(chosen) == target:
-            return
-        for v in range(start, len(classes)):
-            if allowed >> v & 1 and (grown := grow(dist, v)) is not None:
-                chosen.append(v)
-                extend(allowed & compat[v], v + 1, grown)
-                chosen.pop()
+    return walk_tubings(classes, compat, grow)
 
-    extend(sum(1 << x for x, mask in enumerate(compat) if mask >> x & 1), 0, [])
-    out.sort(key=lambda T: (len(T), tuple(sorted(c.members for c in T))))
-    return tuple(out)
+
+@lru_cache(maxsize=CACHE_SIZE)
+def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset, ...]:
+    """All proper periodic tubings as sets of class representatives, from
+    the host's one walk (``_class_walk``); with max_only, the maximal ones
+    (n - 1 classes).  They are sorted by size, then by the members of their
+    classes in members order (not ``AffineTube.key`` order).
+    """
+    classes, found = _class_walk(A)
+    if max_only:
+        found = [ranks for ranks in found if len(ranks) == A.n - 1]
+    # ranks are in members order, so sorted ranks sort as sorted members do
+    return tuple(frozenset(map(classes.__getitem__, ranks))
+                 for ranks in sorted(found, key=lambda ranks: (len(ranks), sorted(ranks))))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cyclohedron_face_lattice(A: AffinePoset) -> FaceLattice:
     """The face lattice of the affine poset cyclohedron, of dimension n - 1."""
-    classes = sorted(enumerate_affine_tubes(A, proper_only=True), key=lambda c: c.members)
-    bit = {c: 1 << k for k, c in enumerate(reversed(classes))}  # descending members order
-    tubings = enumerate_affine_tubings(A)
-    return tubing_face_lattice("cyclohedron", tubings,
-                               [sum(map(bit.__getitem__, T)) for T in tubings], A.n - 1)
+    return tubing_face_lattice("cyclohedron", *_class_walk(A), A.n - 1)
 
 
 def tube_from_signed_pair(A: AffinePoset, kplus, kminus) -> AffineTube:

@@ -78,21 +78,29 @@ def _lattice_faces_json(L) -> list:
     return out
 
 
-def cmd_assoc_faces(args) -> int:
-    P = _load_poset(args.file)
+def cmd_faces(args) -> int:
+    host = args.load(args.file)
     if args.fvector:
-        print(" ".join(map(str, f_vector(associahedron_face_lattice(P)))))
+        print(" ".join(map(str, f_vector(args.lattice(host)))))
     elif args.hvector:
-        print(" ".join(map(str, h_vector(associahedron_face_lattice(P)))))
+        print(" ".join(map(str, h_vector(args.lattice(host)))))
     elif args.flag_check:  # reads the tubing walk alone, not the face lattice
-        check = is_flag_dual(P)
+        check = is_flag_dual(host)
         _emit({"flag": check.ok,
                "witness": None if check.witness is None
                else [list(t.members) for t in check.witness]}, None)
     else:
-        L = associahedron_face_lattice(P)
-        _emit({"dim": L.dim, "faces": _lattice_faces_json(L)}, None)
+        L = args.lattice(host)
+        _emit({"dim": L.dim, "faces": _lattice_faces_json(L), **args.extra(host)}, None)
     return 0
+
+
+def _faces_parser(parser, load, lattice, extra) -> None:
+    """``extra(host)`` adds keys to the face-lattice JSON."""
+    parser.add_argument("file")
+    parser.add_argument("--fvector", action="store_true")
+    parser.add_argument("--hvector", action="store_true")
+    parser.set_defaults(fn=cmd_faces, load=load, lattice=lattice, extra=extra, flag_check=False)
 
 
 def cmd_realize(args) -> int:
@@ -110,19 +118,6 @@ def _realize_parser(parser, load, realize) -> None:
     parser.add_argument("--format", choices=("json", "off"), default="json")
     parser.add_argument("--precision", type=int, default=12)
     parser.set_defaults(fn=cmd_realize, load=load, realize=realize)
-
-
-def cmd_cyclo_faces(args) -> int:
-    A = _load_affine(args.file)
-    L = cyclohedron_face_lattice(A)
-    if args.fvector:
-        print(" ".join(map(str, f_vector(L))))
-    elif args.hvector:
-        print(" ".join(map(str, h_vector(L))))
-    else:
-        _emit({"dim": L.dim, "faces": _lattice_faces_json(L),
-               "classes": [list(t.members) for t in enumerate_affine_tubes(A)]}, None)
-    return 0
 
 
 def cmd_compact_synthesize(args) -> int:
@@ -197,21 +192,15 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("assoc", help="poset associahedron")
     asub = a.add_subparsers(dest="sub", required=True)
     af = asub.add_parser("faces", help="face lattice and statistics")
-    af.add_argument("file")
-    af.add_argument("--fvector", action="store_true")
-    af.add_argument("--hvector", action="store_true")
+    _faces_parser(af, _load_poset, associahedron_face_lattice, lambda P: {})
     af.add_argument("--flag-check", dest="flag_check", action="store_true")
-    af.set_defaults(fn=cmd_assoc_faces)
     _realize_parser(asub.add_parser("realize", help="certified rational realization"),
                     _load_poset, realize_poset_associahedron)
 
     c = sub.add_parser("cyclo", help="affine poset cyclohedron")
     csub = c.add_subparsers(dest="sub", required=True)
-    cf = csub.add_parser("faces")
-    cf.add_argument("file")
-    cf.add_argument("--fvector", action="store_true")
-    cf.add_argument("--hvector", action="store_true")
-    cf.set_defaults(fn=cmd_cyclo_faces)
+    _faces_parser(csub.add_parser("faces"), _load_affine, cyclohedron_face_lattice,
+                  lambda A: {"classes": [list(t.members) for t in enumerate_affine_tubes(A)]})
     _realize_parser(csub.add_parser("realize"), _load_affine, realize_affine_cyclohedron)
 
     k = sub.add_parser("compact", help="compactified configuration spaces")

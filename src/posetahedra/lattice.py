@@ -1,5 +1,7 @@
-"""Graded face lattices: tubings for the main polytope, tubing partitions
-for the order polytope, plus f/h-vectors, flagness and face factorizations.
+"""Graded face lattices: tubings for the main polytope, finite or affine,
+from the host's one tubing walk by one builder (``tubing_face_lattice``),
+tubing partitions for the order polytope, plus f/h-vectors, flagness and
+face factorizations.
 
 Face keys are frozensets of tubes (or of partition blocks); the empty face
 is the ``EMPTY`` sentinel so Euler checks run uniformly.
@@ -113,20 +115,22 @@ class FaceLattice:
         return sum(-1 if d % 2 else 1 for d in self.dims)
 
 
-def tubing_face_lattice(kind: str, faces: Sequence[frozenset], masks: Sequence[int],
+def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Sequence[tuple[int, ...]],
                         dim: int) -> FaceLattice:
-    """Faces are proper tubings under reverse inclusion.
+    """Faces are proper tubings under reverse inclusion, read off a host's
+    one tubing walk (``walk_tubings``): tubes in members order, tubings as
+    tuples of ranks.
 
-    ``faces`` lists every proper tubing as a frozenset of tubes and
-    ``masks`` the same tubings as bitmasks over tube positions, which run in
-    descending members order.  A tubing of k tubes is a face of dimension
-    dim - k; within one dimension the descending order of the masks is the
-    ascending members order of the faces.  The faces covering a tubing are
-    its mask with one bit cleared, lowest bit first, so in face order; the
-    empty face sits below the vertices (the tubings of dim tubes).
+    A tubing is a bitmask over tube positions, which run in descending
+    members order; one of k tubes is a face of dimension dim - k, and within
+    one dimension the descending order of the masks is the ascending members
+    order of the faces.  The faces covering a tubing are its mask with one
+    bit cleared, lowest bit first, so in face order; the empty face sits
+    below the vertices (the tubings of dim tubes).
     """
-    width = max(masks, default=0).bit_length()
-    keys = [mask.bit_count() << width | mask for mask in masks]
+    bits = [1 << k for k in reversed(range(len(tubes)))]  # descending members order
+    masks = [sum(map(bits.__getitem__, ranks)) for ranks in tubings]
+    keys = [mask.bit_count() << len(tubes) | mask for mask in masks]
     order = sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
     masks = [masks[i] for i in order]
     dims = [dim - mask.bit_count() for mask in masks]
@@ -138,20 +142,16 @@ def tubing_face_lattice(kind: str, faces: Sequence[frozenset], masks: Sequence[i
             low = rest & -rest
             rest ^= low
             covers.append((p, position[mask ^ low]))
-    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *(faces[i] for i in order)),
-                       dims=(-1, *dims), covers=tuple(covers))
+    faces = (frozenset(map(tubes.__getitem__, tubings[i])) for i in order)
+    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *faces), dims=(-1, *dims),
+                       covers=tuple(covers))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def associahedron_face_lattice(P: Poset) -> FaceLattice:
     """The face lattice of the poset associahedron, of dimension |P| - 2,
     from the host's one tubing walk."""
-    tubes, tubings, _ = tubing_walk(P)
-    bits = [1 << k for k in reversed(range(len(tubes)))]  # descending members order
-    return tubing_face_lattice("associahedron",
-                               [frozenset(map(tubes.__getitem__, ranks)) for ranks in tubings],
-                               [sum(map(bits.__getitem__, ranks)) for ranks in tubings],
-                               len(P.elements) - 2)
+    return tubing_face_lattice("associahedron", *tubing_walk(P)[:2], len(P.elements) - 2)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -3,10 +3,12 @@
 A tube is a convex connected nonempty subset; a tubing is a family of tubes
 that is pairwise nested-or-disjoint whose dependency digraph (edges between
 disjoint tubes carrying an order relation) is acyclic.  The non-singleton
-tubes of a host are indexed once as integer bitsets (``tube_table``), and
-one backtracker walks the complex of proper tubings on that index with a
-reach-set cycle test, once per host (``tubing_walk``); the complex is not
-flag, so clique-style shortcuts would be unsound.
+tubes of a host are indexed once as integer bitsets (``tube_table``).
+``walk_tubings`` is the one tubing backtracker of finite and affine hosts:
+it walks compatibility bitmasks and asks the host for the cycle test.  A
+finite host's test keeps reach sets, and its complex is walked once
+(``tubing_walk``); the complex is not flag, so clique-style shortcuts
+would be unsound.
 """
 
 from __future__ import annotations
@@ -264,75 +266,74 @@ def tube_table(P: Poset) -> TubeTable:
     return TubeTable(tubes, masks, ups, sup, tuple(above.values()), compat, arrow, arrow_in)
 
 
-def walk_tubings(table: TubeTable, visit, reject=None) -> None:
-    """Depth-first over the proper tubings of a host's ``tube_table``, each
-    before its extensions.
+def walk_tubings(tubes: Sequence, compat: Sequence[int], grow) -> tuple[tuple, tuple]:
+    """The one tubing backtracker of finite and affine hosts: depth-first,
+    each tubing before its extensions.
 
-    ``visit(chosen)`` sees every tubing as its increasing list of tube
-    indices.  A candidate is taken when it is compatible with every chosen
-    tube and closes no cycle of the dependency digraph.  The chosen prefix
-    is acyclic, so a new cycle runs through the candidate: ``reach[d]`` is
-    the set of chosen tubes reachable from ``chosen[d]`` (itself included),
-    and the candidate closes a cycle iff a tube it reaches has an arrow into
-    it.  ``reject(chosen, i)`` sees each compatible candidate i that closes
-    a cycle.
+    ``compat[k]`` holds the positions nested with or disjoint from
+    ``tubes[k]``.  For each compatible candidate i, ``grow(chosen, state,
+    i)`` returns the cycle-test state of ``chosen + [i]``, or None when i
+    closes a cycle; the empty family's state is ``[]``.  Returns (tubes in
+    members order, tubings in walk order), each tubing the tuple of its
+    tubes' ranks there, in position order.
     """
-    compat, arrow, arrow_in = table.compat, table.arrow, table.arrow_in
+    order = sorted(range(len(tubes)), key=lambda k: tubes[k].members)
+    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
+    found: list[tuple[int, ...]] = []
     chosen: list[int] = []
 
-    def extend(start: int, allowed: int, reach: list[int]) -> None:
-        visit(chosen)
+    def extend(start: int, allowed: int, state: list) -> None:
+        found.append(tuple(map(rank.__getitem__, chosen)))
         candidates = allowed >> start << start
         while candidates:
             low = candidates & -candidates
             candidates ^= low
             i = low.bit_length() - 1
-            out, into = arrow[i], arrow_in[i]
-            reached = low
-            for j, r in zip(chosen, reach):
-                if out >> j & 1:
-                    reached |= r
-            if reached & into:
-                if reject is not None:
-                    reject(chosen, i)
-                continue
-            chosen.append(i)
-            extend(i + 1, allowed & compat[i],
-                   [r | reached if r & into else r for r in reach] + [reached])
-            chosen.pop()
+            grown = grow(chosen, state, i)
+            if grown is not None:
+                chosen.append(i)
+                extend(i + 1, allowed & compat[i], grown)
+                chosen.pop()
 
     extend(0, (1 << len(compat)) - 1, [])
+    return tuple(tubes[k] for k in order), tuple(found)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[tuple[int, ...], ...],
                                    tuple[Tube, ...] | None]:
     """One walk of the proper tubings of P for every face structure built
-    from them: (tubes, tubings, witness).  ``tubes`` are the proper tubes in
-    members order; a tubing is the tuple of its tubes' ranks there, in
-    ``Tubing.sorted_tubes`` order, and tubings come in walk order.  Only a
-    candidate the walk rejects for closing a cycle can be a flag witness:
-    ``witness`` is the first that passes ``is_tubing`` on every subfamily,
-    so it is minimal (None when the complex is flag).
+    from them: ``walk_tubings`` on ``tube_table``, plus a flag witness.
+
+    The state is a list of reach sets: ``reach[d]`` holds the chosen
+    positions reachable from ``chosen[d]``, itself included.  The prefix is
+    acyclic, so candidate i closes a cycle iff a position it reaches has an
+    arrow into it.  Only such a candidate can be a flag witness: ``witness``
+    is the first that passes ``is_tubing`` on every subfamily, so it is
+    minimal (None when the complex is flag).
     """
     table = tube_table(P)
     tubes = table.tubes[:-1]
-    order = sorted(range(len(tubes)), key=lambda k: tubes[k].members)
-    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-    found: list[tuple[int, ...]] = []
+    arrow, arrow_in = table.arrow, table.arrow_in
     witness: list[tuple[Tube, ...]] = []
 
-    def reject(chosen: list[int], i: int) -> None:
-        two_cycles = table.arrow[i] & table.arrow_in[i]
+    def grow(chosen: list[int], reach: list[int], i: int) -> list[int] | None:
+        out, into = arrow[i], arrow_in[i]
+        reached = 1 << i
+        for j, r in zip(chosen, reach):
+            if out >> j & 1:
+                reached |= r
+        if not reached & into:
+            return [r | reached if r & into else r for r in reach] + [reached]
+        two_cycles = out & into
         if witness or len(chosen) < 2 or any(two_cycles >> j & 1 for j in chosen):
-            return  # a witness is known, or a pair of the candidate is no tubing
+            return None  # a witness is known, or a pair of the candidate is no tubing
         family = [tubes[k] for k in chosen] + [tubes[i]]
         if all(is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))):
             witness.append(tuple(family))
+        return None
 
-    walk_tubings(table, lambda chosen: found.append(tuple(map(rank.__getitem__, chosen))),
-                 reject)
-    return tuple(tubes[k] for k in order), tuple(found), witness[0] if witness else None
+    return (*walk_tubings(tubes, table.compat, grow), witness[0] if witness else None)
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -950,22 +950,16 @@ def admissible_tubings(P, M, tube_system, AdmissiblePoset):
     return AdmissiblePoset(host=P, melted=M, elements=elements)
 
 
-def walk_proper_tubings(P, max_only, tube_table, walk_tubings, Tubing):
-    """The old ``tubes.enumerate_proper_tubings``: max_only walks again.  The
-    walk now runs on the host's ``tube_table``, which has the old tube
-    complex's proper tubes at the same positions and the root after them."""
-    cx = tube_table(P)
-    found = []
-
-    def visit(chosen):
-        if not max_only or len(chosen) == len(P.elements) - 2:
-            found.append(tuple(chosen))
-
-    walk_tubings(cx, visit)
-    tubes = cx.tubes
-    # chosen indices increase, so they list the tubes in Tubing.sorted_tubes order
-    found.sort(key=lambda idxs: (len(idxs), tuple(tubes[k].members for k in idxs)))
-    return tuple(Tubing(P, frozenset(tubes[k] for k in idxs)) for idxs in found)
+def walk_proper_tubings(P, max_only, walk, Tubing):
+    """The old ``tubes.enumerate_proper_tubings``: max_only walks again, on
+    an uncached ``walk`` of the host that lists the proper tubes in members
+    order and each tubing as the ranks of its tubes there."""
+    tubes, tubings, _ = walk(P)
+    found = [ranks for ranks in tubings if not max_only or len(ranks) == len(P.elements) - 2]
+    # a tubing's members in Tube.key order, as Tubing.sorted_tubes lists them
+    found.sort(key=lambda ranks: (len(ranks), tuple(sorted((tubes[k].members for k in ranks),
+                                                           key=lambda m: (len(m), m)))))
+    return tuple(Tubing(P, frozenset(tubes[k] for k in ranks)) for ranks in found)
 
 
 def enumerate_affine_tubings(A, max_only, enumerate_affine_tubes, class_nested_or_disjoint,

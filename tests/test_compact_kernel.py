@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import oracles
 from posetahedra import corpus
 from posetahedra.affine import (
+    _class_walk,
     build_affine_poset,
     cyclohedron_face_lattice,
     enumerate_affine_tubes,
@@ -283,7 +284,7 @@ def test_host_caches_are_bounded():
               tube_table, tubing_walk, associahedron_face_lattice,
               order_polytope_face_lattice,
               tubing_partitions, enumerate_affine_tubes, enumerate_affine_tubings,
-              cyclohedron_face_lattice, tube_index)
+              cyclohedron_face_lattice, _class_walk, tube_index)
     for cache in caches:
         assert cache.cache_info().maxsize == CACHE_SIZE
     for shift in range(CACHE_SIZE + 1):  # three-element chains on distinct ids
@@ -295,6 +296,7 @@ def test_host_caches_are_bounded():
         # period-1 hosts with distinct generators: each a cache entry, no tubes
         A = build_affine_poset(1, [(1, shift + 2)])
         cyclohedron_face_lattice(A)
+        enumerate_affine_tubings(A)
         tube_index(P)
         tube_index(A)
     for cache in caches:

@@ -15,6 +15,7 @@ from posetahedra.affine import (
     AffineTubing,
     _acyclic,
     _affine_root_partitions,
+    _class_walk,
     _children_partition,
     class_contains,
     class_nested_or_disjoint,
@@ -83,7 +84,7 @@ def check_tubings(P):
         got = enumerate_proper_tubings(P, max_only)
         assert [T.tubes for T in got] == oracles.enumerate_proper_tubings(P, Tube, max_only)
         # the maximal tubings come from the cached walk, in the order a walk of their own gave
-        assert got == oracles.walk_proper_tubings(P, max_only, tube_table, walk_tubings,
+        assert got == oracles.walk_proper_tubings(P, max_only, tubing_walk.__wrapped__,
                                                   Tubing), max_only
 
 
@@ -181,6 +182,15 @@ def test_cyclohedron_lattice_matches_old_builder(name):
     assert_same_lattice(L, oracles.cyclohedron_face_lattice(A.n, enumerate_affine_tubings(A)))
 
 
+@SETTINGS
+@given(affine_posets())
+def test_random_cyclohedron_lattices_match_old_builder(A):
+    """The lattice against the old builder, fed by the old walk and rule."""
+    L = cyclohedron_face_lattice(A)
+    assert (L.kind, L.dim) == ("cyclohedron", A.n - 1)
+    assert_same_lattice(L, oracles.cyclohedron_face_lattice(A.n, old_affine_walk(A, False)))
+
+
 # The old periodic tubing check (root-block Floyd–Warshall plus a finite cycle
 # check per class), so the old walk below does not share the new rule.
 OLD_IS_AFFINE_TUBING = oracles.affine_tubing_check(
@@ -245,7 +255,8 @@ def test_affine_walk_never_calls_is_affine_tubing(monkeypatch):
         return is_affine_tubing(A, classes)
 
     monkeypatch.setattr(affine, "is_affine_tubing", spy)
-    enumerate_affine_tubings.cache_clear()
+    for cache in (_class_walk, enumerate_affine_tubings):
+        cache.cache_clear()
     for A in corpus.DESK_AFFINE.values():
         assert enumerate_affine_tubings(A) == old_affine_walk(A, False)
     assert calls == []
@@ -259,9 +270,9 @@ def test_each_complex_is_walked_once(monkeypatch, first):
     share one walk of its complex, whichever is asked for first."""
     walks = []
 
-    def counted(cx, visit, reject=None):
-        walks.append(cx)
-        return walk_tubings(cx, visit, reject)
+    def counted(tubes_, compat, grow):
+        walks.append(tubes_)
+        return walk_tubings(tubes_, compat, grow)
 
     monkeypatch.setattr(tubes, "walk_tubings", counted)
     readers = {"flag": lambda P: is_flag_dual(P).witness,
@@ -278,6 +289,31 @@ def test_each_complex_is_walked_once(monkeypatch, first):
             witnesses.append(is_flag_dual(P).witness)
         assert len(walks) == 1, (name, walks)
         assert set(witnesses) == {oracles.is_flag_dual(P, Tube)[1]}, name
+        walks.clear()
+
+
+@pytest.mark.parametrize("first", ["lattice", "maximal"])
+def test_each_affine_complex_is_walked_once(monkeypatch, first):
+    """The face lattice and the maximal tubings of an affine host share one
+    walk of its classes, whichever is asked for first."""
+    walks = []
+
+    def counted(classes, compat, grow):
+        walks.append(classes)
+        return walk_tubings(classes, compat, grow)
+
+    monkeypatch.setattr(affine, "walk_tubings", counted)
+    readers = {"lattice": cyclohedron_face_lattice,
+               "maximal": lambda A: enumerate_affine_tubings(A, max_only=True)}
+    order = [first, *(name for name in readers if name != first)]
+    for cache in (_class_walk, cyclohedron_face_lattice, enumerate_affine_tubings):
+        cache.cache_clear()
+    for name in sorted(AFFINE_HOSTS):
+        A = AFFINE_HOSTS[name]
+        for reader in order:
+            readers[reader](A)
+        assert len(walks) == 1, (name, walks)
+        assert enumerate_affine_tubings(A, max_only=True) == old_affine_walk(A, True), name
         walks.clear()
 
 
