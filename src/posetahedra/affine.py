@@ -386,7 +386,7 @@ class AffineTubing:
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def _class_walk(A: AffinePoset) -> tuple[tuple[AffineTube, ...], tuple[tuple[int, ...], ...]]:
+def _class_walk(A: AffinePoset) -> tuple[tuple[AffineTube, ...], tuple[int, ...]]:
     """One walk of the proper periodic tubings of A (``walk_tubings``) for
     every face structure built from them.
 
@@ -421,22 +421,21 @@ def _class_walk(A: AffinePoset) -> tuple[tuple[AffineTube, ...], tuple[tuple[int
 
 @lru_cache(maxsize=CACHE_SIZE)
 def enumerate_affine_tubings(A: AffinePoset, max_only: bool = False) -> tuple[frozenset, ...]:
-    """All proper periodic tubings as sets of class representatives, from
-    the host's one walk (``_class_walk``); with max_only, the maximal ones
-    (n - 1 classes).  They are sorted by size, then by the members of their
-    classes in members order (not ``AffineTube.key`` order).
+    """All proper periodic tubings as sets of class representatives: the
+    keys of the host's face lattice, from the empty tubing (the top face)
+    down, so they are shared with it; with max_only, the maximal ones (n - 1
+    classes, the vertices).  They are sorted by size, then by the members
+    of their classes in members order (not ``AffineTube.key`` order).
     """
-    classes, found = _class_walk(A)
-    if max_only:
-        found = [ranks for ranks in found if len(ranks) == A.n - 1]
-    # ranks are in members order, so sorted ranks sort as sorted members do
-    return tuple(frozenset(map(classes.__getitem__, ranks))
-                 for ranks in sorted(found, key=lambda ranks: (len(ranks), sorted(ranks))))
+    L = cyclohedron_face_lattice(A)
+    return L.faces_of_dim(0) if max_only else tuple(
+        itertools.chain.from_iterable(map(L.faces_of_dim, range(L.dim, -1, -1))))
 
 
 @lru_cache(maxsize=CACHE_SIZE)
 def cyclohedron_face_lattice(A: AffinePoset) -> FaceLattice:
-    """The face lattice of the affine poset cyclohedron, of dimension n - 1."""
+    """The face lattice of the affine poset cyclohedron, of dimension n - 1,
+    from the host's one walk (``_class_walk``)."""
     return tubing_face_lattice("cyclohedron", *_class_walk(A), A.n - 1)
 
 

@@ -356,8 +356,10 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
 
     Facets are evaluated in integers on the centroid's cleared row: for
     each facet, nx = E D <n, x> and nb = E D b with the same E, D > 0.  As
-    <n, (1 + eps) x> = (1 + eps) <n, x>, the same values tell whether the
-    new point is beyond each facet.
+    <n, (1 + eps) x> = (1 + eps) <n, x>, the same values sign the new point
+    against each facet: it must be beyond exactly the facets containing the
+    face and strictly beneath the others, which is the sign a stellar
+    subdivision gives it in the rows of the facets it carries.
     """
     pts = [Q.vertices[i] for i in sorted(face_ids)]
     x = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
@@ -379,8 +381,8 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
     k = 0 if bound is None else (bound.denominator // bound.numerator).bit_length()
     scale = 1 + Fraction(1, 1 << k)
     for (nx, nb), inc in zip(values, Q.incidence):
-        beyond = scale.numerator * nx > scale.denominator * nb
-        if beyond != (face_ids <= inc):
+        side = scale.numerator * nx - scale.denominator * nb
+        if not side or (side > 0) != (face_ids <= inc):
             raise EpsilonInfeasibleError("pull-out point misclassifies a facet")
     return tuple(scale * c for c in x)
 
@@ -490,7 +492,7 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     facet not containing the face keeps its hyperplane and its vertices (a
     vertex is removed only when the face is that vertex), so it is carried
     with its sign row: its signs at the kept vertices, whose rows are kept,
-    and the new vertex signed against it.
+    and the new vertex strictly beneath it, as ``_pullout_point`` signed it.
     """
     face_ids = frozenset(face_vertex_ids)
     if Q.face_from_vertices(face_ids) != face_ids:
@@ -508,20 +510,17 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     # kept vertices keep their cleared rows; only the new one is cleared
     vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
     labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
-    new_row = homogeneous(new_point)
-    rows = tuple(Q.rows[k] for k in kept) + (new_row,)
+    rows = tuple(Q.rows[k] for k in kept) + (homogeneous(new_point),)
     position = dict(zip(kept, range(len(kept))))  # old vertex -> new vertex
     # a sign bitset drops the removed vertex, if any, by shifting the bits
-    # above it down one, and gains the new vertex as its top bit
+    # above it down one; the new vertex, its top bit, is beneath: 0 in both
     gone = next((k for k, old in enumerate(kept) if k != old), len(kept))
-    low, new = (1 << gone) - 1, len(kept)
+    low = (1 << gone) - 1
     carried = {}
     for facet, inc, (on, beyond) in zip(Q.facets, Q.incidence, Q.signs):
         if not face_ids <= inc and all(v in position for v in inc):
-            value = sum(map(mul, facet.halfspace, new_row))
             carried[sum(1 << position[v] for v in inc)] = facet, (
-                on & low | on >> (gone + 1) << gone | (value == 0) << new,
-                beyond & low | beyond >> (gone + 1) << gone | (value > 0) << new)
+                on & low | on >> (gone + 1) << gone, beyond & low | beyond >> (gone + 1) << gone)
     return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks, carried)
 
 

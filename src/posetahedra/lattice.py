@@ -4,19 +4,22 @@ tubing partitions for the order polytope, plus f/h-vectors, flagness and
 face factorizations.
 
 Face keys are frozensets of tubes (or of partition blocks); the empty face
-is the ``EMPTY`` sentinel so Euler checks run uniformly.
+is the ``EMPTY`` sentinel so Euler checks run uniformly.  A tubing lattice
+holds its faces as the walk's masks and builds a key only when it is read
+(``TubingFaces``): f/h-vectors, gradedness and Euler sums read none.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotGradedError
-from .poset import Poset, dependency_order, quotient_poset
+from .poset import Poset, bit_positions, dependency_order, quotient_poset
 from .tubes import (
     CACHE_SIZE,
     Tube,
@@ -40,9 +43,54 @@ EMPTY = _EmptyFace()
 FaceKey = object  # frozenset[Tube] | _EmptyFace
 
 
-class _CoverIndex(NamedTuple):
-    upper: tuple[tuple[int, ...], ...]  # upper[i]: faces covering face i
-    index: dict  # face key -> position in ``faces``
+def _tubing_key(tubes: Sequence, mask: int) -> frozenset:
+    """The face key of a tubing mask: bit b stands for ``tubes[b]``."""
+    return frozenset(map(tubes.__getitem__, bit_positions(mask)))
+
+
+class TubingFaces(abc.Sequence):
+    """The face keys of a tubing lattice, read-only: ``EMPTY``, then the
+    frozenset of tubes of each mask (``_tubing_key``), built on first read
+    and kept.  Counting the faces builds no key.  It equals, and hashes
+    as, the tuple of its keys.
+    """
+
+    __slots__ = ("tubes", "masks", "_key")
+
+    def __init__(self, tubes: Sequence, masks: Sequence[int]):
+        self.tubes, self.masks = tubes, masks
+        built: list = []  # filled with keys as they are read
+
+        def key(p: int):
+            if not built:
+                built.extend([None] * len(masks))
+            face = built[p]
+            if face is None:
+                face = built[p] = _tubing_key(tubes, masks[p])
+            return face
+
+        self._key = key
+
+    def __len__(self) -> int:
+        return len(self.masks) + 1
+
+    def __getitem__(self, i: int):
+        i = range(len(self))[i]  # negative indices, and IndexError past the end
+        return EMPTY if i == 0 else self._key(i - 1)
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, TubingFaces)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
 
 
 @dataclass(frozen=True)
@@ -52,37 +100,42 @@ class FaceLattice:
     ``faces[i]`` has dimension ``dims[i]``; ``covers`` holds index pairs
     (lower, upper) with a dimension gap of exactly one.  The top face (the
     polytope itself) is included; so is the empty face at dimension -1.
+    ``faces`` is a tuple, or for a tubing lattice a ``TubingFaces``.
     """
 
     kind: str
     dim: int
-    faces: tuple[FaceKey, ...]
+    faces: Sequence[FaceKey]
     dims: tuple[int, ...]
     covers: tuple[tuple[int, int], ...]
 
     @cached_property
-    def _cover_index(self) -> _CoverIndex:
-        """Per-face upper cover tuples and the key -> index dict.
-
-        Built on first use, so lattices whose covers are never read (the
-        realization builds many) do not pay for it.
-        """
-        upper: list[list[int]] = [[] for _ in self.faces]
+    def _upper(self) -> tuple[tuple[int, ...], ...]:
+        """Per face, the faces covering it; built on first use, so lattices
+        whose covers are never read (the realization builds many) do not pay
+        for it."""
+        upper: list[list[int]] = [[] for _ in self.dims]
         for a, b in self.covers:
             upper[a].append(b)
-        return _CoverIndex(tuple(map(tuple, upper)), {key: i for i, key in enumerate(self.faces)})
+        return tuple(map(tuple, upper))
+
+    @cached_property
+    def _index(self) -> dict:
+        """Face key -> position in ``faces``; reads every key."""
+        return {key: i for i, key in enumerate(self.faces)}
 
     def index(self, key: FaceKey) -> int:
         try:
-            return self._cover_index.index[key]
+            return self._index[key]
         except KeyError:
             raise ValueError(f"{key} is not a face of this lattice") from None
 
     def faces_of_dim(self, d: int) -> tuple[FaceKey, ...]:
-        return tuple(f for f, fd in zip(self.faces, self.dims) if fd == d)
+        """The keys of dimension d; no other key is read."""
+        return tuple(self.faces[i] for i, fd in enumerate(self.dims) if fd == d)
 
     def upper_covers(self, i: int) -> tuple[int, ...]:
-        return self._cover_index.upper[i]
+        return self._upper[i]
 
     def check_graded(self) -> None:
         """Raise NotGradedError unless the lattice is graded by its dims.
@@ -115,24 +168,21 @@ class FaceLattice:
         return sum(-1 if d % 2 else 1 for d in self.dims)
 
 
-def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Sequence[tuple[int, ...]],
+def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Sequence[int],
                         dim: int) -> FaceLattice:
     """Faces are proper tubings under reverse inclusion, read off a host's
-    one tubing walk (``walk_tubings``): tubes in members order, tubings as
-    tuples of ranks.
+    one tubing walk (``walk_tubings``): tubes in descending members order,
+    tubings as masks over them.
 
-    A tubing is a bitmask over tube positions, which run in descending
-    members order; one of k tubes is a face of dimension dim - k, and within
-    one dimension the descending order of the masks is the ascending members
-    order of the faces.  The faces covering a tubing are its mask with one
-    bit cleared, lowest bit first, so in face order; the empty face sits
-    below the vertices (the tubings of dim tubes).
+    One of k tubes is a face of dimension dim - k, and within one dimension
+    the descending order of the masks is the ascending members order of the
+    faces.  The faces covering a tubing are its mask with one bit cleared,
+    lowest bit first, so in face order; the empty face sits below the
+    vertices (the tubings of dim tubes).  Face keys are built when read
+    (``TubingFaces``).
     """
-    bits = [1 << k for k in reversed(range(len(tubes)))]  # descending members order
-    masks = [sum(map(bits.__getitem__, ranks)) for ranks in tubings]
-    keys = [mask.bit_count() << len(tubes) | mask for mask in masks]
-    order = sorted(range(len(masks)), key=keys.__getitem__, reverse=True)
-    masks = [masks[i] for i in order]
+    masks = sorted(tubings, reverse=True)
+    masks.sort(key=int.bit_count, reverse=True)  # stable: by size, each size as above
     dims = [dim - mask.bit_count() for mask in masks]
     position = {mask: p for p, mask in enumerate(masks, 1)}  # EMPTY is face 0
     covers = [(0, p) for p, d in enumerate(dims, 1) if d == 0]
@@ -142,9 +192,8 @@ def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Sequence[tuple[int,
             low = rest & -rest
             rest ^= low
             covers.append((p, position[mask ^ low]))
-    faces = (frozenset(map(tubes.__getitem__, tubings[i])) for i in order)
-    return FaceLattice(kind=kind, dim=dim, faces=(EMPTY, *faces), dims=(-1, *dims),
-                       covers=tuple(covers))
+    return FaceLattice(kind=kind, dim=dim, faces=TubingFaces(tuple(tubes), tuple(masks)),
+                       dims=(-1, *dims), covers=tuple(covers))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

@@ -29,6 +29,7 @@ from typing import Iterable, Mapping, Sequence
 
 from . import linalg
 from .errors import MismatchError, NotAFaceError, OriginNotInteriorError
+from .poset import bit_positions
 from .rational import frac
 
 Point = tuple[Fraction, ...]
@@ -215,16 +216,6 @@ def sides(signs) -> tuple[int, int]:
     """A sign row as two bitsets of positions: its zeros, and its ones."""
     return (sum(1 << k for k in compress(count(), map(not_, signs))),
             sum(1 << k for k in compress(count(), map((1).__eq__, signs))))
-
-
-def bit_positions(x: int) -> list[int]:
-    """Positions of the set bits of x >= 0, ascending."""
-    out = []
-    while x:
-        low = x & -x
-        out.append(low.bit_length() - 1)
-        x ^= low
-    return out
 
 
 def union_table(sets: Sequence[int]):

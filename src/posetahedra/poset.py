@@ -88,6 +88,16 @@ def _members(subset) -> tuple[int, ...]:
     return tuple(sorted(set(subset)))
 
 
+def bit_positions(x: int) -> list[int]:
+    """Positions of the set bits of x >= 0, ascending."""
+    out = []
+    while x:
+        low = x & -x
+        out.append(low.bit_length() - 1)
+        x ^= low
+    return out
+
+
 def dependency_order(into: Sequence[int], waiting: int) -> tuple[list[int], int]:
     """Place the vertices of the bitset ``waiting`` in dependency order.
 

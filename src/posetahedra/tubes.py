@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import or_
+from operator import neg, or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -27,7 +27,8 @@ from .errors import (
     NotATubeError,
     NotATubingError,
 )
-from .poset import MAX_ELEMENTS, Poset, build_poset, dependency_order, is_connected, is_convex
+from .poset import (MAX_ELEMENTS, Poset, bit_positions, build_poset, dependency_order, is_connected,
+                    is_convex)
 
 # Hosts (or host and flag) kept by each per-host cache of tubes and tubings
 CACHE_SIZE = 128
@@ -266,7 +267,7 @@ def tube_table(P: Poset) -> TubeTable:
     return TubeTable(tubes, masks, ups, sup, tuple(above.values()), compat, arrow, arrow_in)
 
 
-def walk_tubings(tubes: Sequence, compat: Sequence[int], grow) -> tuple[tuple, tuple]:
+def walk_tubings(tubes: Sequence, compat: Sequence[int], grow) -> tuple[tuple, tuple[int, ...]]:
     """The one tubing backtracker of finite and affine hosts: depth-first,
     each tubing before its extensions.
 
@@ -274,16 +275,19 @@ def walk_tubings(tubes: Sequence, compat: Sequence[int], grow) -> tuple[tuple, t
     ``tubes[k]``.  For each compatible candidate i, ``grow(chosen, state,
     i)`` returns the cycle-test state of ``chosen + [i]``, or None when i
     closes a cycle; the empty family's state is ``[]``.  Returns (tubes in
-    members order, tubings in walk order), each tubing the tuple of its
-    tubes' ranks there, in position order.
+    descending members order, tubings in walk order), each tubing a mask
+    whose bit b stands for the b-th of those tubes.  Within one size, the
+    masks in descending order list the tubings in ascending members order.
     """
-    order = sorted(range(len(tubes)), key=lambda k: tubes[k].members)
-    rank = sorted(range(len(order)), key=order.__getitem__)  # the inverse of order
-    found: list[tuple[int, ...]] = []
+    order = sorted(range(len(tubes)), key=lambda k: tubes[k].members, reverse=True)
+    bit = [0] * len(order)
+    for b, k in enumerate(order):
+        bit[k] = 1 << b
+    found: list[int] = []
     chosen: list[int] = []
 
-    def extend(start: int, allowed: int, state: list) -> None:
-        found.append(tuple(map(rank.__getitem__, chosen)))
+    def extend(start: int, allowed: int, state: list, mask: int) -> None:
+        found.append(mask)
         candidates = allowed >> start << start
         while candidates:
             low = candidates & -candidates
@@ -292,16 +296,15 @@ def walk_tubings(tubes: Sequence, compat: Sequence[int], grow) -> tuple[tuple, t
             grown = grow(chosen, state, i)
             if grown is not None:
                 chosen.append(i)
-                extend(i + 1, allowed & compat[i], grown)
+                extend(i + 1, allowed & compat[i], grown, mask | bit[i])
                 chosen.pop()
 
-    extend(0, (1 << len(compat)) - 1, [])
+    extend(0, (1 << len(compat)) - 1, [], 0)
     return tuple(tubes[k] for k in order), tuple(found)
 
 
 @lru_cache(maxsize=CACHE_SIZE)
-def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[tuple[int, ...], ...],
-                                   tuple[Tube, ...] | None]:
+def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[int, ...], tuple[Tube, ...] | None]:
     """One walk of the proper tubings of P for every face structure built
     from them: ``walk_tubings`` on ``tube_table``, plus a flag witness.
 
@@ -344,10 +347,18 @@ def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, 
     """
     tubes, found, _ = tubing_walk(P)
     if max_only:
-        found = [ranks for ranks in found if len(ranks) == len(P.elements) - 2]
-    # ranks are in members order, so (size, ranks) sorts as Tubing.key does
-    return tuple(Tubing(P, frozenset(map(tubes.__getitem__, ranks)))
-                 for ranks in sorted(sorted(found), key=len))
+        found = [mask for mask in found if mask.bit_count() == len(P.elements) - 2]
+    # Tubing.key on masks: a tubing's tubes in Tube.key order are its bits
+    # by size, higher bits first, and a higher bit is a tube earlier in
+    # members order, so -b compares as the members do
+    size = [len(t) for t in tubes]
+    keyed = []
+    for mask in found:
+        bits = bit_positions(mask)[::-1]
+        bits.sort(key=size.__getitem__)
+        keyed.append((len(bits), list(map(neg, bits))))
+    keyed.sort()
+    return tuple(Tubing(P, frozenset(map(tubes.__getitem__, map(neg, key)))) for _, key in keyed)
 
 
 def block_partitions(ground: int, blocks: Sequence[int]) -> list[tuple[int, ...]]:

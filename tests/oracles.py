@@ -952,9 +952,10 @@ def admissible_tubings(P, M, tube_system, AdmissiblePoset):
 
 def walk_proper_tubings(P, max_only, walk, Tubing):
     """The old ``tubes.enumerate_proper_tubings``: max_only walks again, on
-    an uncached ``walk`` of the host that lists the proper tubes in members
-    order and each tubing as the ranks of its tubes there."""
-    tubes, tubings, _ = walk(P)
+    an uncached ``walk`` of the host that lists the proper tubes and each
+    tubing as a mask whose bit k stands for ``tubes[k]``."""
+    tubes, masks, _ = walk(P)
+    tubings = [[k for k in range(len(tubes)) if mask >> k & 1] for mask in masks]
     found = [ranks for ranks in tubings if not max_only or len(ranks) == len(P.elements) - 2]
     # a tubing's members in Tube.key order, as Tubing.sorted_tubes lists them
     found.sort(key=lambda ranks: (len(ranks), tuple(sorted((tubes[k].members for k in ranks),

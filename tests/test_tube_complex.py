@@ -2,6 +2,7 @@
 builders, against the predicates and against verbatim copies of the code
 they replaced (``oracles``)."""
 
+import dataclasses
 import random
 
 import pytest
@@ -27,6 +28,8 @@ from posetahedra.affine import (
 )
 from posetahedra.lattice import (
     EMPTY,
+    FaceLattice,
+    TubingFaces,
     associahedron_face_lattice,
     f_vector,
     h_vector,
@@ -98,6 +101,35 @@ def assert_same_lattice(L, old):
     assert tuple(oracles.EMPTY if f is EMPTY else f for f in L.faces) == faces
     assert L.dims == dims
     assert L.covers == covers
+
+
+def assert_equals_eager_keys(L, old):
+    """L, its keys built when read, equals and hashes as the lattice of the
+    same faces, dims and covers with eager tuple keys, both ways round; a
+    key swapped for another breaks the equality."""
+    faces, dims, covers = old
+    eager = FaceLattice(L.kind, L.dim, tuple(EMPTY if f is oracles.EMPTY else f for f in faces),
+                        dims, covers)
+    assert isinstance(L.faces, TubingFaces) and isinstance(eager.faces, tuple)
+    assert L == eager and eager == L and hash(L) == hash(eager)
+    assert L.faces == eager.faces and eager.faces == L.faces
+    assert hash(L.faces) == hash(eager.faces)
+    wrong = dataclasses.replace(eager, faces=eager.faces[:-1] + (EMPTY,))
+    assert L != wrong and wrong != L and L.faces != wrong.faces
+
+
+@SETTINGS
+@given(connected_posets(max_size=6))
+def test_lazy_keys_equal_eager_keys(P):
+    assert_equals_eager_keys(associahedron_face_lattice.__wrapped__(P),
+                             oracles.associahedron_face_lattice(P, Tube))
+
+
+@SETTINGS
+@given(affine_posets())
+def test_lazy_cyclohedron_keys_equal_eager_keys(A):
+    assert_equals_eager_keys(cyclohedron_face_lattice.__wrapped__(A),
+                             oracles.cyclohedron_face_lattice(A.n, old_affine_walk(A, False)))
 
 
 def check_face_lattice(P):
