@@ -78,9 +78,6 @@ class TubingFaces(abc.Sequence):
         i = range(len(self))[i]  # negative indices, and IndexError past the end
         return EMPTY if i == 0 else self._key(i - 1)
 
-    def __iter__(self):
-        return map(self.__getitem__, range(len(self)))
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, TubingFaces)):
             return NotImplemented
