@@ -86,6 +86,9 @@ class TubingFaces(abc.Sequence):
     def __hash__(self) -> int:
         return hash(tuple(self))
 
+    def __reduce__(self):
+        return TubingFaces, (self.tubes, self.masks)  # the kept keys are rebuilt when read
+
     def __repr__(self) -> str:
         return repr(tuple(self))
 

@@ -9,6 +9,7 @@ bounds the memory of claw7's f-vector.
 
 import json
 import os
+import pickle
 import subprocess
 import sys
 import textwrap
@@ -123,6 +124,16 @@ def test_key_sequence_is_read_only():
     assert callable(state[2]) and not isinstance(state[2], (list, dict, set, bytearray))
     assert not any(isinstance(getattr(faces, name), (list, dict, set, bytearray))
                    for name in dir(faces) if not name.startswith("__"))
+
+
+def test_lattice_pickles_without_its_keys(built):
+    """A lattice with keys built when read pickles as one with eager keys
+    did, and the copy builds its keys afresh."""
+    L = cyclohedron_face_lattice(AFFINE_HOSTS["cclaw3"])
+    keys = tuple(L.faces)
+    copy = pickle.loads(pickle.dumps(L))
+    assert isinstance(copy.faces, TubingFaces) and copy == L and hash(copy) == hash(L)
+    assert len(built) == 2 * (len(keys) - 1) and tuple(copy.faces) == keys
 
 
 # claw7's f-vector above the interpreter's RSS after imports, in MB.  One-shot
