@@ -6,13 +6,16 @@ face factorizations.
 Face keys are frozensets of tubes (or of partition blocks); the empty face
 is the ``EMPTY`` sentinel so Euler checks run uniformly.  A tubing lattice
 holds its faces as the walk's masks and builds a key only when it is read
-(``TubingFaces``): f/h-vectors, gradedness and Euler sums read none.
+(``TubingFaces``): f/h-vectors, gradedness and Euler sums read none.  Its
+cover pairs are read off the same masks whenever they are iterated
+(``TubingCovers``), and none is stored.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from bisect import bisect_right
 from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -48,11 +51,28 @@ def _tubing_key(tubes: Sequence, mask: int) -> frozenset:
     return frozenset(map(tubes.__getitem__, bit_positions(mask)))
 
 
-class TubingFaces(abc.Sequence):
+class _TupleView(abc.Sequence):
+    """A read-only sequence that equals, and hashes as, the tuple of its
+    items."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _TupleView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class TubingFaces(_TupleView):
     """The face keys of a tubing lattice, read-only: ``EMPTY``, then the
     frozenset of tubes of each mask (``_tubing_key``), built on first read
-    and kept.  Counting the faces builds no key.  It equals, and hashes
-    as, the tuple of its keys.
+    and kept.  Counting the faces builds no key.
     """
 
     __slots__ = ("tubes", "masks", "_key")
@@ -78,19 +98,54 @@ class TubingFaces(abc.Sequence):
         i = range(len(self))[i]  # negative indices, and IndexError past the end
         return EMPTY if i == 0 else self._key(i - 1)
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, TubingFaces)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
     def __reduce__(self):
         return TubingFaces, (self.tubes, self.masks)  # the kept keys are rebuilt when read
 
-    def __repr__(self) -> str:
-        return repr(tuple(self))
+
+class TubingCovers(_TupleView):
+    """The covering pairs (lower, upper) of a tubing lattice, read off its
+    faces' masks and never stored: (0, p) for each vertex p, then each face
+    p's mask with one bit cleared, lowest bit first.  The faces come by
+    dimension, as ``tubing_face_lattice`` lists them, and a face's covers
+    lie in the next dimension, so iterating maps mask to position for one
+    dimension at a time and keeps no map when it ends.  Counting the pairs
+    builds none; reading one by index iterates up to it.  A face whose mask
+    with a bit cleared is no face raises ``NotGradedError``.
+    """
+
+    __slots__ = ("faces", "dims")
+
+    def __init__(self, faces: TubingFaces, dims: Sequence[int]):
+        self.faces, self.dims = faces, dims
+
+    def __len__(self) -> int:
+        return self.dims.count(0) + sum(map(int.bit_count, self.faces.masks))
+
+    def __getitem__(self, i: int) -> tuple[int, int]:
+        i = range(len(self))[i]  # negative indices, and IndexError past the end
+        return next(itertools.islice(self, i, None))
+
+    def __iter__(self):
+        masks, dims = self.faces.masks, self.dims
+        yield from ((0, p) for p in range(1, bisect_right(dims, 0)))
+        start = 1  # EMPTY is face 0
+        while start < len(dims):
+            stop = bisect_right(dims, dims[start])
+            position = {masks[q - 1]: q for q in range(stop, bisect_right(dims, dims[start] + 1))}
+            for p in range(start, stop):
+                mask = rest = masks[p - 1]
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    upper = position.get(mask ^ low)
+                    if upper is None:
+                        raise NotGradedError(f"face {self.faces[p]} has no upper cover without "
+                                             f"{self.faces.tubes[low.bit_length() - 1]}")
+                    yield p, upper
+            start = stop
+
+    def __reduce__(self):
+        return TubingCovers, (self.faces, self.dims)
 
 
 @dataclass(frozen=True)
@@ -100,14 +155,15 @@ class FaceLattice:
     ``faces[i]`` has dimension ``dims[i]``; ``covers`` holds index pairs
     (lower, upper) with a dimension gap of exactly one.  The top face (the
     polytope itself) is included; so is the empty face at dimension -1.
-    ``faces`` is a tuple, or for a tubing lattice a ``TubingFaces``.
+    ``faces`` and ``covers`` are tuples, or for a tubing lattice a
+    ``TubingFaces`` and a ``TubingCovers``.
     """
 
     kind: str
     dim: int
     faces: Sequence[FaceKey]
     dims: tuple[int, ...]
-    covers: tuple[tuple[int, int], ...]
+    covers: Sequence[tuple[int, int]]
 
     @cached_property
     def _upper(self) -> tuple[tuple[int, ...], ...]:
@@ -179,21 +235,13 @@ def tubing_face_lattice(kind: str, tubes: Sequence, tubings: Sequence[int],
     faces.  The faces covering a tubing are its mask with one bit cleared,
     lowest bit first, so in face order; the empty face sits below the
     vertices (the tubings of dim tubes).  Face keys are built when read
-    (``TubingFaces``).
+    (``TubingFaces``) and cover pairs when iterated (``TubingCovers``).
     """
     masks = sorted(tubings, reverse=True)
     masks.sort(key=int.bit_count, reverse=True)  # stable: by size, each size as above
-    dims = [dim - mask.bit_count() for mask in masks]
-    position = {mask: p for p, mask in enumerate(masks, 1)}  # EMPTY is face 0
-    covers = [(0, p) for p, d in enumerate(dims, 1) if d == 0]
-    for p, mask in enumerate(masks, 1):
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            covers.append((p, position[mask ^ low]))
-    return FaceLattice(kind=kind, dim=dim, faces=TubingFaces(tuple(tubes), tuple(masks)),
-                       dims=(-1, *dims), covers=tuple(covers))
+    dims = (-1, *(dim - mask.bit_count() for mask in masks))
+    faces = TubingFaces(tuple(tubes), tuple(masks))
+    return FaceLattice(kind=kind, dim=dim, faces=faces, dims=dims, covers=TubingCovers(faces, dims))
 
 
 @lru_cache(maxsize=CACHE_SIZE)

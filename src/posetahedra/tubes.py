@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
-from operator import neg, or_
+from operator import or_
 from types import MappingProxyType
 from typing import Callable, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
@@ -348,17 +348,20 @@ def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, 
     tubes, found, _ = tubing_walk(P)
     if max_only:
         found = [mask for mask in found if mask.bit_count() == len(P.elements) - 2]
-    # Tubing.key on masks: a tubing's tubes in Tube.key order are its bits
-    # by size, higher bits first, and a higher bit is a tube earlier in
-    # members order, so -b compares as the members do
-    size = [len(t) for t in tubes]
-    keyed = []
-    for mask in found:
-        bits = bit_positions(mask)[::-1]
-        bits.sort(key=size.__getitem__)
-        keyed.append((len(bits), list(map(neg, bits))))
-    keyed.sort()
-    return tuple(Tubing(P, frozenset(map(tubes.__getitem__, map(neg, key)))) for _, key in keyed)
+    # Tubing.key on masks: rank the walk's bits in Tube.key order (by size,
+    # then members; a higher bit is a tube earlier in members order), so a
+    # tubing's ranks, ascending, list its tubes as Tubing.key does; those
+    # lists compare as the members do through the bits negated
+    order = sorted(range(len(tubes)), key=lambda b: (len(tubes[b]), -b))
+    rank = [0] * len(order)
+    for r, b in enumerate(order):
+        rank[b] = r
+    neg_bit = [-b for b in order]
+    ranked = [sorted(map(rank.__getitem__, bit_positions(mask))) for mask in found]
+    ranked.sort(key=lambda ranks: tuple(map(neg_bit.__getitem__, ranks)))
+    ranked.sort(key=len)  # stable
+    in_order = [tubes[b] for b in order]
+    return tuple(Tubing(P, frozenset(map(in_order.__getitem__, ranks))) for ranks in ranked)
 
 
 def block_partitions(ground: int, blocks: Sequence[int]) -> list[tuple[int, ...]]:

@@ -82,7 +82,7 @@ class TestGradedChecks:
     def test_cover_with_dimension_gap_two(self):
         L = self.pentagon()
         vertex, top = L.dims.index(0), L.dims.index(L.dim)
-        bad = dataclasses.replace(L, covers=L.covers + ((vertex, top),))
+        bad = dataclasses.replace(L, covers=tuple(L.covers) + ((vertex, top),))
         for vector in (f_vector, h_vector, f_vector):  # a failure is not remembered
             with pytest.raises(NotGradedError, match="dimension gap"):
                 vector(bad)

@@ -1,12 +1,15 @@
-"""Face keys of tubing lattices are built only when read (``TubingFaces``).
+"""Face keys of tubing lattices are built only when read (``TubingFaces``),
+and their cover pairs are read off the masks, never stored (``TubingCovers``).
 
 A spy on ``lattice._tubing_key`` sees every key built: counting the faces,
 the gradedness check, the Euler sum and the f- and h-vectors (in the library
 and on the command line) build none; the JSON face list builds each key
-once; ``faces_of_dim`` builds those of its dimension.  A subprocess guard
-bounds the memory of claw7's f-vector.
+once; ``faces_of_dim`` builds those of its dimension.  A family of tubings
+not closed under dropping a tube fails the gradedness check.  Subprocess
+guards bound the memory of claw7's f-vector.
 """
 
+import gc
 import json
 import os
 import pickle
@@ -18,9 +21,19 @@ from pathlib import Path
 import pytest
 
 from posetahedra import corpus, lattice
-from posetahedra.affine import cyclohedron_face_lattice
+from posetahedra.affine import _class_walk, cyclohedron_face_lattice
 from posetahedra.cli import main
-from posetahedra.lattice import EMPTY, TubingFaces, associahedron_face_lattice, f_vector, h_vector
+from posetahedra.errors import NotGradedError
+from posetahedra.lattice import (
+    EMPTY,
+    TubingCovers,
+    TubingFaces,
+    associahedron_face_lattice,
+    f_vector,
+    h_vector,
+    tubing_face_lattice,
+)
+from posetahedra.tubes import tubing_walk
 
 HOSTS = {"claw4": corpus.claw(4), "h6": corpus.h6(), "chain5": corpus.chain(5)}
 AFFINE_HOSTS = {"cchain3": corpus.circular_chain(3), "cclaw3": corpus.circular_claw(3)}
@@ -136,6 +149,56 @@ def test_lattice_pickles_without_its_keys(built):
     assert len(built) == 2 * (len(keys) - 1) and tuple(copy.faces) == keys
 
 
+def test_covers_hold_no_pairs():
+    """After the f- and h-vectors and the upper covers have read them, the
+    cover sequence still holds only the faces and the dims."""
+    for L in all_lattices():
+        f_vector(L)
+        h_vector(L)
+        assert L.upper_covers(0)
+        covers = L.covers
+        assert isinstance(covers, TubingCovers) and not hasattr(covers, "__dict__")
+        assert covers.faces is L.faces and covers.dims is L.dims
+        for held in gc.get_referents(covers):
+            assert not isinstance(held, (list, dict, set, bytearray)), type(held)
+            assert not (isinstance(held, tuple) and any(isinstance(x, tuple) for x in held))
+        assert len(covers) == sum(1 for _ in covers) and covers[-1] == tuple(covers)[-1]
+
+
+@pytest.mark.parametrize("host", ["chain5", "cclaw3"])
+def test_lattice_pickles_as_masks_and_dims(host):
+    """A pickled lattice equals the original, and its covers pickle as the
+    faces and dims the lattice pickles anyway: no pair is written."""
+    L = associahedron_face_lattice(HOSTS[host]) if host in HOSTS else cyclohedron_face_lattice(
+        AFFINE_HOSTS[host])
+    copy = pickle.loads(pickle.dumps(L))
+    assert copy == L and hash(copy) == hash(L) and copy.covers == L.covers
+    assert isinstance(copy.covers, TubingCovers) and copy.covers.faces is copy.faces
+    eager = pickle.dumps(type(L)(L.kind, L.dim, L.faces, L.dims, tuple(L.covers)))
+    assert len(pickle.dumps(L)) < len(eager)
+
+
+WALKS = {"chain4": lambda: (*tubing_walk(corpus.chain(4))[:2], 2),
+         "cclaw3": lambda: (*_class_walk(corpus.circular_claw(3)), 2)}
+
+
+@pytest.mark.parametrize("name", sorted(WALKS))
+def test_family_missing_a_facet_is_not_graded(name):
+    """A tubing family not closed under dropping a tube (the walk less one
+    facet) fails the gradedness check, which names the first face, in face
+    order, with a cover missing."""
+    tubes, masks, dim = WALKS[name]()
+    facet = next(mask for mask in masks if mask.bit_count() == 1)
+    L = tubing_face_lattice(name, tubes, [mask for mask in masks if mask != facet], dim)
+    p = next(p for p, mask in enumerate(L.faces.masks, 1)
+             if mask & facet and (mask ^ facet).bit_count() == 1)
+    for check in (lambda: f_vector(L), lambda: h_vector(L), L.check_graded,
+                  lambda: L.upper_covers(0)):
+        with pytest.raises(NotGradedError, match="no upper cover") as failure:
+            check()
+        assert f"face {L.faces[p]} has no upper cover without" in str(failure.value)
+
+
 # claw7's f-vector above the interpreter's RSS after imports, in MB.  One-shot
 # runs (Python 3.11, Linux x86-64): 53.4 MB when every face key was built
 # with the lattice from rank tuples, 25.1 MB with the walk's masks and keys
@@ -169,3 +232,21 @@ def test_claw7_fvector_memory_guard():
     f0, grown = out.split()
     assert int(f0) == 5040
     assert float(grown) < CLAW7_FVECTOR_MB, f"claw7 f-vector grew RSS by {grown} MB"
+
+
+# The same measure with the cover pairs read off the masks, never stored.
+# One-shot runs (Python 3.11, Linux x86-64): 25.0 MB with stored pairs,
+# about 6 MB without.
+CLAW7_FVECTOR_LAZY_COVERS_MB = 16
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_claw7_fvector_lazy_covers_memory_guard():
+    """As ``test_claw7_fvector_memory_guard``, with a bound that only holds
+    when no cover pair is stored."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", GUARD_CHILD], capture_output=True, text=True,
+                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
+    f0, grown = out.split()
+    assert int(f0) == 5040
+    assert float(grown) <= CLAW7_FVECTOR_LAZY_COVERS_MB, f"claw7 f-vector grew RSS by {grown} MB"

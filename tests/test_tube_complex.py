@@ -29,6 +29,7 @@ from posetahedra.affine import (
 from posetahedra.lattice import (
     EMPTY,
     FaceLattice,
+    TubingCovers,
     TubingFaces,
     associahedron_face_lattice,
     f_vector,
@@ -104,18 +105,26 @@ def assert_same_lattice(L, old):
 
 
 def assert_equals_eager_keys(L, old):
-    """L, its keys built when read, equals and hashes as the lattice of the
-    same faces, dims and covers with eager tuple keys, both ways round; a
-    key swapped for another breaks the equality."""
+    """L, its keys built when read and its covers read off its masks,
+    equals and hashes as the lattice of the same faces, dims and covers
+    with eager tuple keys and covers, both ways round; a key swapped for
+    another, or two cover pairs swapped, breaks the equality."""
     faces, dims, covers = old
     eager = FaceLattice(L.kind, L.dim, tuple(EMPTY if f is oracles.EMPTY else f for f in faces),
                         dims, covers)
     assert isinstance(L.faces, TubingFaces) and isinstance(eager.faces, tuple)
+    assert isinstance(L.covers, TubingCovers) and isinstance(eager.covers, tuple)
     assert L == eager and eager == L and hash(L) == hash(eager)
     assert L.faces == eager.faces and eager.faces == L.faces
     assert hash(L.faces) == hash(eager.faces)
+    assert L.covers == eager.covers and eager.covers == L.covers
+    assert hash(L.covers) == hash(eager.covers) and len(L.covers) == len(eager.covers)
     wrong = dataclasses.replace(eager, faces=eager.faces[:-1] + (EMPTY,))
     assert L != wrong and wrong != L and L.faces != wrong.faces
+    swapped = covers[:-2] + covers[:-3:-1]  # the last two pairs, the other way round
+    assert swapped != covers
+    wrong = dataclasses.replace(eager, covers=swapped)
+    assert L != wrong and wrong != L and L.covers != swapped and swapped != L.covers
 
 
 @SETTINGS
