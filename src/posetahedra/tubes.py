@@ -348,10 +348,11 @@ def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, 
     tubes, found, _ = tubing_walk(P)
     if max_only:
         found = [mask for mask in found if mask.bit_count() == len(P.elements) - 2]
-    # Tubing.key on masks: rank the walk's bits in Tube.key order (by size,
-    # then members; a higher bit is a tube earlier in members order), so a
-    # tubing's ranks, ascending, list its tubes as Tubing.key does; those
-    # lists compare as the members do through the bits negated
+    # Tubing.key on masks: it lists a tubing's tubes in Tube.key order (by
+    # size, then members) and compares those lists by members.  A tubing's
+    # bits ranked in Tube.key order list its tubes when sorted, and a higher
+    # bit is a tube earlier in members order, so the bits negated compare as
+    # the members do
     order = sorted(range(len(tubes)), key=lambda b: (len(tubes[b]), -b))
     rank = [0] * len(order)
     for r, b in enumerate(order):
