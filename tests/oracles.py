@@ -650,6 +650,35 @@ def enumerate_affine_tubes(A, proper_only, make_affine_tube, NotATubeError, Affi
     return tuple(found)
 
 
+# A copy of the Hasse diagram of AffinePoset as it was, when each call ran the
+# cover test on every atom span.  The host enters as the first argument.
+
+
+def cover_successors(A, i):
+    out = []
+    for span in A.atom_spans:
+        j = i + span
+        if A.lt(i, j) and A.is_cover(i, j):
+            out.append(j)
+    return tuple(sorted(set(out)))
+
+
+def cover_classes(A):
+    pairs = []
+    for i in range(1, A.n + 1):
+        pairs.extend((i, j) for j in cover_successors(A, i))
+    return tuple(sorted(pairs))
+
+
+def hasse_neighbors(A, i):
+    ups = cover_successors(A, i)
+    downs = []
+    for span in A.atom_spans:
+        j = i - span
+        if A.lt(j, i) and A.is_cover(j, i):
+            downs.append(j)
+    return tuple(sorted(set(ups) | set(downs)))
+
 
 def affine_root_partitions(A, enumerate_affine_tubes, residues_of, AffineTube, _acyclic):
     """The old ``affine._affine_root_partitions`` (its cache left out), with

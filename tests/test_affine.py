@@ -92,6 +92,25 @@ class TestBuildAffine:
         assert A.lt(0, 1) and A.lt(3, 7)
 
 
+def _hasse_matches_the_old_cover_test(A):
+    """The Hasse diagram on the elements of three periods, and the cover
+    classes, equal the old per-call cover test."""
+    assert A.cover_classes == oracles.cover_classes(A)
+    for i in range(1 - A.n, 2 * A.n + 1):
+        assert A.hasse_neighbors(i) == oracles.hasse_neighbors(A, i)
+
+
+class TestHasseDiagram:
+    @pytest.mark.parametrize("name", sorted(OLD_SEARCH_HOSTS))
+    def test_matches_the_old_cover_test(self, name):
+        _hasse_matches_the_old_cover_test(OLD_SEARCH_HOSTS[name])
+
+    @SETTINGS
+    @given(affine_posets())
+    def test_matches_the_old_cover_test_random(self, A):
+        _hasse_matches_the_old_cover_test(A)
+
+
 class TestLinearExtension:
     def test_circular_chain_identity_pattern(self, cc3):
         phi = linear_extension(cc3)
@@ -218,6 +237,19 @@ def test_class_contains_matches_shift_scan(case):
     else:
         expected = any(inner.as_set <= outer.instance(d, A.n) for d in range(-40, 41))
     assert class_contains(A, outer, inner) == expected
+
+
+@SETTINGS
+@given(tube_class_pairs())
+def test_class_nested_or_disjoint_matches_shift_scan(case):
+    A, a, b = case
+    if a.is_full or b.is_full:
+        expected = True
+    else:
+        expected = all(not a.as_set & inst or a.as_set <= inst or inst <= a.as_set
+                       for d in range(-40, 41) if (a, d) != (b, 0)
+                       for inst in [b.instance(d, A.n)])
+    assert class_nested_or_disjoint(A, a, b) == expected
 
 
 class TestAffineTubings:
