@@ -92,29 +92,18 @@ class AffinePoset:
     def is_cover(self, i: int, j: int) -> bool:
         return self.lt(i, j) and not self.between(i, j)
 
-    def cover_successors(self, i: int) -> tuple[int, ...]:
-        out = []
-        for span in self.atom_spans:
-            j = i + span
-            if self.lt(i, j) and self.is_cover(i, j):
-                out.append(j)
-        return tuple(sorted(set(out)))
-
     @cached_property
     def cover_classes(self) -> tuple[tuple[int, int], ...]:
-        pairs = []
-        for i in range(1, self.n + 1):
-            pairs.extend((i, j) for j in self.cover_successors(i))
-        return tuple(sorted(pairs))
+        """The covers (i, j) with i in 1..n: every cover up to shift, sorted."""
+        return tuple((i, i + span) for i in range(1, self.n + 1) for span in self.atom_spans
+                     if self.is_cover(i, i + span))
 
     def hasse_neighbors(self, i: int) -> tuple[int, ...]:
-        ups = self.cover_successors(i)
-        downs = []
-        for span in self.atom_spans:
-            j = i - span
-            if self.lt(j, i) and self.is_cover(j, i):
-                downs.append(j)
-        return tuple(sorted(set(ups) | set(downs)))
+        """The covers of i and the elements i covers: the cover classes that
+        start or end at i's residue, shifted to i."""
+        r = self.residue(i)
+        return tuple(sorted({i + j - a for a, j in self.cover_classes if a == r}
+                            | {i + a - j for a, j in self.cover_classes if self.residue(j) == r}))
 
     def finite_subposet(self, members) -> Poset:
         members = sorted(set(members))
@@ -261,19 +250,18 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
     return (*sorted((t for t in found if _tube_defect(A, t) is None), key=AffineTube.key), FULL)
 
 
+def _meeting_shifts(A: AffinePoset, a: AffineTube, b: AffineTube) -> range:
+    """The shifts d at which the span of b + dn overlaps the span of a: the
+    only ones at which the two instances can meet."""
+    return range(-((b.members[-1] - a.members[0]) // A.n),
+                 (a.members[-1] - b.members[0]) // A.n + 1)
+
+
 def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bool:
     """Every instance pair of the two classes must be nested or disjoint."""
-    if a.is_full or b.is_full:
-        return True
-    lo = -((max(b.members) - min(a.members)) // A.n + 1)
-    hi = (max(a.members) - min(b.members)) // A.n + 1
-    for d in range(lo, hi + 1):
-        inst = b.instance(d, A.n)
-        if a == b and d == 0:
-            continue
-        if a.as_set & inst and not (a.as_set <= inst or inst <= a.as_set):
-            return False
-    return True
+    return a.is_full or b.is_full or all(
+        a.as_set.isdisjoint(inst) or a.as_set <= inst or inst <= a.as_set
+        for inst in (b.instance(d, A.n) for d in _meeting_shifts(A, a, b)))
 
 
 def class_contains(A: AffinePoset, outer: AffineTube, inner: AffineTube) -> bool:
@@ -320,35 +308,19 @@ def _acyclic(A: AffinePoset, classes) -> bool:
     return all(dist[x][x] > 0 for x in range(len(classes)))
 
 
-def _instances_inside(A: AffinePoset, classes, tube: AffineTube):
-    """Instances of the given classes strictly inside the tube's canonical rep."""
-    out = []
-    for cls in classes:
-        if cls.is_full or len(cls) >= len(tube):
-            continue
-        lo = (min(tube.members) - max(cls.members)) // A.n - 1
-        hi = (max(tube.members) - min(cls.members)) // A.n + 1
-        for d in range(lo, hi + 1):
-            inst = cls.instance(d, A.n)
-            if inst <= tube.as_set:
-                out.append((cls, tuple(sorted(inst))))
-    return out
-
-
 def _children_partition(A: AffinePoset, classes, tube: AffineTube):
-    """Maximal member instances inside the tube, plus singleton fills."""
-    inside = [set(inst) for _, inst in _instances_inside(A, classes, tube)]
+    """Maximal instances of the smaller classes inside the tube's canonical
+    instance, plus singleton fills."""
+    inside = [inst for cls in classes if not cls.is_full and len(cls) < len(tube)
+              for inst in (cls.instance(d, A.n) for d in _meeting_shifts(A, tube, cls))
+              if inst <= tube.as_set]
     maximal = [s for s in inside if not any(s < t for t in inside)]
-    blocks = []
-    seen: set[int] = set()
+    blocks, seen = [], set()
     for s in maximal:
-        if not s & seen:
+        if seen.isdisjoint(s):
             blocks.append(tuple(sorted(s)))
             seen |= s
-    for m in tube.members:
-        if m not in seen:
-            blocks.append((m,))
-    return blocks
+    return blocks + [(m,) for m in tube.members if m not in seen]
 
 
 def is_affine_tubing(A: AffinePoset, classes) -> bool:

@@ -965,6 +965,8 @@ def ratio_counterexample_demo(targets=(Fraction(0), Fraction(1)),
     """
     P = _n_poset()
     parsed = tuple(None if str(t) in ("inf", "None") else frac(t) for t in targets)
+    if len(parsed) != 2:
+        raise ValueError(f"the demo takes exactly two targets, not {len(parsed)}")
     for t in parsed:
         if t is not None and not 0 <= t <= 1:
             raise ValueError("finite targets must lie in [0, 1]")

@@ -72,7 +72,8 @@ class _TupleView(abc.Sequence):
 class TubingFaces(_TupleView):
     """The face keys of a tubing lattice, read-only: ``EMPTY``, then the
     frozenset of tubes of each mask (``_tubing_key``), built on first read
-    and kept.  Counting the faces builds no key.
+    and kept.  Counting the faces builds no key; a slice is the tuple of its
+    keys and builds only those.
     """
 
     __slots__ = ("tubes", "masks", "_key")
@@ -94,9 +95,11 @@ class TubingFaces(_TupleView):
     def __len__(self) -> int:
         return len(self.masks) + 1
 
-    def __getitem__(self, i: int):
-        i = range(len(self))[i]  # negative indices, and IndexError past the end
-        return EMPTY if i == 0 else self._key(i - 1)
+    def __getitem__(self, i: int | slice):
+        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
+        if isinstance(i, slice):
+            return tuple(map(self.__getitem__, picked))
+        return EMPTY if picked == 0 else self._key(picked - 1)
 
     def __reduce__(self):
         return TubingFaces, (self.tubes, self.masks)  # the kept keys are rebuilt when read
@@ -109,8 +112,9 @@ class TubingCovers(_TupleView):
     dimension, as ``tubing_face_lattice`` lists them, and a face's covers
     lie in the next dimension, so iterating maps mask to position for one
     dimension at a time and keeps no map when it ends.  Counting the pairs
-    builds none; reading one by index iterates up to it.  A face whose mask
-    with a bit cleared is no face raises ``NotGradedError``.
+    builds none; reading one by index, or a slice (a tuple), iterates up to
+    the last pair read.  A face whose mask with a bit cleared is no face
+    raises ``NotGradedError``.
     """
 
     __slots__ = ("faces", "dims")
@@ -121,9 +125,12 @@ class TubingCovers(_TupleView):
     def __len__(self) -> int:
         return self.dims.count(0) + sum(map(int.bit_count, self.faces.masks))
 
-    def __getitem__(self, i: int) -> tuple[int, int]:
-        i = range(len(self))[i]  # negative indices, and IndexError past the end
-        return next(itertools.islice(self, i, None))
+    def __getitem__(self, i: int | slice):
+        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
+        if isinstance(i, slice):
+            head = tuple(itertools.islice(self, max(picked, default=-1) + 1))
+            return tuple(map(head.__getitem__, picked))
+        return next(itertools.islice(self, picked, None))
 
     def __iter__(self):
         masks, dims = self.faces.masks, self.dims

@@ -545,3 +545,8 @@ class TestRatioDemo:
         report = ratio_counterexample_demo(targets=(F(1, 2), F(1, 2)))
         for t, gap in report.ratio_gap:
             assert gap == 0
+
+    @pytest.mark.parametrize("targets", [(F(0),), (F(0), F(1), F(1, 2))], ids=["one", "three"])
+    def test_other_than_two_targets_refused(self, targets):
+        with pytest.raises(ValueError, match=f"exactly two targets, not {len(targets)}"):
+            ratio_counterexample_demo(targets=targets)

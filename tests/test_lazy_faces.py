@@ -4,9 +4,11 @@ and their cover pairs are read off the masks, never stored (``TubingCovers``).
 A spy on ``lattice._tubing_key`` sees every key built: counting the faces,
 the gradedness check, the Euler sum and the f- and h-vectors (in the library
 and on the command line) build none; the JSON face list builds each key
-once; ``faces_of_dim`` builds those of its dimension.  A family of tubings
-not closed under dropping a tube fails the gradedness check.  Subprocess
-guards bound the memory of claw7's f-vector.
+once; ``faces_of_dim`` builds those of its dimension, and a slice those it
+returns.  Slices of the faces and the covers equal those of the eager
+oracle lattice.  A family of tubings not closed under dropping a tube fails
+the gradedness check.  Subprocess guards bound the memory of claw7's
+f-vector.
 """
 
 import gc
@@ -20,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+import oracles
 from posetahedra import corpus, lattice
 from posetahedra.affine import _class_walk, cyclohedron_face_lattice
 from posetahedra.cli import main
@@ -33,7 +36,7 @@ from posetahedra.lattice import (
     h_vector,
     tubing_face_lattice,
 )
-from posetahedra.tubes import tubing_walk
+from posetahedra.tubes import Tube, tubing_walk
 
 HOSTS = {"claw4": corpus.claw(4), "h6": corpus.h6(), "chain5": corpus.chain(5)}
 AFFINE_HOSTS = {"cchain3": corpus.circular_chain(3), "cclaw3": corpus.circular_claw(3)}
@@ -96,6 +99,33 @@ def test_keys_are_built_once_and_kept(built):
     assert L.faces[-1] is first[-1] and len(built) == len(L.faces) - 1
     with pytest.raises(IndexError):
         L.faces[len(L.faces)]
+
+
+SLICES = [slice(1, 3), slice(None, None, -1), slice(-4, None), slice(2, None, 3),
+          slice(9, 1, -2), slice(-1, -6, -1), slice(3, 3), slice(10 ** 6, None)]
+
+
+@pytest.mark.parametrize("name", sorted(HOSTS))
+def test_slices_match_the_eager_lattice(name):
+    """A slice of the faces or of the covers is the tuple that the same
+    slice of the eager oracle lattice gives."""
+    L = associahedron_face_lattice(HOSTS[name])
+    faces, _, covers = oracles.associahedron_face_lattice(HOSTS[name], Tube)
+    faces = tuple(EMPTY if f is oracles.EMPTY else f for f in faces)
+    for s in SLICES:
+        assert type(L.faces[s]) is tuple and L.faces[s] == faces[s], s
+        assert type(L.covers[s]) is tuple and L.covers[s] == covers[s], s
+
+
+def test_faces_slice_builds_only_its_keys(built):
+    P = HOSTS["h6"]
+    for s in SLICES:
+        L = associahedron_face_lattice.__wrapped__(P)  # afresh: no key built yet
+        start = len(built)
+        keys = L.faces[s]
+        picked = range(len(L.faces))[s]
+        assert built[start:] == [L.faces.masks[p - 1] for p in picked if p], s
+        assert keys == tuple(L.faces[p] for p in picked)
 
 
 @pytest.mark.parametrize("command", sorted(FILES))

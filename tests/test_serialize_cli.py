@@ -400,6 +400,14 @@ class TestCli:
         data = json.loads(capsys.readouterr().out)
         assert [c["target"] for c in data["curves"]] == ["0/1", "1/1"]
 
+    @pytest.mark.parametrize("targets", ["0", "0,1,1/2"], ids=["one", "three"])
+    def test_demo_ratios_other_than_two_targets(self, targets, capsys):
+        assert main(["compact", "demo-ratios", "--targets", targets]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "exactly two targets" in captured.err
+        assert "Traceback" not in captured.err
+
     def test_validation_error_exit_code(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text('{"covers": [[1,2],[2,1]]}')
