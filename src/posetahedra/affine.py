@@ -99,8 +99,7 @@ class AffinePoset:
                      if self.is_cover(i, i + span))
 
     def hasse_neighbors(self, i: int) -> tuple[int, ...]:
-        """The covers of i and the elements i covers: the cover classes that
-        start or end at i's residue, shifted to i."""
+        """The cover classes that start or end at i's residue, shifted to i."""
         r = self.residue(i)
         return tuple(sorted({i + j - a for a, j in self.cover_classes if a == r}
                             | {i + a - j for a, j in self.cover_classes if self.residue(j) == r}))

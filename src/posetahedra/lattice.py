@@ -72,8 +72,7 @@ class _TupleView(abc.Sequence):
 class TubingFaces(_TupleView):
     """The face keys of a tubing lattice, read-only: ``EMPTY``, then the
     frozenset of tubes of each mask (``_tubing_key``), built on first read
-    and kept.  Counting the faces builds no key; a slice is the tuple of its
-    keys and builds only those.
+    and kept.  Counting builds no key; a slice (a tuple) builds only its own.
     """
 
     __slots__ = ("tubes", "masks", "_key")
@@ -112,9 +111,8 @@ class TubingCovers(_TupleView):
     dimension, as ``tubing_face_lattice`` lists them, and a face's covers
     lie in the next dimension, so iterating maps mask to position for one
     dimension at a time and keeps no map when it ends.  Counting the pairs
-    builds none; reading one by index, or a slice (a tuple), iterates up to
-    the last pair read.  A face whose mask with a bit cleared is no face
-    raises ``NotGradedError``.
+    builds none; an index or a slice (a tuple) iterates up to its last pair.
+    A face whose mask with a bit cleared is no face raises ``NotGradedError``.
     """
 
     __slots__ = ("faces", "dims")
