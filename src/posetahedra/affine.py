@@ -266,13 +266,14 @@ def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bo
 def class_contains(A: AffinePoset, outer: AffineTube, inner: AffineTube) -> bool:
     """Some instance of outer contains the canonical instance of inner.
 
-    The instance shifted by d can only contain inner when it starts at or
-    below min(inner) and ends at or above max(inner), which bounds d on
-    both sides.
+    An instance has as many members as its class, so outer contains no
+    class with more members.  The instance shifted by d can only contain
+    inner when it starts at or below min(inner) and ends at or above
+    max(inner), which bounds d on both sides.
     """
     if outer.is_full:
         return True
-    if inner.is_full:
+    if inner.is_full or len(outer.members) < len(inner.members):
         return False
     lo = (max(inner.members) - max(outer.members)) // A.n
     hi = (min(inner.members) - min(outer.members)) // A.n
@@ -368,8 +369,11 @@ def _class_walk(A: AffinePoset) -> tuple[tuple[AffineTube, ...], tuple[int, ...]
     family grows past n - 1 classes, the most a periodic tubing has.
     """
     classes = enumerate_affine_tubes(A, proper_only=True)
-    compat = [sum(1 << y for y, b in enumerate(classes) if class_nested_or_disjoint(A, a, b))
-              for a in classes]
+    compat = [0] * len(classes)  # the relation is symmetric: each pair is tested once
+    for (x, a), (y, b) in itertools.combinations_with_replacement(enumerate(classes), 2):
+        if class_nested_or_disjoint(A, a, b):
+            compat[x] |= 1 << y
+            compat[y] |= 1 << x
     weight = [[_shift_weight(A, a, b) if mask >> y & 1 else None for y, b in enumerate(classes)]
               for a, mask in zip(classes, compat)]
 

@@ -16,17 +16,18 @@ from __future__ import annotations
 import itertools
 import math
 from bisect import bisect_right
-from collections import abc
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Sequence
 
 from .errors import NotGradedError
-from .poset import Poset, bit_positions, dependency_order, quotient_poset
+from .poset import Poset, dependency_order, quotient_poset
 from .tubes import (
     CACHE_SIZE,
     Tube,
     Tubing,
+    _TupleView,
+    _tubing_key,
     block_partitions,
     enumerate_tubes,
     full_tube,
@@ -44,29 +45,6 @@ class _EmptyFace:
 EMPTY = _EmptyFace()
 
 FaceKey = object  # frozenset[Tube] | _EmptyFace
-
-
-def _tubing_key(tubes: Sequence, mask: int) -> frozenset:
-    """The face key of a tubing mask: bit b stands for ``tubes[b]``."""
-    return frozenset(map(tubes.__getitem__, bit_positions(mask)))
-
-
-class _TupleView(abc.Sequence):
-    """A read-only sequence that equals, and hashes as, the tuple of its
-    items."""
-
-    __slots__ = ()
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, (tuple, _TupleView)):
-            return NotImplemented
-        return tuple(self) == tuple(other)
-
-    def __hash__(self) -> int:
-        return hash(tuple(self))
-
-    def __repr__(self) -> str:
-        return repr(tuple(self))
 
 
 class TubingFaces(_TupleView):

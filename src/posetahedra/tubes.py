@@ -14,6 +14,7 @@ would be unsound.
 from __future__ import annotations
 
 import itertools
+from collections import abc
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache, reduce
 from operator import or_
@@ -339,30 +340,97 @@ def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[int, ...], tuple[Tube
     return (*walk_tubings(tubes, table.compat, grow), witness[0] if witness else None)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> tuple[Tubing, ...]:
-    """All proper tubings, sorted by ``Tubing.key``, from the host's one walk
-    (``tubing_walk``).  With max_only, only tubings of size |P|-2 (the
-    polytope's vertices) are returned.
+def _tubing_key(tubes: Sequence, mask: int) -> frozenset:
+    """The tubes of a tubing mask: bit b stands for ``tubes[b]``."""
+    return frozenset(map(tubes.__getitem__, bit_positions(mask)))
+
+
+class _TupleView(abc.Sequence):
+    """A read-only sequence that equals, and hashes as, the tuple of its
+    items."""
+
+    __slots__ = ()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, (tuple, _TupleView)):
+            return NotImplemented
+        return tuple(self) == tuple(other)
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return repr(tuple(self))
+
+
+class ProperTubings(_TupleView):
+    """Proper tubings of a host, read-only, in ``Tubing.key`` order, held as
+    masks of its one walk (``tubing_walk``).  Counting decodes nothing; the
+    first read sorts the masks, and each ``Tubing`` is built
+    (``_tubing_key``) the first time its index is read, and kept.  A slice
+    (a tuple) builds only its own.
     """
-    tubes, found, _ = tubing_walk(P)
+
+    __slots__ = ("host", "masks", "_tubes", "_built")
+
+    def __init__(self, host: Poset, masks: Sequence[int]):
+        self.host, self.masks = host, masks
+        self._tubes = self._built = None
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+    def __getitem__(self, i: int | slice):
+        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
+        if isinstance(i, slice):
+            return tuple(map(self._tubing, picked))
+        return self._tubing(picked)
+
+    def __iter__(self) -> Iterator[Tubing]:
+        return map(self._tubing, range(len(self)))
+
+    def _tubing(self, p: int) -> Tubing:
+        if self._built is None:
+            self._sort()
+        tubing = self._built[p]
+        if tubing is None:
+            tubing = self._built[p] = Tubing(self.host, _tubing_key(self._tubes, self.masks[p]))
+        return tubing
+
+    def _sort(self) -> None:
+        # Tubing.key on masks: it lists a tubing's tubes in Tube.key order (by
+        # size, then members) and compares those lists by members.  A higher
+        # bit is a tube earlier in members order, so a tubing's bits in
+        # Tube.key order, negated, compare as the members do
+        tubes = self._tubes = tubing_walk(self.host)[0]
+        order = sorted(range(len(tubes)), key=lambda b: (len(tubes[b]), -b))
+        rank = [0] * len(order)
+        for r, b in enumerate(order):
+            rank[b] = r
+        neg_bit = [-b for b in order]
+
+        def key(mask: int) -> tuple[int, tuple[int, ...]]:
+            ranks = sorted(map(rank.__getitem__, bit_positions(mask)))
+            return len(ranks), tuple(map(neg_bit.__getitem__, ranks))
+
+        self.masks = tuple(sorted(self.masks, key=key))
+        self._built = [None] * len(self.masks)
+
+    def __reduce__(self):
+        return ProperTubings, (self.host, self.masks)  # the kept tubings are rebuilt when read
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def enumerate_proper_tubings(P: Poset, max_only: bool = False) -> ProperTubings:
+    """All proper tubings, in ``Tubing.key`` order, served from the masks of
+    the host's one walk (``tubing_walk``) and built when read
+    (``ProperTubings``).  With max_only, only tubings of size |P|-2 (the
+    polytope's vertices) are served.
+    """
+    found = tubing_walk(P)[1]
     if max_only:
-        found = [mask for mask in found if mask.bit_count() == len(P.elements) - 2]
-    # Tubing.key on masks: it lists a tubing's tubes in Tube.key order (by
-    # size, then members) and compares those lists by members.  A tubing's
-    # bits ranked in Tube.key order list its tubes when sorted, and a higher
-    # bit is a tube earlier in members order, so the bits negated compare as
-    # the members do
-    order = sorted(range(len(tubes)), key=lambda b: (len(tubes[b]), -b))
-    rank = [0] * len(order)
-    for r, b in enumerate(order):
-        rank[b] = r
-    neg_bit = [-b for b in order]
-    ranked = [sorted(map(rank.__getitem__, bit_positions(mask))) for mask in found]
-    ranked.sort(key=lambda ranks: tuple(map(neg_bit.__getitem__, ranks)))
-    ranked.sort(key=len)  # stable
-    in_order = [tubes[b] for b in order]
-    return tuple(Tubing(P, frozenset(map(in_order.__getitem__, ranks))) for ranks in ranked)
+        found = tuple(mask for mask in found if mask.bit_count() == len(P.elements) - 2)
+    return ProperTubings(P, found)
 
 
 def block_partitions(ground: int, blocks: Sequence[int]) -> list[tuple[int, ...]]:

@@ -680,6 +680,21 @@ def hasse_neighbors(A, i):
     return tuple(sorted(set(ups) | set(downs)))
 
 
+# A copy of class_contains as it was, when every pair of classes went
+# through the shift scan, whatever their sizes.
+
+
+def class_contains(A, outer, inner):
+    """Some instance of outer contains the canonical instance of inner."""
+    if outer.is_full:
+        return True
+    if inner.is_full:
+        return False
+    lo = (max(inner.members) - max(outer.members)) // A.n
+    hi = (min(inner.members) - min(outer.members)) // A.n
+    return any(inner.as_set <= outer.instance(d, A.n) for d in range(lo, hi + 1))
+
+
 def affine_root_partitions(A, enumerate_affine_tubes, residues_of, AffineTube, _acyclic):
     """The old ``affine._affine_root_partitions`` (its cache left out), with
     its own backtracker over residue sets."""

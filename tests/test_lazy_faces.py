@@ -8,7 +8,7 @@ once; ``faces_of_dim`` builds those of its dimension, and a slice those it
 returns.  Slices of the faces and the covers equal those of the eager
 oracle lattice.  A family of tubings not closed under dropping a tube fails
 the gradedness check.  Subprocess guards bound the memory of claw7's
-f-vector.
+f-vector and of the count of its maximal tubings.
 """
 
 import gc
@@ -232,34 +232,45 @@ def test_family_missing_a_facet_is_not_graded(name):
 # with the lattice from rank tuples, 25.1 MB with the walk's masks and keys
 # built when read.
 CLAW7_FVECTOR_MB = 36
+CLAW7_FVECTOR = "lattice.f_vector(lattice.associahedron_face_lattice(corpus.claw(7)))[0]"
 # The child reads its peak as VmHWM, not ru_maxrss: Linux carries the peak
 # of the process that forked it (here the test runner) into ru_maxrss
 # across exec, while VmHWM belongs to the child's own address space.
 GUARD_CHILD = textwrap.dedent("""
     import resource
+    import sys
     resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-    from posetahedra import corpus, lattice
+    from posetahedra import corpus, lattice, tubes
 
     def status_kb(field):
         with open("/proc/self/status") as status:
             return next(int(line.split()[1]) for line in status if line.startswith(field))
 
     after_imports = status_kb("VmRSS:")
-    f = lattice.f_vector(lattice.associahedron_face_lattice(corpus.claw(7)))
-    print(f[0], (status_kb("VmHWM:") - after_imports) / 1024)
+    value = eval(sys.argv[1])
+    print(value, (status_kb("VmHWM:") - after_imports) / 1024)
 """)
+
+
+def guarded_run(expression: str) -> tuple[str, float]:
+    """Evaluate the expression in a fresh interpreter, capped at 1 GiB of
+    address space; return its value as printed and the child's peak RSS
+    less its RSS after imports, in MB."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    out = subprocess.run([sys.executable, "-c", GUARD_CHILD, expression], capture_output=True,
+                         text=True, timeout=120, env={**os.environ, "PYTHONPATH": str(src)},
+                         check=True).stdout
+    value, grown = out.split()
+    return value, float(grown)
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
 def test_claw7_fvector_memory_guard():
     """A fresh interpreter, capped at 1 GiB of address space, computes
     claw7's f-vector and reports its peak RSS less its RSS after imports."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", GUARD_CHILD], capture_output=True, text=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-    f0, grown = out.split()
+    f0, grown = guarded_run(CLAW7_FVECTOR)
     assert int(f0) == 5040
-    assert float(grown) < CLAW7_FVECTOR_MB, f"claw7 f-vector grew RSS by {grown} MB"
+    assert grown < CLAW7_FVECTOR_MB, f"claw7 f-vector grew RSS by {grown} MB"
 
 
 # The same measure with the cover pairs read off the masks, never stored.
@@ -272,9 +283,21 @@ CLAW7_FVECTOR_LAZY_COVERS_MB = 16
 def test_claw7_fvector_lazy_covers_memory_guard():
     """As ``test_claw7_fvector_memory_guard``, with a bound that only holds
     when no cover pair is stored."""
-    src = Path(__file__).resolve().parent.parent / "src"
-    out = subprocess.run([sys.executable, "-c", GUARD_CHILD], capture_output=True, text=True,
-                         timeout=120, env={**os.environ, "PYTHONPATH": str(src)}, check=True).stdout
-    f0, grown = out.split()
+    f0, grown = guarded_run(CLAW7_FVECTOR)
     assert int(f0) == 5040
-    assert float(grown) <= CLAW7_FVECTOR_LAZY_COVERS_MB, f"claw7 f-vector grew RSS by {grown} MB"
+    assert grown <= CLAW7_FVECTOR_LAZY_COVERS_MB, f"claw7 f-vector grew RSS by {grown} MB"
+
+
+# Counting claw7's maximal tubings, by the same measure.  One-shot runs
+# (Python 3.11, Linux x86-64): 7.0 MB when every maximal tubing was built as
+# a Tubing, 2.5 MB with the walk's masks and tubings built when read.
+CLAW7_MAX_TUBINGS_COUNT_MB = 4.5
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads /proc/self/status")
+def test_claw7_max_tubings_count_memory_guard():
+    """As ``test_claw7_fvector_memory_guard``, for the count of claw7's
+    maximal tubings, with a bound that only holds when none is built."""
+    count, grown = guarded_run("len(tubes.enumerate_proper_tubings(corpus.claw(7), max_only=True))")
+    assert int(count) == 5040
+    assert grown <= CLAW7_MAX_TUBINGS_COUNT_MB, f"claw7 count grew RSS by {grown} MB"

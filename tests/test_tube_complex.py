@@ -26,6 +26,7 @@ from posetahedra.affine import (
     is_affine_tubing,
     residues_of,
 )
+from posetahedra.geometry import tube_index
 from posetahedra.lattice import (
     EMPTY,
     FaceLattice,
@@ -287,6 +288,45 @@ def test_root_partitions_match_old_search(name):
 @given(affine_posets())
 def test_random_root_partitions_match_old_search(A):
     check_root_partitions(A)
+
+
+def check_class_relations(A):
+    """The walk's compatibility masks, each unordered pair of classes tested
+    once, against the scan of every ordered pair; the containment of the
+    melting induction's tube index against the shift scan of every pair."""
+    compat, tested = [], []
+
+    def walk(classes, masks, grow):
+        compat.extend(masks)
+        return walk_tubings(classes, masks, grow)
+
+    def spy(host, a, b):
+        tested.append((a, b))
+        return class_nested_or_disjoint(host, a, b)
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setattr(affine, "walk_tubings", walk)
+        monkeypatch.setattr(affine, "class_nested_or_disjoint", spy)
+        _class_walk.__wrapped__(A)
+    classes = enumerate_affine_tubes(A, proper_only=True)
+    assert compat == [sum(1 << y for y, b in enumerate(classes) if class_nested_or_disjoint(A, a, b))
+                      for a in classes]
+    assert len(tested) == len(set(map(frozenset, tested))) == len(classes) * (len(classes) + 1) // 2
+    index = tube_index.__wrapped__(A)
+    assert index.sub == tuple(sum(1 << j for j, s in enumerate(index.tubes)
+                                  if oracles.class_contains(A, t, s)) for t in index.tubes)
+
+
+@pytest.mark.parametrize("name", sorted(corpus.DESK_AFFINE) + ["bowtie"])
+def test_class_relations_match_the_ordered_scans(name):
+    check_class_relations(periodic_bowtie() if name == "bowtie" else corpus.DESK_AFFINE[name])
+
+
+@SETTINGS
+@given(affine_posets())
+def test_random_class_relations_match_the_ordered_scans(A):
+    check_class_relations(A)
+
 
 def test_affine_walk_never_calls_is_affine_tubing(monkeypatch):
     calls = []
