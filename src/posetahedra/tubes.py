@@ -8,7 +8,8 @@ tubes of a host are indexed once as integer bitsets (``tube_table``).
 it walks compatibility bitmasks and asks the host for the cycle test.  A
 finite host's test keeps reach sets, and its complex is walked once
 (``tubing_walk``); the complex is not flag, so clique-style shortcuts
-would be unsound.
+would be unsound.  Its proper tubings are served from the walk's masks,
+each built when read (``ProperTubings``).
 """
 
 from __future__ import annotations
@@ -385,9 +386,6 @@ class ProperTubings(_TupleView):
         if isinstance(i, slice):
             return tuple(map(self._tubing, picked))
         return self._tubing(picked)
-
-    def __iter__(self) -> Iterator[Tubing]:
-        return map(self._tubing, range(len(self)))
 
     def _tubing(self, p: int) -> Tubing:
         if self._built is None:
