@@ -15,6 +15,10 @@ tubes have one position per host (``tube_index``); tubings are bitsets of
 positions.  Each stage carries forward what its subdivision leaves
 unchanged, and is certified in full all the same.
 
+Vertex sets are vertex bitsets, as in ``polytope``.  A facet the
+subdivision keeps is carried under its claimed incidence, never its signs,
+so that a tampered hyperplane still meets the certificate.
+
 Each fact of a stage is computed once.  A facet the subdivision keeps
 keeps its hyperplane and its signs at the kept vertices, so only the new
 vertex is signed against it.  A solved facet's hyperplane solve has
@@ -348,11 +352,11 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
 # -- stellar subdivision ------------------------------------------------------
 
 
-def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fraction, ...]:
-    """(1 + eps) times the face centroid x, eps the largest 1/2^k strictly
-    below the room to the first facet not containing the face, so that
-    the new point's denominators grow by a power of two at most.  The
-    polytope must contain the origin.
+def _pullout_point(Q: RationalPolytope, face: int) -> tuple[Fraction, ...]:
+    """(1 + eps) times the centroid x of a face (a vertex bitset), eps the
+    largest 1/2^k strictly below the room to the first facet not containing
+    the face, so that the new point's denominators grow by a power of two
+    at most.  The polytope must contain the origin.
 
     Facets are evaluated in integers on the centroid's cleared row: for
     each facet, nx = E D <n, x> and nb = E D b with the same E, D > 0.  As
@@ -361,7 +365,7 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
     face and strictly beneath the others, which is the sign a stellar
     subdivision gives it in the rows of the facets it carries.
     """
-    pts = [Q.vertices[i] for i in sorted(face_ids)]
+    pts = [Q.vertices[i] for i in bit_positions(face)]
     x = tuple(sum(col, Fraction(0)) / len(pts) for col in zip(*pts))
     row = homogeneous(x)
     values = []
@@ -371,7 +375,7 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
         nb = -coeffs[-1] * row[-1]
         nx = sum(map(mul, coeffs, row)) + nb
         values.append((nx, nb))
-        if nx > 0 and not face_ids <= inc:
+        if nx > 0 and face & ~inc:
             t = Fraction(nb - nx, nx)
             bound = t if bound is None else min(bound, t)
     if bound is not None and bound <= 0:
@@ -382,7 +386,7 @@ def _pullout_point(Q: RationalPolytope, face_ids: frozenset[int]) -> tuple[Fract
     scale = 1 + Fraction(1, 1 << k)
     for (nx, nb), inc in zip(values, Q.incidence):
         side = scale.numerator * nx - scale.denominator * nb
-        if not side or (side > 0) != (face_ids <= inc):
+        if not side or (side > 0) != (not face & ~inc):
             raise EpsilonInfeasibleError("pull-out point misclassifies a facet")
     return tuple(scale * c for c in x)
 
@@ -429,12 +433,11 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     span dim(T) dimensions.  Facet sets are integer bitsets taken per tube:
     the facets above T are those whose bad set misses every tube of T, one
     table OR over the tubes of T, and their intersection is the AND of their
-    incidence columns, a vertex bitset compared with the bitset of the
-    vertices below T.  A facet with exactly d vertices of rank d has
-    linearly independent rows; below such a facet, (a) puts the vertices
-    of T among them, so T's rank is its vertex count.  The other ranks are
-    taken on Q's homogeneous rows, through Q's rank memo, as are the
-    facets' own.
+    incidences, a vertex bitset compared with the bitset of the vertices
+    below T.  A facet with exactly d vertices of rank d has linearly
+    independent rows; below such a facet, (a) puts the vertices of T among
+    them, so T's rank is its vertex count.  The other ranks are taken on
+    Q's homogeneous rows, through Q's rank memo, as are the facets' own.
     """
     labels = Q.vertex_labels
     if labels is None or len(labels) != len(Q.vertices):
@@ -446,7 +449,6 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     vertices_below = order.below(labels)
     tubes = (1 << order.width) - 1
     fine = [0] * order.width  # per tube bit, the facets whose bad set misses it
-    columns = []  # per facet, the bitset of its vertices
     independent = 0  # the facets with linearly independent rows
     for k, (facet, inc) in enumerate(zip(Q.facets, Q.incidence)):
         i = order.index.get(facet.label)
@@ -454,10 +456,9 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
             raise MismatchError(f"facet label {_face_name(facet.label)} is not admissible")
         for j in bit_positions(tubes & ~order.bads[i]):
             fine[j] |= 1 << k
-        columns.append(sum(1 << v for v in inc))
-        if len(inc) == Q.dim and Q.rank_of(columns[-1]) == Q.dim:
+        if inc.bit_count() == Q.dim and Q.rank_of(inc) == Q.dim:
             independent |= 1 << k
-    every_facet, every_vertex = (1 << len(columns)) - 1, (1 << len(labels)) - 1
+    every_facet, every_vertex = (1 << len(Q.incidence)) - 1, (1 << len(labels)) - 1
     spoiled = union_table([every_facet & ~f for f in fine])
     for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
         above = every_facet & ~spoiled(mask)
@@ -467,7 +468,7 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
         cut = every_vertex
         while above:
             low = above & -above
-            cut &= columns[low.bit_length() - 1]
+            cut &= Q.incidence[low.bit_length() - 1]
             above ^= low
         below = vertices_below(i)
         if cut != below:
@@ -482,9 +483,9 @@ def _face_name(T) -> list:
     return sorted(t.members for t in T)
 
 
-def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
+def stellar_subdivide(Q: RationalPolytope, face: int,
                       new_lattice: AdmissiblePoset) -> RationalPolytope:
-    """Stellar subdivision at the face spanned by the given vertices.
+    """Stellar subdivision at the face with the vertices of a bitset.
 
     Geometry: add (1+eps) times the face centroid, certified strictly
     beyond exactly the facets containing the face.  Combinatorics: the
@@ -493,16 +494,16 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     vertex is removed only when the face is that vertex), so it is carried
     with its sign row: its signs at the kept vertices, whose rows are kept,
     and the new vertex strictly beneath it, as ``_pullout_point`` signed it.
+    It is keyed by its claimed incidence, never by its signs.
     """
-    face_ids = frozenset(face_vertex_ids)
-    if Q.face_from_vertices(face_ids) != face_ids:
+    if Q.face_of(face) != face:
         raise NotAFaceError("vertex set does not span a face")
-    new_point = _pullout_point(Q, face_ids)
+    new_point = _pullout_point(Q, face)
 
     new_dim0 = set(new_lattice.vertices())
     kept = [k for k, lab in enumerate(Q.vertex_labels) if lab in new_dim0]
     removed = len(Q.vertex_labels) - len(kept)
-    if removed and (removed > 1 or len(face_ids) != 1):
+    if removed and (removed > 1 or face.bit_count() != 1):
         raise MismatchError("subdivision removed an unexpected vertex")
     fresh = new_dim0 - set(Q.vertex_labels)
     if len(fresh) != 1:
@@ -511,16 +512,14 @@ def stellar_subdivide(Q: RationalPolytope, face_vertex_ids,
     vertices = tuple(Q.vertices[k] for k in kept) + (new_point,)
     labels = tuple(Q.vertex_labels[k] for k in kept) + (next(iter(fresh)),)
     rows = tuple(Q.rows[k] for k in kept) + (homogeneous(new_point),)
-    position = dict(zip(kept, range(len(kept))))  # old vertex -> new vertex
-    # a sign bitset drops the removed vertex, if any, by shifting the bits
+    # a vertex bitset drops the removed vertex, if any, by shifting the bits
     # above it down one; the new vertex, its top bit, is beneath: 0 in both
     gone = next((k for k, old in enumerate(kept) if k != old), len(kept))
-    low = (1 << gone) - 1
-    carried = {}
-    for facet, inc, (on, beyond) in zip(Q.facets, Q.incidence, Q.signs):
-        if not face_ids <= inc and all(v in position for v in inc):
-            carried[sum(1 << position[v] for v in inc)] = facet, (
-                on & low | on >> (gone + 1) << gone, beyond & low | beyond >> (gone + 1) << gone)
+    low, old = (1 << gone) - 1, ((1 << len(Q.vertices)) - 1) & ~(1 << gone)
+    drop = lambda bits: bits & low | bits >> (gone + 1) << gone
+    carried = {drop(inc): (facet, (drop(on), drop(beyond)))
+               for facet, inc, (on, beyond) in zip(Q.facets, Q.incidence, Q.signs)
+               if face & ~inc and not inc & ~old}
     return rebuild_from_lattice(Q.dim, vertices, labels, new_lattice, rows, Q.ranks, carried)
 
 
@@ -573,12 +572,12 @@ def realize(P) -> RealizationResult:
     memo = TubingMemo()
     sequence = melt_order(system.proper_tubes())
     for tau in sequence:
-        top = adm.s_tau(tau)
-        face_ids = frozenset(i for i, lab in enumerate(dual.vertex_labels) if adm.le(lab, top))
+        # the vertices below s_tau, off the table the stage's lattice match built
+        face = adm.order.below(dual.vertex_labels)(adm.order.index[adm.s_tau(tau)])
         melted.add(tau)
         adm = admissible_tubings(P, MeltedSet.of(P, melted), memo)
         try:
-            dual = stellar_subdivide(dual, face_ids, adm)
+            dual = stellar_subdivide(dual, face, adm)
         except MismatchError as exc:
             raise MismatchError(f"{system.stage} {tau}: {exc}") from exc
         counts.append(dual.n_vertices)
@@ -611,5 +610,5 @@ def _check_final_lattice(P, dual: RationalPolytope, lattice: FaceLattice) -> Non
     if facet_tubings != expected:
         raise MismatchError("final dual facets do not match maximal tubings")
     for f, inc in zip(dual.facets, dual.incidence):
-        if {tube_of[i] for i in inc} != strip(f.label):
+        if {tube_of[i] for i in bit_positions(inc)} != strip(f.label):
             raise MismatchError("final dual incidence disagrees with membership")

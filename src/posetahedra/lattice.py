@@ -72,11 +72,8 @@ class TubingFaces(_TupleView):
     def __len__(self) -> int:
         return len(self.masks) + 1
 
-    def __getitem__(self, i: int | slice):
-        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
-        if isinstance(i, slice):
-            return tuple(map(self.__getitem__, picked))
-        return EMPTY if picked == 0 else self._key(picked - 1)
+    def _item(self, p: int):
+        return EMPTY if p == 0 else self._key(p - 1)
 
     def __reduce__(self):
         return TubingFaces, (self.tubes, self.masks)  # the kept keys are rebuilt when read

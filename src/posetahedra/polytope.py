@@ -4,27 +4,30 @@ vertex-facet incidence, affine charts, and polar duality.
 A polytope lives in working coordinates R^d (its chart dimension).  An
 optional :class:`Chart` maps working coordinates into a labeled ambient
 space R^A, which is how order polytopes remember their poset coordinates.
-Certification is exact: a facet's tight vertex set must match its claimed
-incidence row, and every other vertex must be strictly beneath.  Both are
-read off one sign matrix, sign(<n, v> - offset) for every facet/vertex
-pair, evaluated in integers on the vertices' homogeneous rows, which each
-polytope clears of denominators once (``RationalPolytope.rows``).  The
-matrix is kept with the polytope (``RationalPolytope.signs``), each facet's
-row as two vertex bitsets (``sides``), so that a caller who knows some of
-its rows already (a facet kept by a subdivision, at vertices that kept
-their rows) hands them in instead of signing again.  Facet hyperplanes and
-ranks are solved on the same rows, and each rank is kept in a memo keyed
-by the set of rows (``RankMemo``); a hyperplane solve has proved the rank
-of its rows, and its caller records it there (``RankMemo.seed``).
+Every vertex set is one format, a vertex bitset with bit k for vertex k:
+a facet's claimed incidence (``RationalPolytope.incidence``), its sign rows
+and a face (``RationalPolytope.face_of``).  Certification is exact: a
+facet's tight vertex set must equal its claimed incidence, and every other
+vertex must be strictly beneath.  Both are read off one sign matrix,
+sign(<n, v> - offset) for every facet/vertex pair, evaluated in integers on
+the vertices' homogeneous rows, which each polytope clears of denominators
+once (``RationalPolytope.rows``).  The matrix is kept with the polytope
+(``RationalPolytope.signs``), each facet's row as two vertex bitsets
+(``sides``), so that a caller who knows some of its rows already (a facet
+kept by a subdivision, at vertices that kept their rows) hands them in
+instead of signing again.  Facet hyperplanes and ranks are solved on the
+same rows, and each rank is kept in a memo keyed by the set of rows
+(``RankMemo``); a hyperplane solve has proved the rank of its rows, and its
+caller records it there (``RankMemo.seed``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import compress, count
-from operator import mul, not_
+from operator import and_, mul, not_
 from typing import Iterable, Mapping, Sequence
 
 from . import linalg
@@ -110,7 +113,7 @@ class RationalPolytope:
     dim: int
     vertices: tuple[Point, ...]
     facets: tuple[Facet, ...]
-    incidence: tuple[frozenset[int], ...]
+    incidence: tuple[int, ...]  # per facet, the bitset of its claimed vertices
     chart: Chart | None = None
     vertex_labels: tuple | None = None
 
@@ -144,13 +147,6 @@ class RationalPolytope:
         """The map from a vertex bitset to its rank memo key."""
         return union_table(tuple(map(self.ranks.bit, self.rows)))
 
-    def rank(self, ids) -> int:
-        """Rank of the rows of the given vertices."""
-        vertices = 0
-        for k in ids:
-            vertices |= 1 << k
-        return self.rank_of(vertices)
-
     def rank_of(self, vertices: int) -> int:
         """Rank of the rows of the vertices in a bitset."""
         key = self._rank_key(vertices)
@@ -179,34 +175,37 @@ class RationalPolytope:
         )
         return replace(self, vertices=verts, facets=facets, chart=None)
 
-    def face_from_vertices(self, vertex_ids: Iterable[int]) -> frozenset[int]:
-        """Vertex set of the smallest face containing the given vertices.
+    def face_of(self, vertices: int) -> int:
+        """Vertex bitset of the smallest face containing the vertices of a bitset.
 
         Raises NotAFaceError when that face is the whole polytope (no facet
         contains all the given vertices).
         """
-        wanted = frozenset(vertex_ids)
-        containing = [inc for inc in self.incidence if wanted <= inc]
+        containing = [inc for inc in self.incidence if not vertices & ~inc]
         if not containing:
             raise NotAFaceError("vertex set is not on any facet")
-        face = frozenset(range(len(self.vertices)))
-        for inc in containing:
-            face &= inc
-        return face
+        return reduce(and_, containing)
 
     def certify(self) -> None:
         """Exact V/H/incidence consistency on the sign matrix (``signs``);
         raises MismatchError on failure."""
+        for k, v in enumerate(self.vertices):
+            if len(v) != self.dim:
+                raise MismatchError(f"vertex {k} has {len(v)} coordinates, not {self.dim}")
+        for facet in self.facets:
+            if len(facet.normal) != self.dim:
+                raise MismatchError(f"facet {facet.label} normal has {len(facet.normal)} "
+                                    f"coordinates, not {self.dim}")
         rows = self.rows  # canonical: equal rows are equal vertices
         if len(set(rows)) != len(rows):
             raise MismatchError("duplicate vertices")
-        if rows and self.rank(range(len(rows))) - 1 != self.dim:
+        if rows and self.rank_of((1 << len(rows)) - 1) - 1 != self.dim:
             raise MismatchError("polytope is not full-dimensional in its chart")
         for facet, claimed, (on, beyond) in zip(self.facets, self.incidence, self.signs):
             if beyond:
                 raise MismatchError(
                     f"vertex {(beyond & -beyond).bit_length() - 1} beyond facet {facet.label}")
-            if on != sum(map((1).__lshift__, claimed)):
+            if on != claimed:
                 raise MismatchError(f"incidence mismatch on facet {facet.label}")
             if self.dim >= 1 and self.rank_of(on) - 1 != self.dim - 1:
                 raise MismatchError(f"facet {facet.label} tight set has wrong rank")
@@ -276,9 +275,8 @@ def polytope_from_data(dim, vertices, facets, chart=None, vertex_labels=None,
     rows = tuple(map(linalg.homogeneous, vertices)) if rows is None else tuple(rows)
     signs = tuple(sides(_signs(f.halfspace, rows)) if row is None else row
                   for f, row in zip(facets, signs or [None] * len(facets)))
-    incidence = tuple(frozenset(bit_positions(on)) for on, _ in signs)
     poly = RationalPolytope(
-        dim=dim, vertices=vertices, facets=facets, incidence=incidence,
+        dim=dim, vertices=vertices, facets=facets, incidence=tuple(on for on, _ in signs),
         chart=chart, vertex_labels=vertex_labels,
     )
     # fill the cached properties: these are its rows and its sign matrix
@@ -339,8 +337,7 @@ def polar_dual(Q: RationalPolytope) -> RationalPolytope:
     dual = polytope_from_data(Q.dim, dual_vertices, dual_facets, vertex_labels=labels)
     # transposed incidence must come out of the exact evaluation
     for k, inc in enumerate(dual.incidence):
-        expected = frozenset(j for j, row in enumerate(Q.incidence) if k in row)
-        if inc != expected:
+        if inc != sum(1 << j for j, row in enumerate(Q.incidence) if row >> k & 1):
             raise MismatchError("polar incidence did not transpose")
     return dual
 

@@ -9,14 +9,14 @@ from __future__ import annotations
 
 import json
 import re
-from decimal import Decimal, getcontext
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 from .affine import AffinePoset, build_affine_poset
 from .compact import ConfigPoint
 from .errors import SchemaError
 from .polytope import Facet, RationalPolytope, polytope_from_data
-from .poset import Poset, build_poset
+from .poset import Poset, bit_positions, build_poset
 from .rational import format_rational, parse_rational
 from .tubes import Tube, Tubing
 
@@ -311,7 +311,6 @@ def polytope_to_off(Q: RationalPolytope, precision: int = 12) -> str:
     """
     if Q.dim not in (2, 3):
         raise ValueError("OFF export supports dimensions 2 and 3 only")
-    getcontext().prec = precision + 10
 
     def fmt(x: Fraction) -> str:
         q = Decimal(x.numerator) / Decimal(x.denominator)
@@ -328,7 +327,9 @@ def polytope_to_off(Q: RationalPolytope, precision: int = 12) -> str:
         "exact data lives in the JSON export",
         f"{len(verts3)} {len(faces)} 0",
     ]
-    lines += [" ".join(fmt(x) for x in v) for v in verts3]
+    with localcontext() as context:  # the caller's context is left as it was
+        context.prec = precision + 10
+        lines += [" ".join(fmt(x) for x in v) for v in verts3]
     lines += [str(len(f)) + " " + " ".join(map(str, f)) for f in faces]
     return "\n".join(lines) + "\n"
 
@@ -347,7 +348,7 @@ def _cycle2d(Q: RationalPolytope) -> list[int]:
 def _cycle3d(Q: RationalPolytope, k: int) -> list[int]:
     import math
 
-    ids = sorted(Q.incidence[k])
+    ids = bit_positions(Q.incidence[k])
     pts = [tuple(map(float, Q.vertices[i])) for i in ids]
     cx = [sum(p[a] for p in pts) / len(pts) for a in range(3)]
     normal = tuple(map(float, Q.facets[k].normal))

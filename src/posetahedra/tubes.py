@@ -348,9 +348,15 @@ def _tubing_key(tubes: Sequence, mask: int) -> frozenset:
 
 class _TupleView(abc.Sequence):
     """A read-only sequence that equals, and hashes as, the tuple of its
-    items."""
+    items, each read by ``_item(position)``; a slice is a tuple."""
 
     __slots__ = ()
+
+    def __getitem__(self, i: int | slice):
+        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
+        if isinstance(i, slice):
+            return tuple(map(self._item, picked))
+        return self._item(picked)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, (tuple, _TupleView)):
@@ -381,13 +387,7 @@ class ProperTubings(_TupleView):
     def __len__(self) -> int:
         return len(self.masks)
 
-    def __getitem__(self, i: int | slice):
-        picked = range(len(self))[i]  # negative indices, slices, and IndexError past the end
-        if isinstance(i, slice):
-            return tuple(map(self._tubing, picked))
-        return self._tubing(picked)
-
-    def _tubing(self, p: int) -> Tubing:
+    def _item(self, p: int) -> Tubing:
         if self._built is None:
             self._sort()
         tubing = self._built[p]

@@ -994,6 +994,19 @@ def admissible_tubings(P, M, tube_system, AdmissiblePoset):
     return AdmissiblePoset(host=P, melted=M, elements=elements)
 
 
+def face_from_vertices(self, vertex_ids: Iterable[int], NotAFaceError) -> frozenset[int]:
+    """The old ``RationalPolytope.face_from_vertices``, on a polytope whose
+    ``incidence`` holds each facet's vertices as a frozenset."""
+    wanted = frozenset(vertex_ids)
+    containing = [inc for inc in self.incidence if wanted <= inc]
+    if not containing:
+        raise NotAFaceError("vertex set is not on any facet")
+    face = frozenset(range(len(self.vertices)))
+    for inc in containing:
+        face &= inc
+    return face
+
+
 def walk_proper_tubings(P, max_only, walk, Tubing):
     """The old ``tubes.enumerate_proper_tubings``: max_only walks again, on
     an uncached ``walk`` of the host that lists the proper tubes and each

@@ -14,6 +14,7 @@ import pytest
 
 from posetahedra import corpus
 from posetahedra.geometry import realize
+from posetahedra.polytope import bit_positions
 
 PINS = {
     "w5": (corpus.w5(),
@@ -42,7 +43,7 @@ def combinatorial_sha(R) -> str:
     record = {
         "vertex_labels": [_label(lab) for lab in primal.vertex_labels],
         "facet_labels": [_label(f.label) for f in primal.facets],
-        "incidence": [sorted(inc) for inc in primal.incidence],
+        "incidence": [bit_positions(inc) for inc in primal.incidence],
         "melt_sequence": [_tube(t) for t in R.melt_sequence],
         "stage_vertex_counts": list(R.stage_vertex_counts),
     }

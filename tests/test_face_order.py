@@ -209,7 +209,7 @@ def test_facets_match_fraction_solve_at_every_stage(monkeypatch, host):
     R = geometry.realize(host)
     assert len(stages) == len(R.melt_sequence) + 1
     for Q in stages:
-        for facet, inc in zip(Q.facets, Q.incidence):
+        for facet, inc in zip(Q.facets, map(bit_positions, Q.incidence)):
             assert (facet.normal, facet.offset) == oracles.oriented_facet(Q.vertices, inc)
             assert all(type(x) is F for x in (*facet.normal, facet.offset))
             solved, row = facet_through(Q.rows, inc, facet.label)

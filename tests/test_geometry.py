@@ -135,10 +135,10 @@ class TestStellar:
         dual, adm = initial_dual(w5)
         # a diagonal of the pyramid's square facet spans the square, not itself
         pairs = [
-            (i, j)
+            1 << i | 1 << j
             for i in range(dual.n_vertices)
             for j in range(i + 1, dual.n_vertices)
-            if dual.face_from_vertices({i, j}) != frozenset({i, j})
+            if dual.face_of(1 << i | 1 << j) != 1 << i | 1 << j
         ]
         assert pairs, "expected some non-face vertex pair in the dual pyramid"
         with pytest.raises(NotAFaceError):

@@ -17,7 +17,7 @@ from posetahedra.affine import affine_order_polytope, maximal_proper_classes
 from posetahedra.errors import DegenerateError
 from posetahedra.geometry import order_polytope
 from posetahedra.linalg import affine_rank, nullspace
-from posetahedra.polytope import Chart, Facet, polytope_from_data
+from posetahedra.polytope import Chart, Facet, bit_positions, polytope_from_data
 from posetahedra.poset import ideal_filter_splits
 from strategies import SETTINGS, affine_posets, connected_posets
 
@@ -30,7 +30,7 @@ AFFINE_HOSTS = {**corpus.DESK_AFFINE,
 def snapshot(Q):
     """Everything a polytope holds, with the incidence as sorted tuples."""
     return (repr((Q.dim, Q.vertices, Q.facets, Q.chart, Q.vertex_labels)),
-            tuple(tuple(sorted(inc)) for inc in Q.incidence))
+            tuple(tuple(bit_positions(inc)) for inc in Q.incidence))
 
 
 def old_order_polytope(P):

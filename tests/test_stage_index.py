@@ -93,7 +93,7 @@ def _check_stage_facts(Q, adm, seeded, ranks):
     """What the stage took from its own proofs equals a fresh computation;
     ``ranks`` keeps the integer rank of each set of rows across stages."""
     assert Q.signs == tuple(sides(side_signs(f.normal, f.offset, Q.rows)) for f in Q.facets)
-    tight_rows = {frozenset(Q.rows[k] for k in inc) for inc in Q.incidence}
+    tight_rows = {frozenset(Q.rows[k] for k in bit_positions(inc)) for inc in Q.incidence}
     for rows, rank in seeded:  # each the tight rows of a solved facet
         assert frozenset(rows) in tight_rows
         assert rank == integer_rank(rows) == Q.dim
@@ -108,7 +108,7 @@ def _check_stage_facts(Q, adm, seeded, ranks):
     # it has its vertex count as rank
     order = adm.order  # T <= F when mask(T) misses bad(F)
     independent = [order.bads[order.index[f.label]] for f, inc in zip(Q.facets, Q.incidence)
-                   if len(inc) == Q.dim and rank(inc) == Q.dim]
+                   if inc.bit_count() == Q.dim and rank(bit_positions(inc)) == Q.dim]
     vertices_below = order.below(Q.vertex_labels)
     for i, mask in enumerate(order.masks):
         if any(not mask & bad for bad in independent):
@@ -139,20 +139,20 @@ def test_stage_facts_on_random_affine_posets(A):
 
 def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
     dual, _ = initial_dual(w5)
-    square = sorted(next(inc for inc in dual.incidence if len(inc) == 4))
+    square = next(inc for inc in dual.incidence if inc.bit_count() == 4)
     # certifying the stage took this facet's rank and kept it, under the
     # OR of its rows' ids
     key = 0
-    for k in square:
+    for k in bit_positions(square):
         key |= dual.ranks.bit(dual.rows[k])
     assert dual.ranks[key] == 3
     calls = []
     integer_rank = linalg.integer_rank
     monkeypatch.setattr(linalg, "integer_rank", lambda rows: calls.append(rows) or
                         integer_rank(rows))
-    assert dual.rank(square) == 3 and not calls
+    assert dual.rank_of(square) == 3 and not calls
     # the same labels and indices, one vertex of the facet moved off its plane
-    k = square[0]
+    k = bit_positions(square)[0]
     centroid = dual.centroid()
     moved = tuple(x + (c - x) * F(1, 7) for x, c in zip(dual.vertices[k], centroid))
     vertices = dual.vertices[:k] + (moved,) + dual.vertices[k + 1:]
@@ -160,8 +160,8 @@ def test_rank_memo_is_keyed_by_row_values(w5, monkeypatch):
                                   ranks=dual.ranks)
     assert tampered.ranks is dual.ranks
     calls.clear()
-    assert tampered.rank(square) == 4 and len(calls) == 1
-    assert dual.rank(square) == 3 and len(calls) == 1
+    assert tampered.rank_of(square) == 4 and len(calls) == 1
+    assert dual.rank_of(square) == 3 and len(calls) == 1
 
 
 def test_realization_drops_its_rank_memo(w5):
@@ -188,4 +188,4 @@ def test_only_new_facets_are_solved(w5, monkeypatch):
     assert len(stages) == len(R.melt_sequence)
     for Q, solved in stages:
         new = Q.n_vertices - 1  # the pulled-out point comes last
-        assert solved == sum(new in inc for inc in Q.incidence) < Q.n_facets
+        assert solved == sum(inc >> new & 1 for inc in Q.incidence) < Q.n_facets
