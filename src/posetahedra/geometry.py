@@ -316,6 +316,8 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
     A tubing is the OR of its tubes' position bits (``tube_index``); what
     ``memo`` holds from the last stage is reused.
     """
+    if M.host != P:
+        raise ValueError("the melted set belongs to another host")
     index = tube_index(P)
     sub, melted = index.sub, index.mask(M.tubes)
     memo = TubingMemo() if memo is None else memo

@@ -8,7 +8,8 @@ is the ``EMPTY`` sentinel so Euler checks run uniformly.  A tubing lattice
 holds its faces as the walk's masks and builds a key only when it is read
 (``TubingFaces``): f/h-vectors, gradedness and Euler sums read none.  Its
 cover pairs are read off the same masks whenever they are iterated
-(``TubingCovers``), and none is stored.
+(``TubingCovers``), and none is stored; its gradedness is checked on the
+masks too, with no pair built (``TubingCovers.grade``).
 """
 
 from __future__ import annotations
@@ -105,14 +106,22 @@ class TubingCovers(_TupleView):
             return tuple(map(head.__getitem__, picked))
         return next(itertools.islice(self, picked, None))
 
-    def __iter__(self):
+    def _dimensions(self):
+        """Per dimension of faces, their positions and the map from mask to
+        position of the next dimension's faces; EMPTY (face 0) is left out."""
         masks, dims = self.faces.masks, self.dims
-        yield from ((0, p) for p in range(1, bisect_right(dims, 0)))
-        start = 1  # EMPTY is face 0
+        start = 1
         while start < len(dims):
             stop = bisect_right(dims, dims[start])
-            position = {masks[q - 1]: q for q in range(stop, bisect_right(dims, dims[start] + 1))}
-            for p in range(start, stop):
+            end = bisect_right(dims, dims[start] + 1)
+            yield range(start, stop), dict(zip(masks[stop - 1:end - 1], range(stop, end)))
+            start = stop
+
+    def __iter__(self):
+        masks = self.faces.masks
+        yield from ((0, p) for p in range(1, bisect_right(self.dims, 0)))
+        for faces, position in self._dimensions():
+            for p in faces:
                 mask = rest = masks[p - 1]
                 while rest:
                     low = rest & -rest
@@ -122,7 +131,35 @@ class TubingCovers(_TupleView):
                         raise NotGradedError(f"face {self.faces[p]} has no upper cover without "
                                              f"{self.faces.tubes[low.bit_length() - 1]}")
                     yield p, upper
-            start = stop
+
+    def grade(self) -> None:
+        """Check on the masks, with no pair built, that each face has all its
+        upper covers and a lower cover: per dimension, each mask with one bit
+        cleared is looked up in the next dimension's map and marks the face
+        it finds as reached from below.  Raise ``NotGradedError`` on the face
+        that ``FaceLattice``'s loop over the pairs names first: a missing
+        upper cover (as iterating raises), then EMPTY without a vertex, then
+        the first face without a lower cover.
+        """
+        masks, vertices = self.faces.masks, bisect_right(self.dims, 0)
+        reached = bytearray(len(self.dims))  # reached[0]: a mask with a bit cleared is no face
+        reached[1:vertices] = b"\1" * (vertices - 1)  # EMPTY covers the vertices
+        for faces, position in self._dimensions():
+            get = position.get
+            for mask in masks[faces.start - 1:faces.stop - 1]:
+                rest = mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    reached[get(mask ^ low, 0)] = 1
+            if reached[0]:
+                for _ in self:  # raises on the first pair missing, as the pair loop does
+                    pass
+        if vertices == 1:
+            raise NotGradedError(f"face {EMPTY} has no upper cover")
+        missing = reached.find(0, 1)
+        if missing != -1:
+            raise NotGradedError(f"face {self.faces[missing]} has no lower cover")
 
     def __reduce__(self):
         return TubingCovers, (self.faces, self.dims)
@@ -182,13 +219,18 @@ class FaceLattice:
 
     @cached_property
     def _graded(self) -> bool:
-        """check_graded's work, on one flag per face for an upper and a lower
-        cover; a failure raises, so it caches nothing."""
-        dims = self.dims
+        """check_graded's work: a tubing lattice grades itself on its masks
+        (``TubingCovers.grade``); explicit cover pairs are checked one by
+        one, with one flag per face for an upper and a lower cover.  A
+        failure raises, so it caches nothing."""
+        dims, covers = self.dims, self.covers
         if self.dim not in dims:
             raise NotGradedError("missing top face")
+        if isinstance(covers, TubingCovers) and covers.faces is self.faces and covers.dims is dims:
+            covers.grade()
+            return True
         has_upper, has_lower = bytearray(len(dims)), bytearray(len(dims))
-        for a, b in self.covers:
+        for a, b in covers:
             if dims[b] - dims[a] != 1:
                 raise NotGradedError("cover with dimension gap != 1")
             has_upper[a] = has_lower[b] = 1

@@ -313,9 +313,14 @@ def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[int, ...], tuple[Tube
     The state is a list of reach sets: ``reach[d]`` holds the chosen
     positions reachable from ``chosen[d]``, itself included.  The prefix is
     acyclic, so candidate i closes a cycle iff a position it reaches has an
-    arrow into it.  Only such a candidate can be a flag witness: ``witness``
-    is the first that passes ``is_tubing`` on every subfamily, so it is
-    minimal (None when the complex is flag).
+    arrow into it.  A reach set is read only through ``& into``, so a
+    position with no arrow out may be left out of it, and ``reach[d]`` is
+    read only for a candidate with an arrow into ``chosen[d]``.  So a
+    candidate with no arrow out, or none in, closes no cycle, scans no
+    reach set and changes none; its own is itself alone.  Only a candidate
+    that closes a cycle can be a flag witness: ``witness`` is the first
+    that passes ``is_tubing`` on every subfamily, so it is minimal (None
+    when the complex is flag).
     """
     table = tube_table(P)
     tubes = table.tubes[:-1]
@@ -325,6 +330,8 @@ def tubing_walk(P: Poset) -> tuple[tuple[Tube, ...], tuple[int, ...], tuple[Tube
     def grow(chosen: list[int], reach: list[int], i: int) -> list[int] | None:
         out, into = arrow[i], arrow_in[i]
         reached = 1 << i
+        if not (out and into):
+            return reach + [reached]
         for j, r in zip(chosen, reach):
             if out >> j & 1:
                 reached |= r

@@ -1230,3 +1230,32 @@ def affine_order_polytope(A, c, maximal_proper_classes, nullspace, Chart, Facet,
         offset = A.shift(j) * c - (base[i] - base[rj])
         facets.append(Facet(normal, offset, label=(i, j)))
     return polytope_from_data(n - 1, verts, facets, chart, vertex_labels=vlabels)
+
+
+def tubing_walk(P, tube_table, walk_tubings, is_tubing):
+    """``tubes.tubing_walk`` before candidates with no arrow out or none in
+    skipped the reach bookkeeping: every candidate scans the chosen reach
+    sets and rebuilds them.  Uncached; the package's table, backtracker and
+    tubing check come in as arguments."""
+    table = tube_table(P)
+    tubes = table.tubes[:-1]
+    arrow, arrow_in = table.arrow, table.arrow_in
+    witness = []
+
+    def grow(chosen, reach, i):
+        out, into = arrow[i], arrow_in[i]
+        reached = 1 << i
+        for j, r in zip(chosen, reach):
+            if out >> j & 1:
+                reached |= r
+        if not reached & into:
+            return [r | reached if r & into else r for r in reach] + [reached]
+        two_cycles = out & into
+        if witness or len(chosen) < 2 or any(two_cycles >> j & 1 for j in chosen):
+            return None  # a witness is known, or a pair of the candidate is no tubing
+        family = [tubes[k] for k in chosen] + [tubes[i]]
+        if all(is_tubing(P, family[:d] + family[d + 1:]) for d in range(len(family))):
+            witness.append(tuple(family))
+        return None
+
+    return (*walk_tubings(tubes, table.compat, grow), witness[0] if witness else None)

@@ -101,6 +101,15 @@ class TestAdmissible:
         with pytest.raises(ValueError, match=r"not tubes of the host: \{1,5\}"):
             MeltedSet.of(w5, [Tube.of((1, 5))])
 
+    @pytest.mark.parametrize("host, other", [
+        (corpus.w5(), corpus.h6()), (corpus.h6(), corpus.w5()),
+        (corpus.circular_chain(3), corpus.circular_chain(4)),
+        (corpus.w5(), corpus.circular_claw(3)),
+    ], ids=["w5-h6", "h6-w5", "cchain3-cchain4", "w5-cclaw3"])
+    def test_a_melted_set_of_another_host_is_refused(self, host, other):
+        with pytest.raises(ValueError, match="melted set belongs to another host"):
+            admissible_tubings(host, MeltedSet.of(other, ()))
+
     @pytest.mark.parametrize("host", [corpus.DESK_POSETS["h6"], corpus.DESK_AFFINE["cclaw4"]],
                              ids=["h6", "cclaw4"])
     def test_upward_closure_matches_the_definition(self, host):

@@ -19,6 +19,8 @@ against the integer rank of its rows.
 """
 
 from fractions import Fraction as F
+from functools import reduce
+from operator import or_
 
 import pytest
 from hypothesis import given
@@ -72,17 +74,27 @@ def _check_every_stage(host):
         # each vertex was cleared once, and the rows handed on are its rows
         assert Q.rows == tuple(map(homogeneous, Q.vertices))
         labels = Q.vertex_labels
+        # The oracle asks of each tube t of the lower tubing that one tube s
+        # of the upper tubing be t (t melted) or a frozen tube holding t (t
+        # frozen), so a <= T exactly when each t of a passes against some
+        # s of T alone.  Each such pair is asked once per stage; a tubing of
+        # the labels is the bitset of its tubes.
+        bit = {t: 1 << k for k, t in enumerate(frozenset().union(*labels))}
+        label_bits = [sum(map(bit.__getitem__, lab)) for lab in labels]
+        passing = {s: sum(b for t, b in bit.items() if le(adm, (t,), (s,)))
+                   for s in frozenset().union(*adm.elements)}
         vertices_below = adm.order.below(labels)
         tight = {}
         for i, T in enumerate(adm.elements):
-            ids = [k for k, lab in enumerate(labels) if le(adm, lab, T)]
+            allowed = reduce(or_, map(passing.__getitem__, T), 0)
+            ids = [k for k, lab in enumerate(label_bits) if not lab & ~allowed]
             assert [adm.le(lab, T) for lab in labels] == [k in ids for k in range(len(labels))]
             assert vertices_below(i) == sum(1 << k for k in ids), T
             tight[T] = ids
-            points = tuple(Q.vertices[k] for k in ids)
-            if points not in ranks:
-                ranks[points] = oracles.rank([[*v, 1] for v in points], Q.dim + 1)
-            assert ranks[points] == adm.dim(T) + 1, T
+            rows = tuple(Q.rows[k] for k in ids)  # a point's row is one to one, and quick to hash
+            if rows not in ranks:
+                ranks[rows] = oracles.rank([[*Q.vertices[k], 1] for k in ids], Q.dim + 1)
+            assert ranks[rows] == adm.dim(T) + 1, T
         # carried and solved facets alike are the facets a solve from scratch gives
         assert list(Q.facets) == [facet_through(Q.rows, tight[Tf], Tf)[0]
                                   for Tf in adm.facets()]
