@@ -29,6 +29,7 @@ from functools import cached_property, lru_cache
 
 from .errors import (
     CycleError,
+    ElementBudgetError,
     EmptyError,
     NotATubeError,
     NotATubingError,
@@ -38,7 +39,8 @@ from .errors import (
 from . import geometry
 from .lattice import FaceLattice, tubing_face_lattice, tubing_partitions
 from .polytope import RationalPolytope, order_chart_polytope
-from .poset import Poset, _is_connected, build_poset, dependency_order, quotient_poset
+from .poset import (MAX_ELEMENTS, Poset, _is_connected, build_poset, dependency_order,
+                    quotient_poset)
 from .tubes import CACHE_SIZE, block_partitions, connected_sets, walk_tubings
 
 
@@ -131,9 +133,12 @@ def _min_plus_closure(dist: list[list[int | None]]) -> list[list[int | None]]:
 
 
 def build_affine_poset(n: int, gen_covers) -> AffinePoset:
-    """Validate the axioms and precompute the residue shift matrix."""
+    """Validate the axioms and precompute the residue shift matrix; a period
+    above MAX_ELEMENTS is refused (ElementBudgetError) before it is built."""
     if n < 1:
         raise ValueError("period must be at least 1")
+    if n > MAX_ELEMENTS:
+        raise ElementBudgetError(f"period {n}: affine posets take at most {MAX_ELEMENTS}")
     pairs = [(int(i), int(j)) for i, j in gen_covers]
     for i, j in pairs:
         if i == j:

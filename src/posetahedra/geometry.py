@@ -9,7 +9,8 @@ certified, never reconstructed by convex hull.
 
 Admissible tubings contain the root tube; frozen tubes are leaves of the
 nesting tree while each melted tube's children partition it.  The face
-dimension bookkeeping is size + |melted in T| - |frozen in T| - 2.  What
+dimension bookkeeping is size + |melted in T| - |frozen in T| - 2, which
+a tubing's mask gives as size - 2 + 2 |mask & melted| - |mask|.  What
 differs between hosts is behind a tube system (``tube_system``), whose
 tubes have one position per host (``tube_index``); tubings are bitsets of
 positions.  Each stage carries forward what its subdivision leaves
@@ -26,24 +27,26 @@ proved that its tight rows have rank d, and seeds the rank memo with it,
 so ``certify`` looks the rank up.  A facet with exactly d vertices of rank
 d has linearly independent rows, so every face below it has rank equal to
 its vertex count; ``lattice_match`` only eliminates the rows of faces
-below no such facet.  The vertex-below table of a stage (``FaceOrder.below``)
-is built once, for the facet solves and the lattice match alike.
+below no such facet.  A stage is one ``AdmissiblePoset``, built once by
+``admissible_tubings``: its tubings with their masks, dimensions and bad
+sets, and the vertex-below table (``AdmissiblePoset.below``) that the facet
+solves and the lattice match share.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce, singledispatch
+from functools import lru_cache, reduce, singledispatch
 from operator import mul, or_
+from types import MappingProxyType
 from typing import NamedTuple
 
 from .errors import EpsilonInfeasibleError, MismatchError, NotAFaceError
 from .lattice import FaceLattice, associahedron_face_lattice, tubing_partitions
 from .linalg import homogeneous
 from .polytope import (
-    Facet,
     RationalPolytope,
     bit_positions,
     facet_through,
@@ -198,79 +201,53 @@ class MeltedSet:
 
 @dataclass(frozen=True)
 class AdmissiblePoset:
-    """All admissible tubings for a melted set, with dims and comparison."""
+    """The admissible tubings of a melted set, indexed once: one melting stage.
 
-    host: Poset
+    ``masks[i]`` is the OR of the tube position bits (``TubeIndex``) of
+    ``elements[i]`` and ``dims[i]`` its face dimension, read off the mask.
+    ``bads[i]`` holds the melted tubes missing from it and the frozen tubes
+    lying under no frozen tube of it, so a <= b exactly when
+    mask(a) & bad(b) == 0: melted tubes persist and frozen tubes may coarsen.
+    ``index`` maps each element to its position.  ``admissible_tubings``
+    builds it; the table ``below`` keeps of the last labels is its only
+    mutable state.
+    """
+
+    host: Poset  # or an AffinePoset, as for every host with a tube system
     melted: MeltedSet
     elements: tuple[AdmTubing, ...]
+    masks: tuple[int, ...]
+    dims: tuple[int, ...]
+    bads: tuple[int, ...]
+    index: MappingProxyType = field(compare=False)
+    _last: list = field(default_factory=lambda: [(), None], init=False, repr=False,
+                        compare=False)
 
-    @cached_property
+    @property
     def system(self):
-        return tube_system(self.host)
+        return tube_index(self.host).system
 
     def is_melted(self, t: Tube) -> bool:
         return t in self.melted
 
     def dim(self, T: AdmTubing) -> int:
-        return self._dims[T]
-
-    @cached_property
-    def _dims(self) -> dict[AdmTubing, int]:
-        """dim(T) for every element, from the melted bits of its mask."""
-        order, base = self.order, self.system.size - 2
-        return {T: base + 2 * (mask & order.melted).bit_count() - len(T)
-                for T, mask in zip(self.elements, order.masks)}
-
-    @cached_property
-    def order(self) -> FaceOrder:  # admissible_tubings sets it from its own masks
-        index = tube_index(self.host)
-        return FaceOrder(self.elements, [index.mask(T) for T in self.elements],
-                         index.mask(self.melted.tubes), index.sub)
+        return self.dims[self.index[T]]
 
     def le(self, a: AdmTubing, b: AdmTubing) -> bool:
         """Face order: melted tubes persist, frozen tubes may coarsen."""
-        return self.order.le(a, b)
-
-    @cached_property
-    def by_dim(self) -> dict[int, tuple[AdmTubing, ...]]:
-        out: dict[int, list[AdmTubing]] = {}
-        for T in self.elements:
-            out.setdefault(self.dim(T), []).append(T)
-        return {d: tuple(v) for d, v in out.items()}
+        return not self.masks[self.index[a]] & self.bads[self.index[b]]
 
     def vertices(self) -> tuple[AdmTubing, ...]:
-        return self.by_dim.get(0, ())
+        return self._of_dim(0)
 
     def facets(self) -> tuple[AdmTubing, ...]:
-        return self.by_dim.get(self.system.dim - 1, ())
+        return self._of_dim(self.system.dim - 1)
+
+    def _of_dim(self, d: int) -> tuple[AdmTubing, ...]:
+        return tuple(T for T, k in zip(self.elements, self.dims) if k == d)
 
     def s_tau(self, tau: Tube) -> AdmTubing:
         return frozenset({self.system.root, tau} | self.system.outside(tau))
-
-
-class FaceOrder:
-    """The face order of admissible tubings on integer bitsets, indexed once.
-
-    ``masks[i]`` is the OR of the tube position bits (``TubeIndex``) of
-    ``elements[i]`` and ``melted`` the bits of the melted tubes.  ``bads[i]``
-    holds the melted tubes missing from it and the frozen tubes lying under
-    no frozen tube of it, read off the containment bitsets ``sub``, so
-    a <= b exactly when mask(a) & bad(b) == 0: melted tubes persist and
-    frozen tubes may coarsen.  ``index`` maps each element to its position.
-    Shared by the finite and the affine admissible posets.
-    """
-
-    def __init__(self, elements, masks, melted, sub):
-        self.width = len(sub)
-        self.melted = melted
-        self.masks = masks
-        frozen, covered = ((1 << self.width) - 1) & ~melted, union_table(sub)
-        self.bads = [(melted & ~mask) | (frozen & ~covered(mask & frozen)) for mask in masks]
-        self.index = {T: i for i, T in enumerate(elements)}
-        self._below = ((), None)  # the last labels asked for, and their table
-
-    def le(self, a, b) -> bool:
-        return not self.masks[self.index[a]] & self.bads[self.index[b]]
 
     def below(self, labels):
         """The map i -> the bitset of the positions k with labels[k] <= elements[i]:
@@ -280,9 +257,9 @@ class FaceOrder:
         share one.
         """
         labels = tuple(labels)
-        if self._below[0] == labels:
-            return self._below[1]
-        holders = [0] * self.width  # per tube bit, the labels holding it
+        if self._last[0] == labels:
+            return self._last[1]
+        holders = [0] * len(tube_index(self.host).tubes)  # per tube bit, the labels holding it
         held = 0
         for k, label in enumerate(labels):
             i = self.index.get(label)
@@ -292,8 +269,8 @@ class FaceOrder:
             for j in bit_positions(self.masks[i]):
                 holders[j] |= 1 << k
         every, bads, union = (1 << len(labels)) - 1, self.bads, union_table(holders)
-        self._below = (labels, lambda i: every & ~union(bads[i] & held))
-        return self._below[1]
+        self._last[:] = labels, lambda i: every & ~union(bads[i] & held)
+        return self._last[1]
 
 
 class TubingMemo:
@@ -314,7 +291,7 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
     every frozen tube is a leaf, so the candidates factor over tubing
     partitions; acyclicity then only needs checking partition by partition.
     A tubing is the OR of its tubes' position bits (``tube_index``); what
-    ``memo`` holds from the last stage is reused.
+    ``memo`` holds from the last stage is reused, and the stage indexed once.
     """
     if M.host != P:
         raise ValueError("the melted set belongs to another host")
@@ -344,11 +321,15 @@ def admissible_tubings(P: Poset, M: MeltedSet, memo: TubingMemo | None = None) -
         tubings[mask] = entry
     memo.tubings = tubings
     # ascending positions list the tubes in members order: the sort key
-    masks = sorted(tubings, key=lambda mask: tubings[mask][0])
+    masks = tuple(sorted(tubings, key=lambda mask: tubings[mask][0]))
     elements = tuple(tubings[mask][1] for mask in masks)
-    adm = AdmissiblePoset(host=P, melted=M, elements=elements)
-    adm.__dict__["order"] = FaceOrder(elements, masks, melted, sub)
-    return adm
+    base, frozen = index.system.size - 2, ((1 << len(sub)) - 1) & ~melted
+    covered = union_table(sub)
+    return AdmissiblePoset(
+        host=P, melted=M, elements=elements, masks=masks,
+        dims=tuple(base + 2 * (mask & melted).bit_count() - mask.bit_count() for mask in masks),
+        bads=tuple((melted & ~mask) | (frozen & ~covered(mask & frozen)) for mask in masks),
+        index=MappingProxyType({T: i for i, T in enumerate(elements)}))
 
 
 # -- stellar subdivision ------------------------------------------------------
@@ -404,7 +385,7 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
     are solved, and each solve seeds the memo with the rank d of its tight
     rows.  The polytope is then certified and every face checked, as always.
     """
-    vertices_below, index = adm.order.below(labels), adm.order.index
+    vertices_below, index = adm.below(labels), adm.index
     carried = carried or {}
     facets, signs = [], []
     for Tf in adm.facets():
@@ -415,10 +396,8 @@ def rebuild_from_lattice(dim, vertices, labels, adm, rows, ranks,
             facet, row = facet_through(rows, ids, label=Tf)
             row = sides(row)
             ranks.seed([rows[k] for k in ids], dim)  # the solve found a hyperplane
-        else:
+        else:  # its tubing lacks the tube just melted, so its label is still Tf
             facet, row = kept
-            if facet.label != Tf:  # a kept facet keeps its label too, as a rule
-                facet = Facet(facet.normal, facet.offset, Tf)
         facets.append(facet)
         signs.append(row)
     poly = polytope_from_data(dim, vertices, facets, vertex_labels=tuple(labels),
@@ -447,24 +426,23 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
     vertex_set = set(adm.vertices())
     if set(labels) != vertex_set or len(labels) != len(vertex_set):
         raise MismatchError("vertex labels disagree with the lattice")
-    order = adm.order
-    vertices_below = order.below(labels)
-    tubes = (1 << order.width) - 1
-    fine = [0] * order.width  # per tube bit, the facets whose bad set misses it
+    vertices_below = adm.below(labels)
+    width = len(tube_index(adm.host).tubes)
+    tubes, fine = (1 << width) - 1, [0] * width  # per tube bit, the facets whose bad set misses it
     independent = 0  # the facets with linearly independent rows
     for k, (facet, inc) in enumerate(zip(Q.facets, Q.incidence)):
-        i = order.index.get(facet.label)
+        i = adm.index.get(facet.label)
         if i is None:
             raise MismatchError(f"facet label {_face_name(facet.label)} is not admissible")
-        for j in bit_positions(tubes & ~order.bads[i]):
+        for j in bit_positions(tubes & ~adm.bads[i]):
             fine[j] |= 1 << k
         if inc.bit_count() == Q.dim and Q.rank_of(inc) == Q.dim:
             independent |= 1 << k
     every_facet, every_vertex = (1 << len(Q.incidence)) - 1, (1 << len(labels)) - 1
     spoiled = union_table([every_facet & ~f for f in fine])
-    for i, (T, mask) in enumerate(zip(adm.elements, order.masks)):
+    for i, (T, mask, dim) in enumerate(zip(adm.elements, adm.masks, adm.dims)):
         above = every_facet & ~spoiled(mask)
-        if adm.dim(T) < Q.dim and not above:
+        if dim < Q.dim and not above:
             raise MismatchError(f"face {_face_name(T)} lies on no facet")
         simplex = above & independent
         cut = every_vertex
@@ -477,7 +455,7 @@ def lattice_match(Q: RationalPolytope, adm: AdmissiblePoset) -> None:
             raise MismatchError(
                 f"face {_face_name(T)} vertex set disagrees with facet intersection")
         rank = below.bit_count() if simplex else Q.rank_of(below)
-        if rank - 1 != adm.dim(T):
+        if rank - 1 != dim:
             raise MismatchError(f"face {_face_name(T)} has wrong dimension")
 
 
@@ -575,7 +553,7 @@ def realize(P) -> RealizationResult:
     sequence = melt_order(system.proper_tubes())
     for tau in sequence:
         # the vertices below s_tau, off the table the stage's lattice match built
-        face = adm.order.below(dual.vertex_labels)(adm.order.index[adm.s_tau(tau)])
+        face = adm.below(dual.vertex_labels)(adm.index[adm.s_tau(tau)])
         melted.add(tau)
         adm = admissible_tubings(P, MeltedSet.of(P, melted), memo)
         try:

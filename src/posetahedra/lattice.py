@@ -318,10 +318,11 @@ def order_polytope_face_lattice(P: Poset) -> FaceLattice:
     covers = []
     for p, T in enumerate(parts):
         for a, b in itertools.combinations(T, 2):
-            # a union that is no tube merges to a key with None: no partition
-            q = position.get(T - {a, b} | {tube_at.get(mask_of[a] | mask_of[b])})
-            if q is not None:
-                covers.append((q, p))
+            merged = tube_at.get(mask_of[a] | mask_of[b])
+            if merged is not None:  # else the union of the two blocks is no tube
+                q = position.get(T - {a, b} | {merged})
+                if q is not None:
+                    covers.append((q, p))
     covers.sort()
     return FaceLattice(kind="order_polytope", dim=len(P.elements) - 2,
                        faces=tuple(EMPTY if len(T) == 1 else T for T in parts),

@@ -22,7 +22,10 @@ def frac(value) -> Fraction:
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse "p/q", an integer or a decimal; a zero denominator is a ValueError."""
+    """Parse "p/q", an integer or a decimal; a zero denominator is a ValueError,
+    and so is an exponent, whose 10^k would take time and memory linear in k."""
+    if "e" in text or "E" in text:
+        raise ValueError(f"{text!r}: exponents are not accepted, write p/q")
     try:
         return Fraction(text.strip().replace("−", "-"))
     except ZeroDivisionError:

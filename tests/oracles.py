@@ -124,7 +124,7 @@ def tubings(pairs, proper_tubes_list):
 def admissible_le(adm, a, b):
     """Face order of admissible tubings as the per-pair loop over tubes.
 
-    The definition the bitset index of ``geometry.FaceOrder`` must match:
+    The definition the bitset index of ``geometry.AdmissiblePoset`` must match:
     melted tubes persist, frozen tubes may coarsen.
     """
     for t in a:
@@ -971,8 +971,9 @@ def tube_keyed_kernel(Tube, Tubing, tubing_tree, is_tubing, homogeneous, has_arr
 # arguments.
 
 
-def admissible_tubings(P, M, tube_system, AdmissiblePoset):
-    """The old ``geometry.admissible_tubings``: tubings as unions of Tube sets."""
+def admissible_tubings(P, M, tube_system):
+    """The old ``geometry.admissible_tubings``: tubings as unions of Tube sets,
+    in the order of the elements of its admissible poset."""
     system = tube_system(P)
     memo = {}
 
@@ -989,9 +990,8 @@ def admissible_tubings(P, M, tube_system, AdmissiblePoset):
         memo[tube] = tuple(options)
         return memo[tube]
 
-    elements = tuple(sorted(subtrees(system.root),
-                            key=lambda T: tuple(sorted(t.members for t in T))))
-    return AdmissiblePoset(host=P, melted=M, elements=elements)
+    return tuple(sorted(subtrees(system.root),
+                        key=lambda T: tuple(sorted(t.members for t in T))))
 
 
 def face_from_vertices(self, vertex_ids: Iterable[int], NotAFaceError) -> frozenset[int]:

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import oracles
-from posetahedra import corpus
+from posetahedra import affine, corpus
 from posetahedra.affine import (
     FULL,
     AffinePoset,
@@ -33,12 +33,14 @@ from posetahedra.affine import (
 )
 from posetahedra.errors import (
     CycleError,
+    ElementBudgetError,
     EmptyError,
     NotATubeError,
     NotStronglyConnectedError,
     OverlapError,
 )
 from posetahedra.lattice import EMPTY, f_vector, h_vector
+from posetahedra.poset import MAX_ELEMENTS
 from strategies import SETTINGS, affine_posets, periodic_bowtie
 
 # the desk hosts, the largest on which the old search is quick, and a host
@@ -90,6 +92,15 @@ class TestBuildAffine:
     def test_order_one(self):
         A = corpus.circular_chain(1)
         assert A.lt(0, 1) and A.lt(3, 7)
+
+    def test_element_budget(self, monkeypatch):
+        """A period of MAX_ELEMENTS is built; one more is refused before
+        the shift matrix is allocated."""
+        assert corpus.circular_chain(MAX_ELEMENTS).n == MAX_ELEMENTS
+        monkeypatch.setattr(affine, "_min_plus_closure", None)  # never reached
+        for n in (MAX_ELEMENTS + 1, 10**5):
+            with pytest.raises(ElementBudgetError, match=f"period {n}"):
+                build_affine_poset(n, [])
 
 
 def _hasse_matches_the_old_cover_test(A):

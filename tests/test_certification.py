@@ -7,7 +7,7 @@ certificate, or the supporting-hyperplane solve.
 
 import itertools
 import re
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
@@ -16,7 +16,6 @@ from posetahedra import corpus, geometry
 from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.errors import MismatchError
 from posetahedra.geometry import (
-    AdmissiblePoset,
     MeltedSet,
     admissible_tubings,
     initial_dual,
@@ -119,20 +118,11 @@ def test_carried_facet_with_nudged_offset(w5, nudge, error):
         stellar_subdivide(replace(dual, facets=facets), face, new_adm)
 
 
-@dataclass(frozen=True)
-class _OneFaceOff(AdmissiblePoset):
-    """Claims one more dimension for the face ``off`` than it has."""
-
-    off: frozenset = frozenset()
-
-    def dim(self, T):
-        return super().dim(T) + (T == self.off)
-
-
 def test_face_with_wrong_dimension(w5_dual):
+    """A stage that claims one more dimension for one edge than it has."""
     dual, adm = w5_dual
-    edge = next(T for T in adm.elements if adm.dim(T) == 1)
-    wrong = _OneFaceOff(adm.host, adm.melted, adm.elements, edge)
+    edge = adm.dims.index(1)
+    wrong = replace(adm, dims=adm.dims[:edge] + (2,) + adm.dims[edge + 1:])
     with pytest.raises(MismatchError, match="wrong dimension"):
         lattice_match(dual, wrong)
 

@@ -1,13 +1,19 @@
 import copy
 import json
+import os
+import re
+import subprocess
+import sys
 import time
 from fractions import Fraction as F
+from pathlib import Path
 
 import jsonschema
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import posetahedra
 from posetahedra import cli, corpus, serialize
 from posetahedra.affine import realize_affine_cyclohedron
 from posetahedra.cli import main
@@ -47,6 +53,14 @@ class TestRationals:
         for parse in (parse_rational, frac):
             with pytest.raises(ValueError, match="1/0"):
                 parse("1/0")
+
+    @pytest.mark.parametrize("text", ["1e3", "2.5E-1", "1e999999999", " -1e7 "])
+    def test_exponent_is_a_value_error(self, text):
+        """10^k would take time and memory linear in k, so no exponent is
+        read; the message names the text."""
+        for parse in (parse_rational, frac):
+            with pytest.raises(ValueError, match=re.escape(repr(text))):
+                parse(text)
 
 
 class TestJsonRoundTrips:
@@ -453,6 +467,35 @@ class TestCli:
                      "--tube", "[1,2]", "--parent", "[1,2,3,4]", "--t", "1/0"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "1/0" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [
+        ["compact", "expand", "{point}", "--poset", "{chain4}", "--tube", "[1,2]",
+         "--parent", "[1,2,3,4]", "--t", "1e999999999"],
+        ["compact", "demo-ratios", "--targets", "0,1e999999999"],
+    ], ids=["expand", "demo-ratios"])
+    def test_exponent_exits_fast(self, files, tmp_path, argv):
+        """An exponent is refused at once; its 10^k is never computed."""
+        point_file = tmp_path / "point.json"
+        assert main(["compact", "synthesize", files["chain4"],
+                     "--tubing", "[[1,2]]", "--out", str(point_file)]) == 0
+        src = str(Path(posetahedra.__file__).resolve().parents[1])
+        proc = subprocess.run(
+            [sys.executable, "-m", "posetahedra.cli",
+             *(a.format(point=point_file, chain4=files["chain4"]) for a in argv)],
+            capture_output=True, text=True, timeout=30,
+            env={**os.environ, "PYTHONPATH": src})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: ") and "1e999999999" in proc.stderr
+
+    def test_affine_host_over_budget_exits_fast(self, files, capsys):
+        """A period over the element budget is refused before its shift
+        matrix is built."""
+        big = files["dir"] / "big.json"
+        big.write_text(json.dumps({"n": 100000, "covers": []}))
+        start = time.perf_counter()
+        assert main(["cyclo", "faces", str(big)]) == 1
+        assert time.perf_counter() - start < 1
+        assert "period 100000" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["poset", "validate", "/nonexistent.json"]) == 1

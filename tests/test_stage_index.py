@@ -1,7 +1,7 @@
 """The per-stage face index, the carried stage and the rank memo against
 the definitions.
 
-Every melting stage indexes its admissible tubings once (``FaceOrder``),
+Every melting stage indexes its admissible tubings once (``AdmissiblePoset``),
 builds them on tube positions with options carried from the previous
 stage, takes the hyperplanes of the facets the subdivision keeps and
 takes face ranks through a memo that the realization hands from stage to
@@ -27,7 +27,7 @@ from hypothesis import given
 
 import oracles
 from posetahedra import affine, corpus, geometry, linalg
-from posetahedra.geometry import AdmissiblePoset, initial_dual, tube_system
+from posetahedra.geometry import initial_dual, tube_system
 from posetahedra.linalg import homogeneous, integer_rank
 from posetahedra.polytope import (RankMemo, bit_positions, facet_through, polytope_from_data,
                                    side_signs, sides)
@@ -69,8 +69,8 @@ def _check_every_stage(host):
     ranks = {}  # the Fraction rank of each point set, which recurs from stage to stage
     integer_ranks = {}
     for Q, adm, seeded in _stages(host):
-        old = oracles.admissible_tubings(host, adm.melted, tube_system, AdmissiblePoset)
-        assert adm.elements == old.elements
+        old = oracles.admissible_tubings(host, adm.melted, tube_system)
+        assert adm.elements == old
         # each vertex was cleared once, and the rows handed on are its rows
         assert Q.rows == tuple(map(homogeneous, Q.vertices))
         labels = Q.vertex_labels
@@ -83,7 +83,7 @@ def _check_every_stage(host):
         label_bits = [sum(map(bit.__getitem__, lab)) for lab in labels]
         passing = {s: sum(b for t, b in bit.items() if le(adm, (t,), (s,)))
                    for s in frozenset().union(*adm.elements)}
-        vertices_below = adm.order.below(labels)
+        vertices_below = adm.below(labels)
         tight = {}
         for i, T in enumerate(adm.elements):
             allowed = reduce(or_, map(passing.__getitem__, T), 0)
@@ -118,7 +118,7 @@ def _check_stage_facts(Q, adm, seeded, ranks):
 
     # a facet of d vertices of rank d has independent rows, and a face below
     # it has its vertex count as rank
-    order = adm.order  # T <= F when mask(T) misses bad(F)
+    order = adm  # T <= F when mask(T) misses bad(F)
     independent = [order.bads[order.index[f.label]] for f, inc in zip(Q.facets, Q.incidence)
                    if inc.bit_count() == Q.dim and rank(bit_positions(inc)) == Q.dim]
     vertices_below = order.below(Q.vertex_labels)
