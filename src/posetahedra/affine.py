@@ -17,7 +17,9 @@ a dependency arrow to b + dn (``_shift_weight``); the arrows run from that
 shift upward, so the instance digraph has a cycle exactly when the closure
 has a closed walk of total weight <= 0.  That closure is the cycle test of
 the host's one walk of its periodic tubings (``_class_walk``), which runs
-on ``tubes.walk_tubings`` as the finite walk does.
+on ``tubes.walk_tubings`` as the finite walk does.  Class relations read
+one overlap count per shift (``_overlaps``) and order relations the shift
+matrix per residue, so no cost grows with a generator's span.
 """
 
 from __future__ import annotations
@@ -75,24 +77,12 @@ class AffinePoset:
             spans.add(j - i)
         return tuple(sorted(spans))
 
-    @cached_property
-    def max_edge_span(self) -> int:
-        return max(self.n, max(abs(s) for s in self.atom_spans))
-
-    def between(self, i: int, j: int) -> list[int]:
-        """All m with i < m < j strictly."""
-        out = []
-        for r in range(1, self.n + 1):
-            lo = self.shift(i) + self.minshift[self.residue(i) - 1][r - 1]
-            hi = self.shift(j) - self.minshift[r - 1][self.residue(j) - 1]
-            for d in range(lo, hi + 1):
-                m = r + d * self.n
-                if m != i and m != j:
-                    out.append(m)
-        return sorted(out)
-
     def is_cover(self, i: int, j: int) -> bool:
-        return self.lt(i, j) and not self.between(i, j)
+        """i < j, and i and j are the only elements m with i <= m <= j."""
+        # the m of residue r have their shifts in one window, read off minshift
+        ri, rj, gap = self.residue(i) - 1, self.residue(j) - 1, self.shift(j) - self.shift(i)
+        return self.lt(i, j) and sum(max(0, gap + 1 - self.minshift[ri][r] - self.minshift[r][rj])
+                                     for r in range(self.n)) == 2
 
     @cached_property
     def cover_classes(self) -> tuple[tuple[int, int], ...]:
@@ -235,9 +225,12 @@ def _tube_defect(A: AffinePoset, tube: AffineTube) -> str | None:
     """Why the canonical members are no tube, or None."""
     if len(residues_of(A, tube)) != len(tube.members):
         return "repeats a residue class"
-    for i, j in itertools.permutations(tube.members, 2):
-        if A.lt(i, j) and any(m not in tube.as_set for m in A.between(i, j)):
-            return "is not convex"
+    # intervals are finite, so a chain that leaves the tube between two
+    # members leaves it at an upper cover of a member
+    exits = {i + j - a for i in tube.members for a, j in A.cover_classes
+             if a == A.residue(i)} - tube.as_set
+    if any(A.lt(u, m) for u in exits for m in tube.members):
+        return "is not convex"
     return None if _is_connected(tube.as_set, A.hasse_neighbors) else "is not connected"
 
 
@@ -254,35 +247,30 @@ def enumerate_affine_tubes(A: AffinePoset, proper_only: bool = True) -> tuple[Af
     return (*sorted((t for t in found if _tube_defect(A, t) is None), key=AffineTube.key), FULL)
 
 
-def _meeting_shifts(A: AffinePoset, a: AffineTube, b: AffineTube) -> range:
-    """The shifts d at which the span of b + dn overlaps the span of a: the
-    only ones at which the two instances can meet."""
-    return range(-((b.members[-1] - a.members[0]) // A.n),
-                 (a.members[-1] - b.members[0]) // A.n + 1)
+def _overlaps(A: AffinePoset, a: AffineTube, b: AffineTube) -> dict[int, int]:
+    """Each shift d at which a meets b + dn, mapped to |a & (b + dn)|."""
+    # x in a is y in b shifted by d iff x - y = dn; at one d each x pairs with
+    # at most one y, so the pairs count the meet, also with repeated residues
+    n = A.n
+    shifts = [(x - y) // n for x in a.members for y in b.members if not (x - y) % n]
+    return {d: shifts.count(d) for d in shifts}
 
 
 def class_nested_or_disjoint(A: AffinePoset, a: AffineTube, b: AffineTube) -> bool:
     """Every instance pair of the two classes must be nested or disjoint."""
-    return a.is_full or b.is_full or all(
-        a.as_set.isdisjoint(inst) or a.as_set <= inst or inst <= a.as_set
-        for inst in (b.instance(d, A.n) for d in _meeting_shifts(A, a, b)))
+    return a.is_full or b.is_full or \
+        {len(a.members), len(b.members)}.issuperset(_overlaps(A, a, b).values())
 
 
 def class_contains(A: AffinePoset, outer: AffineTube, inner: AffineTube) -> bool:
-    """Some instance of outer contains the canonical instance of inner.
-
-    An instance has as many members as its class, so outer contains no
-    class with more members.  The instance shifted by d can only contain
-    inner when it starts at or below min(inner) and ends at or above
-    max(inner), which bounds d on both sides.
-    """
+    """Some instance of outer contains the canonical instance of inner.  An
+    instance has as many members as its class, so outer contains no class
+    with more members."""
     if outer.is_full:
         return True
     if inner.is_full or len(outer.members) < len(inner.members):
         return False
-    lo = (max(inner.members) - max(outer.members)) // A.n
-    hi = (min(inner.members) - min(outer.members)) // A.n
-    return any(inner.as_set <= outer.instance(d, A.n) for d in range(lo, hi + 1))
+    return len(inner.members) in _overlaps(A, outer, inner).values()
 
 
 def _shift_weight(A: AffinePoset, a: AffineTube, b: AffineTube) -> int:
@@ -316,9 +304,8 @@ def _acyclic(A: AffinePoset, classes) -> bool:
 def _children_partition(A: AffinePoset, classes, tube: AffineTube):
     """Maximal instances of the smaller classes inside the tube's canonical
     instance, plus singleton fills."""
-    inside = [inst for cls in classes if not cls.is_full and len(cls) < len(tube)
-              for inst in (cls.instance(d, A.n) for d in _meeting_shifts(A, tube, cls))
-              if inst <= tube.as_set]
+    inside = [cls.instance(d, A.n) for cls in classes if not cls.is_full and len(cls) < len(tube)
+              for d, k in sorted(_overlaps(A, tube, cls).items()) if k == len(cls)]
     maximal = [s for s in inside if not any(s < t for t in inside)]
     blocks, seen = [], set()
     for s in maximal:
@@ -449,8 +436,10 @@ def linear_extension(A: AffinePoset) -> dict[int, int]:
     phi(1..n), extended by phi(i + n) = phi(i) + n.
     """
     n = A.n
-    bound = n * (A.max_edge_span + 3)
-    S = [i for i in range(-bound, bound + 1) if A.lt(i - n, 0) and not A.lt(i, 0)]
+    # the domain holds r - minshift[r][n] n of each residue r < n and 0 of
+    # residue n, and on a matrix that is no order maybe n - minshift[n][n] n
+    S = sorted({i for r in range(1, n + 1) for i in (r - A.minshift[r - 1][n - 1] * n, r - n)
+                if A.lt(i - n, 0) and not A.lt(i, 0)})
     if len(S) != n or len({A.residue(i) for i in S}) != n:
         raise CycleError("no fundamental domain: the shift matrix is not an order")
     into = [sum(1 << a for a, j in enumerate(S) if j != i and A.lt(j, i)) for i in S]
@@ -465,8 +454,10 @@ def linear_extension(A: AffinePoset) -> dict[int, int]:
     shift = 1 - min(phi.values())
     phi = {r: v + shift for r, v in phi.items()}
     for i in range(1, n + 1):
-        for j in range(i - bound, i + bound + 1):
-            if A.lt(i, j) and not _phi_value(phi, n, i) < _phi_value(phi, n, j):
+        # phi grows with the shift, so the least j above i of each residue s
+        # decides (i itself is not above i)
+        for j in sorted(s + (d or s == i) * n for s, d in enumerate(A.minshift[i - 1], 1)):
+            if not _phi_value(phi, n, i) < _phi_value(phi, n, j):
                 raise CycleError(f"relabeling breaks {i} < {j}: the shift matrix is not an order")
     return phi
 
@@ -477,7 +468,10 @@ def _phi_value(phi: dict[int, int], n: int, i: int) -> int:
 
 
 def interior_witness(A: AffinePoset, c: Fraction = Fraction(1)) -> dict[int, Fraction]:
-    """Strictly feasible point of the affine order polytope."""
+    """Strictly feasible point of the affine order polytope, c > 0."""
+    c = Fraction(c)
+    if c <= 0:
+        raise ValueError("period increment must be positive")
     phi = linear_extension(A)
     raw = {i: phi[i] * c / A.n for i in range(1, A.n + 1)}
     mean = sum(raw.values(), Fraction(0)) / A.n

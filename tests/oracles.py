@@ -630,7 +630,7 @@ def order_polytope_face_lattice(n, parts):
 
 
 def enumerate_affine_tubes(A, proper_only, make_affine_tube, NotATubeError, AffineTube, FULL):
-    n, s = A.n, A.max_edge_span
+    n, s = A.n, max(A.n, max(abs(s) for s in A.atom_spans))
     window = range(1, n + max(0, (n - 1)) * s + 1)
     found = []
     sizes = range(2 if proper_only else 1, n + 1)
@@ -678,6 +678,35 @@ def hasse_neighbors(A, i):
         if A.lt(j, i) and A.is_cover(j, i):
             downs.append(j)
     return tuple(sorted(set(ups) | set(downs)))
+
+
+# Copies of the affine cover and convexity tests as they were, when both
+# listed every element strictly between two elements.  The host enters as
+# the first argument.
+
+
+def between(A, i, j):
+    """All m with i < m < j strictly."""
+    out = []
+    for r in range(1, A.n + 1):
+        lo = A.shift(i) + A.minshift[A.residue(i) - 1][r - 1]
+        hi = A.shift(j) - A.minshift[r - 1][A.residue(j) - 1]
+        for d in range(lo, hi + 1):
+            m = r + d * A.n
+            if m != i and m != j:
+                out.append(m)
+    return sorted(out)
+
+
+def is_cover(A, i, j):
+    return A.lt(i, j) and not between(A, i, j)
+
+
+def affine_convex(A, members):
+    """No element outside the members lies strictly between two of them."""
+    members = set(members)
+    return not any(A.lt(i, j) and any(m not in members for m in between(A, i, j))
+                   for i, j in itertools.permutations(members, 2))
 
 
 # A copy of class_contains as it was, when every pair of classes went

@@ -122,6 +122,71 @@ class TestHasseDiagram:
         _hasse_matches_the_old_cover_test(A)
 
 
+def _covers_match_the_between_test(A):
+    """The cover test by residue windows equals the old test that listed
+    every element between, on pairs up to three periods apart."""
+    n = A.n
+    for i in range(1 - n, 2 * n + 1):
+        for j in range(i - 3 * n, i + 3 * n + 1):
+            assert A.is_cover(i, j) == oracles.is_cover(A, i, j), (i, j)
+
+
+def _verdict(A, members):
+    try:
+        make_affine_tube(A, members)
+    except NotATubeError as failure:
+        return str(failure).split(" ", 1)[1]
+    return None
+
+
+def _tube_verdicts_match_the_between_test(A):
+    """On every set of at most n elements of a window of two periods, the
+    tube constructor's verdict equals the old convexity test (every element
+    between two members listed) followed by the Hasse connectivity test."""
+    n = A.n
+    for size in range(1, n + 1):
+        for members in itertools.combinations(range(1, 2 * n + 1), size):
+            if len({A.residue(m) for m in members}) < size:
+                expected = "repeats a residue class"
+            elif not oracles.affine_convex(A, members):
+                expected = "is not convex"
+            else:
+                hasse = [(i, j) for i in members for j in members if oracles.is_cover(A, i, j)]
+                expected = None if oracles.connected(hasse, members) else "is not connected"
+            assert _verdict(A, members) == expected, members
+
+
+def _linear_extension_is_strict(A):
+    """phi is period-equivariant and strictly order-preserving on a window
+    of four periods."""
+    phi, n = linear_extension(A), A.n
+    val = lambda i: phi[(i - 1) % n + 1] + (i - ((i - 1) % n + 1))
+    for i in range(-2 * n, 2 * n):
+        assert val(i + n) == val(i) + n
+        for j in range(-2 * n, 2 * n):
+            if A.lt(i, j):
+                assert val(i) < val(j), (i, j)
+
+
+ORDER_CHECKS = [_covers_match_the_between_test, _tube_verdicts_match_the_between_test,
+                _linear_extension_is_strict]
+
+
+class TestOrderWithoutBetween:
+    """The order relations read off the shift matrix per residue equal the
+    old tests that listed every element between two elements."""
+
+    @pytest.mark.parametrize("check", ORDER_CHECKS, ids=lambda check: check.__name__)
+    def test_periodic_bowtie(self, check):
+        check(periodic_bowtie())
+
+    @pytest.mark.parametrize("check", ORDER_CHECKS, ids=lambda check: check.__name__)
+    @SETTINGS
+    @given(A=affine_posets())
+    def test_random(self, check, A):
+        check(A)
+
+
 class TestLinearExtension:
     def test_circular_chain_identity_pattern(self, cc3):
         phi = linear_extension(cc3)
@@ -426,6 +491,17 @@ class TestAffineOrderPolytope:
             Q = affine_order_polytope(A)
             assert Q.n_vertices == len(maximal_proper_classes(A)), name
             assert Q.dim == A.n - 1
+
+    @pytest.mark.parametrize("c", [1, 3, F(1, 2)])
+    def test_interior_witness_is_exact(self, c):
+        x = interior_witness(corpus.circular_chain(3), c)
+        assert all(type(v) is F for v in x.values())
+        assert x == {1: F(-1, 3) * c, 2: F(0), 3: F(1, 3) * c}
+
+    @pytest.mark.parametrize("c", [0, -1, F(-1, 2)])
+    def test_interior_witness_refuses_a_nonpositive_increment(self, c):
+        with pytest.raises(ValueError, match="period increment must be positive"):
+            interior_witness(corpus.circular_chain(3), c)
 
     def test_interior_witness_strict(self):
         for name, A in corpus.DESK_AFFINE.items():
